@@ -6,6 +6,14 @@ order, against the original (un-redistributed) factors:
     log q_i(y) <- s_i(y) + sum_{j in N(i) labeled} a_ij K[y, y_j]
                          + sum_{k in N(i) unlabeled} a_ik (K q_k)[y]
 
+That ascending Gauss-Seidel order is run by dependency level, as level
+scheduling runs a sparse triangular solve: a node's level is one more
+than the highest level among its lower-numbered unlabeled neighbours,
+and one vectorized update per level reproduces the node-by-node sweep.
+A numbering that chains the unlabeled nodes (a path numbered end to
+end) puts every node on its own level, where this is slower than a
+per-node loop.
+
 The M-step fixes q and runs full-batch Adam ascent on the expected
 piecewise objective, updating the backbone weights together with K and
 alpha. Labeled nodes stay clamped throughout; model selection keeps the
@@ -16,10 +24,12 @@ boundary.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import gcn
 from .data import Dataset, Split
-from .errors import ConfigError, DegenerateInputError, NonFiniteObjectiveError
+from .errors import (ConfigError, DegenerateInputError, NonFiniteObjectiveError,
+                     StructuralInputError)
 from .factors import (PairwiseParams, Redistribution, build_pieces,
                       diagnose_non_finite, objective_and_gradients,
                       COEFFICIENT_MODES, REDISTRIBUTION_SCHEMES)
@@ -168,18 +178,60 @@ def mean_field_site_update(q: Proposal, node, scores, pp: PairwiseParams,
     return out
 
 
+def _dependency_levels(coupling) -> np.ndarray:
+    """Wavefront level of each row of a symmetric unlabeled coupling matrix.
+
+    A row's level is 0 when it has no lower-numbered neighbour, else one
+    more than the highest level among its lower-numbered neighbours. The
+    levels come from Kahn-style waves over the lower -> higher edges.
+    """
+    m = coupling.shape[0]
+    src = np.repeat(np.arange(m, dtype=np.int64), np.diff(coupling.indptr))
+    up = coupling.indices > src
+    src, dst = src[up], coupling.indices[up].astype(np.int64)
+    up_indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=m), out=up_indptr[1:])
+    pending = np.bincount(dst, minlength=m)      # lower neighbours not yet placed
+    level = np.zeros(m, dtype=np.int64)
+    frontier, depth = np.flatnonzero(pending == 0), 0
+    while frontier.size:
+        level[frontier] = depth
+        starts = up_indptr[frontier]
+        lengths = up_indptr[frontier + 1] - starts
+        offsets = np.cumsum(lengths) - lengths
+        slots = np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+        targets, hits = np.unique(dst[slots], return_counts=True)
+        pending[targets] -= hits
+        frontier, depth = targets[pending[targets] == 0], depth + 1
+    return level
+
+
 def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
                   train_ids, sweeps, tolerance):
-    """Sequential sweeps in ascending node order; returns (q, sweeps_run, tv)."""
+    """Sequential sweeps in ascending node order; returns (q, sweeps_run, tv).
+
+    Each sweep runs one dependency level at a time. No two nodes on a level
+    are adjacent, and every lower-numbered neighbour sits on a lower level,
+    so a level reads this sweep's values below it and last sweep's values
+    above it, exactly as the one-node-at-a-time ascending sweep does.
+    """
+    k, c = pp.K, scores.shape[1]
+    if k.shape != (c, c):
+        raise StructuralInputError(
+            f"pairwise K is {k.shape[0]}x{k.shape[1]} but the scores have {c} classes")
+    if pp.mode == "edge" and len(pp.alpha) != g.num_edges:
+        raise StructuralInputError(
+            f"pairwise parameters hold {len(pp.alpha)} edge coefficients "
+            f"but the graph has {g.num_edges} edges")
     labeled = _labeled_mask(g.num_nodes, train_ids)
-    if len(q.node_ids) == 0:
+    m = len(q.node_ids)
+    if m == 0:
         return q.copy(), 0, 0.0
-    k = pp.K
     centers = g.slot_centers
     leaves = g.indices
     alphas = pp.alpha_at(g.slot_edge_ids)
     positions = np.full(g.num_nodes, -1, dtype=np.int64)
-    positions[q.node_ids] = np.arange(len(q.node_ids))
+    positions[q.node_ids] = np.arange(m)
 
     # contributions from labeled neighbors never change during the E-step
     base = scores[q.node_ids].astype(np.float64).copy()
@@ -190,30 +242,34 @@ def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
         np.add.at(full, centers[sel], contrib)
         base += full[q.node_ids]
 
-    # unlabeled neighborhoods packed per unlabeled node, in CSR (ascending) order
+    # unlabeled-to-unlabeled coupling, one CSR row per unlabeled node
     sel_u = ~labeled[centers] & ~labeled[leaves]
     nb_pos = positions[leaves[sel_u]]
     nb_alpha = alphas[sel_u]
-    counts = np.bincount(positions[centers[sel_u]], minlength=len(q.node_ids))
-    u_indptr = np.zeros(len(q.node_ids) + 1, dtype=np.int64)
+    counts = np.bincount(positions[centers[sel_u]], minlength=m)
+    u_indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(counts, out=u_indptr[1:])
+    coupling = sp.csr_array((nb_alpha, nb_pos, u_indptr), shape=(m, m))
+
+    # one (rows, base rows, coupling rows) block per level, rows ascending
+    level = _dependency_levels(coupling)
+    order = np.argsort(level, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(level))])
+    permuted = coupling[order]
+    blocks = [(order[lo:hi], base[order[lo:hi]], permuted[lo:hi])
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     table = q.q.copy()
+    kt = k.T
     sweeps_run, max_tv = 0, 0.0
     for _ in range(sweeps):
         max_tv = 0.0
-        for u in range(len(q.node_ids)):
-            logits = base[u]
-            lo, hi = u_indptr[u], u_indptr[u + 1]
-            if hi > lo:
-                w = nb_alpha[lo:hi] @ table[nb_pos[lo:hi]]
-                logits = logits + k @ w
-            e = np.exp(logits - logits.max())
-            row = e / e.sum()
-            tv = 0.5 * np.abs(row - table[u]).sum()
-            if tv > max_tv:
-                max_tv = tv
-            table[u] = row
+        for rows, base_rows, block in blocks:
+            logits = base_rows + (block @ table) @ kt
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            new = e / e.sum(axis=1, keepdims=True)
+            max_tv = max(max_tv, float(0.5 * np.abs(new - table[rows]).sum(axis=1).max()))
+            table[rows] = new
         sweeps_run += 1
         if max_tv < tolerance:
             break
@@ -265,13 +321,17 @@ def predict(scores, pp: PairwiseParams, q: Proposal, g: Graph, labels, train_ids
 
     Labeled nodes report their own label.
     """
-    out = np.empty(g.num_nodes, dtype=np.int64)
+    if len(q.node_ids):
+        q = e_step(q, scores, pp, g, labels, train_ids, sweeps=sweeps, tolerance=tolerance)
+    return _argmax_predictions(q, labels, train_ids)
+
+
+def _argmax_predictions(q: Proposal, labels, train_ids) -> np.ndarray:
+    """Per-node argmax of the proposal, with labeled nodes clamped to their label."""
+    out = np.empty(q.num_nodes, dtype=np.int64)
     train_ids = np.asarray(train_ids, dtype=np.int64)
     out[train_ids] = labels[train_ids]
-    if len(q.node_ids):
-        q_final = e_step(q, scores, pp, g, labels, train_ids,
-                         sweeps=sweeps, tolerance=tolerance)
-        out[q_final.node_ids] = np.argmax(q_final.q, axis=1)
+    out[q.node_ids] = np.argmax(q.q, axis=1)
     return out
 
 
@@ -358,10 +418,12 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
     q = Proposal.from_scores(scores, unlabeled, g.num_nodes)
 
     # ---- EM rounds
+    e_result = None
     for rnd in range(1, config.em_rounds + 1):
-        scores = eval_scores(params)
-        q, sweeps_run, _ = _e_step_stats(q, scores, pp, g, labels, train_ids,
-                                         config.e_sweeps, config.e_tolerance)
+        if e_result is None:
+            e_result = _e_step_stats(q, scores, pp, g, labels, train_ids,
+                                     config.e_sweeps, config.e_tolerance)
+        q, sweeps_run, _ = e_result
         phase = f"round{rnd}:e"
         acc = val_accuracy_of(predict(scores, pp, q, g, labels, train_ids,
                                       sweeps=config.e_sweeps, tolerance=config.e_tolerance))
@@ -375,8 +437,11 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
         for step, value in enumerate(trace):
             report.add(phase, step, "objective", value)
         scores = eval_scores(params)
-        acc = val_accuracy_of(predict(scores, pp, q, g, labels, train_ids,
-                                      sweeps=config.e_sweeps, tolerance=config.e_tolerance))
+        # validating the new parameters runs the next round's E-step: same q,
+        # scores and pairwise parameters, so its result is kept for that round
+        e_result = _e_step_stats(q, scores, pp, g, labels, train_ids,
+                                 config.e_sweeps, config.e_tolerance)
+        acc = val_accuracy_of(_argmax_predictions(e_result[0], labels, train_ids))
         report.add(phase, 0, "val_accuracy", acc)
         consider(acc, phase, params, pp, q)
 

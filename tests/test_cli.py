@@ -6,10 +6,10 @@ from mrfgcn.errors import ConfigError
 from mrfgcn.graph import homophily_beta
 
 
-def _synth_dir(tmp_path, name="ds", target=0.85, nodes=120, seed=0):
+def _synth_dir(tmp_path, name="ds", target=0.85, nodes=120, seed=0, edges_per_node=3):
     out = tmp_path / name
     code = main(["synth", "--out", str(out), "--nodes", str(nodes), "--classes", "3",
-                 "--edges-per-node", "3", "--target", str(target),
+                 "--edges-per-node", str(edges_per_node), "--target", str(target),
                  "--feature-dim", "8", "--noise", "0.3", "--seed", str(seed)])
     assert code == 0
     return out
@@ -130,6 +130,24 @@ def test_evaluate_command(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "test accuracy:" in printed
+
+
+@pytest.mark.parametrize("edges_per_node", [5, 1], ids=["more_edges", "fewer_edges"])
+def test_evaluate_edge_checkpoint_on_other_graph_exits_two(tmp_path, capsys, edges_per_node):
+    ds_dir = _synth_dir(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["train", "--dataset", str(ds_dir), "--out", str(out),
+                 "--seeds", "0", *_FAST, "--coeff", "edge", "--quiet"]) == 0
+    other = _synth_dir(tmp_path, "other", edges_per_node=edges_per_node)
+    assert load_generic(other).graph.num_edges != load_generic(ds_dir).graph.num_edges
+    capsys.readouterr()
+    code = main(["evaluate", "--dataset", str(other), "--split", "ratio", "--seeds", "0",
+                 "--checkpoint", str(out / "checkpoint_seed0.bin")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "edge coefficients" in captured.err
 
 
 def test_ablate_grid_shape(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mrfgcn.data import Split, generate_synthetic, ratio_split, row_normalize_features
 from mrfgcn.errors import ConfigError, DegenerateInputError, NonFiniteObjectiveError
@@ -10,10 +11,10 @@ from mrfgcn.gcn import GcnParams, forward, init_params
 from mrfgcn.graph import build_graph, normalized_adjacency
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows, stream
 from mrfgcn.oracle import exact_posterior_marginals
-from mrfgcn.training import (Proposal, TrainConfig, e_step, evaluate, m_step,
-                             make_r, mean_field_site_update, predict, train)
+from mrfgcn.training import (Proposal, TrainConfig, _dependency_levels, e_step, evaluate,
+                             m_step, make_r, mean_field_site_update, predict, train)
 
-from conftest import random_problem
+from conftest import random_graph, random_problem
 
 
 def _uniform_q(free, c, n):
@@ -58,20 +59,82 @@ def test_e_step_k_zero_fixed_point():
     assert np.allclose(q2.q, q1.q, atol=1e-15)
 
 
-def test_e_step_matches_sequential_site_updates():
-    rng = np.random.default_rng(1)
-    g, _, _, scores, pp, labels, train = random_problem(rng, 8, 3)
-    free = np.setdiff1d(np.arange(8), train)
+_E_STEP_CASES = ("draw8", "random60", "random130", "random200", "path", "one_level")
+
+
+def _e_step_case(name):
+    """(rng, graph, scores, pairwise, labels, labeled ids) for the E-step checks.
+
+    The random graphs interleave labeled and unlabeled nodes; on the path
+    every unlabeled node is on its own level, and in `one_level` unlabeled
+    nodes only touch labeled ones.
+    """
+    if name == "draw8":
+        rng = np.random.default_rng(1)
+        g, _, _, scores, pp, labels, train = random_problem(rng, 8, 3)
+        return rng, g, scores, pp, labels, train
+    rng = np.random.default_rng(_E_STEP_CASES.index(name))
+    if name.startswith("random"):
+        n = int(name[len("random"):])
+        g = random_graph(rng, n, edge_prob=4.0 / n)
+        train = np.sort(rng.choice(n, size=n // 4, replace=False))
+    elif name == "path":
+        n = 40
+        g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        train = np.zeros(0, dtype=np.int64)
+    else:
+        n = 30
+        g = build_graph(n, [(j, k) for j in range(0, n, 2) for k in range(1, n, 2)
+                            if rng.random() < 0.3])
+        train = np.arange(0, n, 2)
+    c = 3
+    scores = rng.normal(0.0, 1.5, size=(n, c))
+    pp = PairwiseParams(rng.normal(0.0, 0.6, size=(c, c)),
+                        rng.normal(1.0, 0.5, size=g.num_edges), "edge")
+    labels = rng.integers(0, c, size=n)
+    return rng, g, scores, pp, labels, train
+
+
+@pytest.mark.parametrize("case", _E_STEP_CASES)
+def test_e_step_matches_sequential_site_updates(case):
+    rng, g, scores, pp, labels, train = _e_step_case(case)
+    n, c = scores.shape
+    free = np.setdiff1d(np.arange(n), train)
     if len(free) == 0:
         pytest.skip("fully labeled draw")
-    rows = rng.random((len(free), 3)) + 0.1
+    rows = rng.random((len(free), c)) + 0.1
     rows /= rows.sum(axis=1, keepdims=True)
-    q0 = Proposal(free, rows, 8)
-    fast = e_step(q0, scores, pp, g, labels, train, sweeps=1, tolerance=0.0)
+    q0 = Proposal(free, rows, n)
     ref = q0
-    for node in free:
-        ref = mean_field_site_update(ref, node, scores, pp, g, labels, train)
-    assert np.abs(fast.q - ref.q).max() <= 1e-14
+    for sweep in range(5):
+        for node in free:
+            ref = mean_field_site_update(ref, node, scores, pp, g, labels, train)
+        if sweep == 0:
+            fast = e_step(q0, scores, pp, g, labels, train, sweeps=1, tolerance=0.0)
+            assert np.abs(fast.q - ref.q).max() <= 1e-14
+    fast = e_step(q0, scores, pp, g, labels, train, sweeps=5, tolerance=0.0)
+    assert np.abs(fast.q - ref.q).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", _E_STEP_CASES)
+def test_dependency_levels_follow_lower_neighbours(case):
+    _, g, _, _, _, train = _e_step_case(case)
+    free = np.setdiff1d(np.arange(g.num_nodes), train)
+    position = {int(node): i for i, node in enumerate(free)}
+    neighbours = [[position[int(v)] for v in g.neighbors(u) if int(v) in position]
+                  for u in free]
+    indptr = np.concatenate([[0], np.cumsum([len(nb) for nb in neighbours])])
+    indices = np.array([v for nb in neighbours for v in nb], dtype=np.int64)
+    coupling = sp.csr_array((np.ones(len(indices)), indices, indptr),
+                            shape=(len(free), len(free)))
+    level = _dependency_levels(coupling)
+    for u, nb in enumerate(neighbours):
+        lower = [level[v] for v in nb if v < u]
+        assert level[u] == (1 + max(lower) if lower else 0)
+    if case == "path":
+        assert level.max() + 1 == len(free)
+    if case == "one_level":
+        assert level.max() == 0
 
 
 def test_e_step_converged_fixed_point():
