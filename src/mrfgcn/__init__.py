@@ -12,7 +12,7 @@ from .data import (Dataset, Split, generate_synthetic, load_citation,
 from .factors import (PairwiseParams, Redistribution, StarPiece, build_pieces,
                       expected_piecewise_objective, objective_gradients,
                       pairwise_log_factor, piece_log_partition, piece_marginals)
-from .gcn import GcnParams, backward, init_params, supervised_loss_and_grad, unary_log_factors
+from .gcn import GcnParams, backward, init_params, supervised_loss_and_grad
 from .graph import Graph, build_graph, homophily_beta, normalized_adjacency
 from .oracle import (OracleLimit, exact_elbo, exact_log_partition,
                      exact_observed_ll, exact_posterior_marginals)

@@ -11,7 +11,8 @@ Two on-disk layouts are supported:
   train/val/test).
 
 Files are UTF-8, whitespace-separated; lines starting with ``#`` are
-ignored.
+ignored. Node features are held as a CSR matrix: the loaders keep only
+the nonzero entries of each row as they read it.
 """
 
 import logging
@@ -19,6 +20,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, ParseError, StructuralInputError
 from .graph import Graph, build_graph
@@ -27,19 +29,21 @@ from .numerics import stream
 log = logging.getLogger(__name__)
 
 _PARTNER_RETRIES = 100
+_SAVE_BLOCK_ROWS = 1024   # feature rows made dense at a time by save_generic
 
 
 @dataclass(eq=False)
 class Dataset:
     graph: Graph
-    features: np.ndarray   # (n, f) float64
-    labels: np.ndarray     # (n,) int64 in [0, num_classes)
+    features: sp.csr_array   # (n, f) float64 CSR; dense input is converted
+    labels: np.ndarray       # (n,) int64 in [0, num_classes)
     num_classes: int
     node_names: list | None = None
     num_citation_rows: int | None = None   # raw resolved cite lines, pre-dedup
     skipped_citations: int = 0
 
     def __post_init__(self):
+        self.features = sp.csr_array(self.features, dtype=np.float64)
         n = self.graph.num_nodes
         if self.features.shape[0] != n:
             raise StructuralInputError(
@@ -69,6 +73,24 @@ class Split:
             raise StructuralInputError("split sets must be pairwise disjoint")
 
 
+class _CsrRows:
+    """Collects feature rows one at a time, keeping only their nonzero entries."""
+
+    def __init__(self):
+        self.indptr, self.indices, self.values = [0], [np.zeros(0, np.int64)], [np.zeros(0)]
+
+    def append(self, row):
+        row = np.asarray(row, dtype=np.float64)
+        nonzero = np.flatnonzero(row)
+        self.indices.append(nonzero)
+        self.values.append(row[nonzero])
+        self.indptr.append(self.indptr[-1] + len(nonzero))
+
+    def tocsr(self, width) -> sp.csr_array:
+        return sp.csr_array((np.concatenate(self.values), np.concatenate(self.indices),
+                             np.asarray(self.indptr)), shape=(len(self.indptr) - 1, width))
+
+
 def _data_lines(path):
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -80,7 +102,7 @@ def _data_lines(path):
 
 def load_citation(content_file, cites_file) -> Dataset:
     """Load the two-file citation layout; class ids follow first appearance."""
-    names, rows, class_ids = [], [], []
+    names, rows, class_ids = [], _CsrRows(), []
     class_map = {}
     width = None
     for line_no, parts in _data_lines(content_file):
@@ -119,8 +141,7 @@ def load_citation(content_file, cites_file) -> Dataset:
         log.warning("%s: skipped %d citation rows with unknown node ids", cites_file, skipped)
 
     graph = build_graph(len(names), edges)
-    return Dataset(graph=graph,
-                   features=np.asarray(rows, dtype=np.float64).reshape(len(names), width or 0),
+    return Dataset(graph=graph, features=rows.tocsr(width or 0),
                    labels=np.asarray(class_ids, dtype=np.int64),
                    num_classes=len(class_map), node_names=names,
                    num_citation_rows=raw_rows, skipped_citations=skipped)
@@ -230,8 +251,10 @@ def generate_synthetic(num_nodes, num_classes, edges_per_node, homophily_target,
 
 def row_normalize_features(ds: Dataset) -> Dataset:
     """Scale each nonzero feature row to sum to 1; zero rows stay zero."""
-    sums = ds.features.sum(axis=1, keepdims=True)
-    scaled = np.divide(ds.features, sums, out=ds.features.copy(), where=sums != 0)
+    scaled = ds.features.copy()
+    sums = scaled.sum(axis=1)
+    sums[sums == 0] = 1.0
+    scaled.data /= np.repeat(sums, np.diff(scaled.indptr))
     return replace(ds, features=scaled)
 
 
@@ -243,8 +266,10 @@ def save_generic(ds: Dataset, directory, split: Split | None = None):
         for j, k in ds.graph.edges:
             fh.write(f"{j}\t{k}\n")
     with open(directory / "features.tsv", "w", encoding="utf-8") as fh:
-        for row in ds.features:
-            fh.write("\t".join("%.17g" % x for x in row) + "\n")
+        # dense blocks of rows: every zero is written, as in the file layout
+        for start in range(0, ds.graph.num_nodes, _SAVE_BLOCK_ROWS):
+            for row in ds.features[start:start + _SAVE_BLOCK_ROWS].toarray():
+                fh.write("\t".join("%.17g" % x for x in row) + "\n")
     with open(directory / "labels.tsv", "w", encoding="utf-8") as fh:
         for lab in ds.labels:
             fh.write(f"{lab}\n")
@@ -257,15 +282,20 @@ def save_generic(ds: Dataset, directory, split: Split | None = None):
 
 def load_generic(directory) -> Dataset:
     directory = Path(directory)
-    feat_rows = []
+    rows, width = _CsrRows(), None
     for line_no, parts in _data_lines(directory / "features.tsv"):
         try:
-            feat_rows.append([float(x) for x in parts])
+            values = [float(x) for x in parts]
         except ValueError as exc:
             raise ParseError(directory / "features.tsv", line_no, str(exc)) from None
-    features = np.asarray(feat_rows, dtype=np.float64)
-    if features.ndim != 2:
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise StructuralInputError(f"{directory}/features.tsv: ragged feature rows")
+        rows.append(values)
+    if width is None:
         raise StructuralInputError(f"{directory}/features.tsv: ragged feature rows")
+    features = rows.tocsr(width)
 
     labels = []
     for line_no, parts in _data_lines(directory / "labels.tsv"):
@@ -282,7 +312,7 @@ def load_generic(directory) -> Dataset:
                 raise ParseError(edges_path, line_no, "expected two integer columns")
             edges.append((int(parts[0]), int(parts[1])))
 
-    graph = build_graph(len(feat_rows), edges)
+    graph = build_graph(features.shape[0], edges)
     return Dataset(graph=graph, features=features, labels=labels,
                    num_classes=int(labels.max()) + 1 if len(labels) else 0)
 

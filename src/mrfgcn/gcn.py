@@ -2,7 +2,10 @@
 
 The forward map is ``A @ relu(A @ drop(X) @ W0) @ W1`` where A is the
 normalized adjacency (dense array or sparse operator) and dropout is
-active only in train mode. Raw scores serve directly as unary
+active only in train mode. The features X are a CSR matrix, and the
+input dropout scales only its stored entries: a zero stays zero whether
+it is dropped or kept, so one mask value per nonzero is drawn. The
+hidden-layer mask is dense. Raw scores serve directly as unary
 log-factors; no per-node normalization is applied. Backward passes are
 exact for the activations cached by the forward call that produced
 them, including its dropout masks.
@@ -11,6 +14,7 @@ them, including its dropout masks.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import StaleCacheError, StructuralInputError
 from .numerics import dropout_mask, softmax_rows, stream
@@ -29,7 +33,7 @@ class GcnParams:
 class GcnCache:
     """Activations retained by forward() for an exact backward()."""
     norm_adj: object
-    x0: np.ndarray      # input after dropout
+    x0: object          # input after dropout (CSR in train mode)
     z1: np.ndarray      # pre-activation of the hidden layer
     h1d: np.ndarray     # hidden activation after dropout
     mask1: np.ndarray | None
@@ -52,8 +56,8 @@ def init_params(num_features, hidden, num_classes, seed) -> GcnParams:
 def forward(params: GcnParams, features, norm_adj, dropout_keep=1.0, rng=None):
     """Run the backbone; returns (scores, cache).
 
-    With dropout_keep < 1 an rng must be supplied; one input mask and one
-    hidden mask are drawn, in that order.
+    With dropout_keep < 1 an rng must be supplied; one input mask over the
+    stored feature entries and one hidden mask are drawn, in that order.
     """
     if features.shape[1] != params.w0.shape[0]:
         raise StructuralInputError(
@@ -63,7 +67,8 @@ def forward(params: GcnParams, features, norm_adj, dropout_keep=1.0, rng=None):
     if dropout_keep < 1.0:
         if rng is None:
             raise StructuralInputError("dropout requires an rng stream")
-        x0 = features * dropout_mask(features.shape, dropout_keep, rng)
+        x0 = sp.csr_array(features, copy=True)
+        x0.data *= dropout_mask(x0.data.shape, dropout_keep, rng)
         mask1 = dropout_mask((features.shape[0], params.w0.shape[1]), dropout_keep, rng)
     z1 = norm_adj @ (x0 @ params.w0)
     h1 = np.maximum(z1, 0.0)
@@ -72,14 +77,6 @@ def forward(params: GcnParams, features, norm_adj, dropout_keep=1.0, rng=None):
     cache = GcnCache(norm_adj=norm_adj, x0=x0, z1=z1, h1d=h1d, mask1=mask1,
                      w0_ref=params.w0, w1_ref=params.w1)
     return scores, cache
-
-
-def unary_log_factors(params, features, norm_adj, train_mode=False, rng=None,
-                      dropout_keep=0.5):
-    """Per-node unary log-factor rows (raw scores, num_nodes x num_classes)."""
-    keep = dropout_keep if train_mode else 1.0
-    scores, _ = forward(params, features, norm_adj, dropout_keep=keep, rng=rng)
-    return scores
 
 
 def backward(params: GcnParams, cache: GcnCache, grad_scores):

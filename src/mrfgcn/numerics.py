@@ -1,8 +1,10 @@
-"""Dense numeric kernels shared by the learning modules.
+"""Numeric kernels shared by the learning modules.
 
 Everything is double precision. Randomness comes from named Philox
 streams derived from one run seed, so results do not depend on the
-order in which unrelated components draw numbers.
+order in which unrelated components draw numbers. A dropout mask has
+whatever shape the caller names: the GCN draws one value per stored
+entry of its CSR features, and a dense mask for its hidden layer.
 """
 
 import zlib
@@ -17,16 +19,6 @@ def stream(seed: int, name: str) -> np.random.Generator:
     """Counter-based RNG stream for one purpose (init, dropout, split, ...)."""
     key = np.random.SeedSequence(entropy=int(seed), spawn_key=(zlib.crc32(name.encode()),))
     return np.random.Generator(np.random.Philox(key))
-
-
-def matmul(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-d operands, got {a.ndim}-d and {b.ndim}-d")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def softmax_rows(m):

@@ -216,6 +216,10 @@ def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
     above it, exactly as the one-node-at-a-time ascending sweep does.
     """
     k, c = pp.K, scores.shape[1]
+    train_labels = labels[np.asarray(train_ids, dtype=np.int64)]
+    if train_labels.size and train_labels.max() >= c:
+        raise StructuralInputError(
+            f"labeled node has class {train_labels.max()} but the scores have {c} classes")
     if k.shape != (c, c):
         raise StructuralInputError(
             f"pairwise K is {k.shape[0]}x{k.shape[1]} but the scores have {c} classes")
@@ -456,8 +460,7 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
 
     q = e_step(q, scores, pp, g, labels, train_ids,
                sweeps=max(50, config.e_sweeps), tolerance=config.e_tolerance)
-    predictions = predict(scores, pp, q, g, labels, train_ids,
-                          sweeps=config.e_sweeps, tolerance=config.e_tolerance)
+    predictions = _argmax_predictions(q, labels, train_ids)
     report.best_phase = best.phase if best is not None else "last"
     if len(split.val):
         report.add("final", 0, "val_accuracy", evaluate(predictions, labels, split.val))

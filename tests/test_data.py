@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mrfgcn.data import (generate_synthetic, load_citation, load_generic,
                          load_split_file, planetoid_split, ratio_split,
@@ -31,7 +34,7 @@ def test_load_citation_class_order_and_features(tmp_path):
     ds = _toy_dataset(tmp_path)
     assert ds.num_classes == 3
     assert ds.labels.tolist() == [0, 1, 0, 2]  # ml, pl, ml, db by first appearance
-    assert ds.features.tolist()[0] == [1.0, 0.0, 1.0]
+    assert ds.features.toarray()[0].tolist() == [1.0, 0.0, 1.0]
     assert ds.graph.num_edges == 3              # duplicate citation merged
     assert ds.num_citation_rows == 4            # raw resolved rows keep the duplicate
 
@@ -148,13 +151,24 @@ def test_synthetic_impossible_partner():
 
 def test_row_normalize():
     ds = generate_synthetic(3, 2, 1, 0.5, feature_dim=4, feature_noise=0.0, seed=10)
-    ds.features[0] = [1.0, 1.0, 0.0, 2.0]
-    ds.features[1] = [0.0, 0.0, 0.0, 0.0]
-    ds.features[2] = [1.0, 1.0, 1.0, 1.0]
+    ds = replace(ds, features=np.array([[1.0, 1.0, 0.0, 2.0],
+                                        [0.0, 0.0, 0.0, 0.0],
+                                        [1.0, 1.0, 1.0, 1.0]]))
+    out = row_normalize_features(ds).features.toarray()
+    assert out[0].tolist() == [0.25, 0.25, 0.0, 0.5]
+    assert out[1].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert out[2].tolist() == [0.25, 0.25, 0.25, 0.25]
+
+
+def test_row_normalize_leaves_the_input_alone():
+    ds = generate_synthetic(40, 3, 2, 0.5, feature_dim=9, feature_noise=0.3, seed=12)
+    before = ds.features.copy()
     out = row_normalize_features(ds)
-    assert out.features[0].tolist() == [0.25, 0.25, 0.0, 0.5]
-    assert out.features[1].tolist() == [0.0, 0.0, 0.0, 0.0]
-    assert out.features[2].tolist() == [0.25, 0.25, 0.25, 0.25]
+    assert np.array_equal(ds.features.data, before.data)
+    dense = before.toarray()
+    sums = dense.sum(axis=1, keepdims=True)
+    expected = np.divide(dense, sums, out=dense.copy(), where=sums != 0)
+    assert np.array_equal(out.features.toarray(), expected)
 
 
 def test_generic_round_trip(tmp_path):
@@ -163,7 +177,7 @@ def test_generic_round_trip(tmp_path):
     back = load_generic(tmp_path / "out")
     assert back.graph.num_nodes == ds.graph.num_nodes
     assert np.array_equal(back.graph.edges, ds.graph.edges)
-    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.features.toarray(), ds.features.toarray())
     assert np.array_equal(back.labels, ds.labels)
     assert back.num_classes == ds.num_classes
 
@@ -176,3 +190,45 @@ def test_split_file_round_trip(tmp_path):
     assert np.array_equal(back.train, split.train)
     assert np.array_equal(back.val, split.val)
     assert np.array_equal(back.test, split.test)
+
+
+def _same_csr(a, b):
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
+
+
+def test_features_are_csr_of_the_nonzeros(tmp_path):
+    ds = _toy_dataset(tmp_path)
+    assert isinstance(ds.features, sp.csr_array)
+    assert ds.features.dtype == np.float64
+    dense = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=np.float64)
+    assert _same_csr(ds.features, sp.csr_array(dense))
+    assert ds.features.nnz == 6
+
+
+def test_loaders_round_trip_to_the_same_csr(tmp_path):
+    cited = _toy_dataset(tmp_path / "src")
+    save_generic(cited, tmp_path / "once")
+    once = load_generic(tmp_path / "once")
+    assert _same_csr(once.features, cited.features)
+    synthetic = generate_synthetic(60, 3, 2, 0.6, feature_dim=12, feature_noise=0.2, seed=3)
+    normalized = row_normalize_features(synthetic)
+    save_generic(normalized, tmp_path / "twice")
+    assert _same_csr(load_generic(tmp_path / "twice").features, normalized.features)
+
+
+def test_save_generic_writes_every_entry_of_the_dense_rows(tmp_path):
+    # more rows than one dense block, so a block boundary is crossed
+    ds = row_normalize_features(generate_synthetic(
+        1100, 3, 1, 0.5, feature_dim=5, feature_noise=0.3, seed=4))
+    save_generic(ds, tmp_path / "out")
+    expected = "".join("\t".join("%.17g" % x for x in row) + "\n"
+                       for row in ds.features.toarray())
+    assert (tmp_path / "out" / "features.tsv").read_bytes() == expected.encode("utf-8")
+
+
+def test_load_generic_ragged_rows(tmp_path):
+    (tmp_path / "features.tsv").write_text("1 0\n1\n", encoding="utf-8")
+    (tmp_path / "labels.tsv").write_text("0\n1\n", encoding="utf-8")
+    with pytest.raises(StructuralInputError, match="ragged feature rows"):
+        load_generic(tmp_path)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mrfgcn.errors import StaleCacheError
-from mrfgcn.gcn import (GcnParams, backward, forward, init_params,
-                        supervised_loss_and_grad, unary_log_factors)
+from mrfgcn.gcn import GcnParams, backward, forward, init_params, supervised_loss_and_grad
 from mrfgcn.graph import build_graph, normalized_adjacency
-from mrfgcn.numerics import stream
+from mrfgcn.numerics import dropout_mask, stream
 
 from conftest import random_graph
 
@@ -32,7 +32,7 @@ def test_init_mean_near_zero():
 def test_zero_weights_give_zero_scores():
     g = build_graph(3, [(0, 1), (1, 2)])
     params = GcnParams(np.zeros((2, 4)), np.zeros((4, 2)))
-    scores = unary_log_factors(params, np.ones((3, 2)), normalized_adjacency(g))
+    scores = forward(params, np.ones((3, 2)), normalized_adjacency(g))[0]
     assert np.array_equal(scores, np.zeros((3, 2)))
 
 
@@ -40,7 +40,7 @@ def test_isolated_node_closed_form():
     # A-hat = 1, relu(1*1) = 1, scores = (2, 0)
     g = build_graph(1, [])
     params = GcnParams(np.array([[1.0]]), np.array([[2.0, 0.0]]))
-    scores = unary_log_factors(params, np.array([[1.0]]), normalized_adjacency(g))
+    scores = forward(params, np.array([[1.0]]), normalized_adjacency(g))[0]
     assert scores.tolist() == [[2.0, 0.0]]
 
 
@@ -51,7 +51,7 @@ def test_forward_matches_per_node_reference():
     x = rng.normal(size=(7, 3))
     params = GcnParams(rng.normal(size=(3, 4)), rng.normal(size=(4, 2)))
     adj = normalized_adjacency(g)
-    scores = unary_log_factors(params, x, adj)
+    scores = forward(params, x, adj)[0]
 
     def aggregate(rows):
         out = np.zeros_like(rows)
@@ -71,8 +71,8 @@ def test_eval_mode_deterministic():
     g = random_graph(rng, 6)
     x = rng.normal(size=(6, 3))
     params = init_params(3, 5, 2, seed=0)
-    a = unary_log_factors(params, x, normalized_adjacency(g))
-    b = unary_log_factors(params, x, normalized_adjacency(g))
+    a = forward(params, x, normalized_adjacency(g))[0]
+    b = forward(params, x, normalized_adjacency(g))[0]
     assert np.array_equal(a, b)
 
 
@@ -82,9 +82,9 @@ def test_train_mode_uses_rng_stream():
     x = rng.normal(size=(6, 3))
     params = init_params(3, 5, 2, seed=0)
     adj = normalized_adjacency(g)
-    a = unary_log_factors(params, x, adj, train_mode=True, rng=stream(4, "d"))
-    b = unary_log_factors(params, x, adj, train_mode=True, rng=stream(4, "d"))
-    c = unary_log_factors(params, x, adj, train_mode=True, rng=stream(5, "d"))
+    a = forward(params, x, adj, dropout_keep=0.5, rng=stream(4, "d"))[0]
+    b = forward(params, x, adj, dropout_keep=0.5, rng=stream(4, "d"))[0]
+    c = forward(params, x, adj, dropout_keep=0.5, rng=stream(5, "d"))[0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -95,10 +95,10 @@ def test_permutation_equivariance():
     x = rng.normal(size=(8, 3))
     params = init_params(3, 4, 3, seed=1)
     adj = normalized_adjacency(g)
-    scores = unary_log_factors(params, x, adj)
+    scores = forward(params, x, adj)[0]
     perm = rng.permutation(8)
     p = np.eye(8)[perm]
-    permuted = unary_log_factors(params, x[perm], p @ adj @ p.T)
+    permuted = forward(params, x[perm], p @ adj @ p.T)[0]
     assert np.allclose(permuted, scores[perm], atol=1e-12)
 
 
@@ -108,10 +108,10 @@ def test_edgeless_graph_is_per_node_mlp():
     params = init_params(3, 4, 2, seed=2)
     adj = normalized_adjacency(g)
     x = rng.normal(size=(5, 3))
-    base = unary_log_factors(params, x, adj)
+    base = forward(params, x, adj)[0]
     x2 = x.copy()
     x2[1:] = rng.normal(size=(4, 3))
-    assert np.allclose(unary_log_factors(params, x2, adj)[0], base[0], atol=1e-15)
+    assert np.allclose(forward(params, x2, adj)[0][0], base[0], atol=1e-15)
 
 
 def test_backward_zero_upstream():
@@ -200,6 +200,87 @@ def test_backward_with_dropout_masks_cached():
         return float((upstream * s).sum())
 
     assert _rel(gw0, _fd(loss_w0, params.w0.copy())) <= 1e-6
+
+
+def _sparse_features(rng, n, f, density=0.3):
+    x = rng.normal(size=(n, f)) * (rng.random((n, f)) < density)
+    x[0, 0] = 1.0                                # at least one stored entry
+    return sp.csr_array(x)
+
+
+def test_input_dropout_keeps_zeros_and_scales_kept_entries():
+    rng = np.random.default_rng(10)
+    g = random_graph(rng, 30)
+    x = _sparse_features(rng, 30, 12)
+    before = x.copy()
+    params = init_params(12, 4, 3, seed=1)
+    keep = 0.4
+    _, cache = forward(params, x, normalized_adjacency(g), dropout_keep=keep,
+                       rng=stream(2, "d"))
+    dropped, dense = cache.x0.toarray(), x.toarray()
+    assert np.all(dropped[dense == 0.0] == 0.0)
+    stored = dense != 0.0
+    kept = dropped[stored] != 0.0
+    assert kept.any() and not kept.all()
+    assert np.array_equal(dropped[stored][kept], dense[stored][kept] * (1.0 / keep))
+    # the caller's features are not touched
+    assert np.array_equal(x.data, before.data)
+
+
+def _dense_reference(params, x, adj, mask0, mask1, upstream):
+    """The GCN on a dense feature matrix with the given masks, and its gradients."""
+    x0 = x * mask0
+    z1 = adj @ (x0 @ params.w0)
+    h1d = np.maximum(z1, 0.0) * mask1
+    scores = adj @ (h1d @ params.w1)
+    ag = adj @ upstream
+    gz1 = (ag @ params.w1.T) * mask1 * (z1 > 0.0)
+    return scores, x0.T @ (adj @ gz1), h1d.T @ ag
+
+
+def test_sparse_forward_backward_match_dense_for_the_same_masks():
+    rng = np.random.default_rng(11)
+    g = random_graph(rng, 25)
+    n, f, hidden, keep = 25, 10, 6, 0.6
+    x = _sparse_features(rng, n, f)
+    params = GcnParams(rng.normal(size=(f, hidden)), rng.normal(size=(hidden, 3)))
+    adj = normalized_adjacency(g)
+    upstream = rng.normal(size=(n, 3))
+
+    scores, cache = forward(params, x, adj, dropout_keep=keep, rng=stream(5, "d"))
+    gw0, gw1 = backward(params, cache, upstream)
+
+    # the same stream, drawn in forward's order: one value per stored entry, then hidden
+    masks = stream(5, "d")
+    mask0 = sp.csr_array((dropout_mask((x.nnz,), keep, masks), x.indices, x.indptr),
+                         shape=x.shape).toarray()
+    mask1 = dropout_mask((n, hidden), keep, masks)
+    ref_scores, ref_gw0, ref_gw1 = _dense_reference(params, x.toarray(), adj, mask0, mask1,
+                                                    upstream)
+    assert np.allclose(scores, ref_scores, rtol=0.0, atol=1e-12)
+    assert np.allclose(gw0, ref_gw0, rtol=0.0, atol=1e-12)
+    assert np.allclose(gw1, ref_gw1, rtol=0.0, atol=1e-12)
+
+
+def test_backward_with_sparse_dropout_matches_finite_differences():
+    rng = np.random.default_rng(12)
+    g = random_graph(rng, 9)
+    x = _sparse_features(rng, 9, 7, density=0.4)
+    assert x.nnz < 9 * 7
+    params = GcnParams(rng.normal(size=(7, 5)), rng.normal(size=(5, 3)))
+    adj = normalized_adjacency(g)
+    upstream = rng.normal(size=(9, 3))
+
+    _, cache = forward(params, x, adj, dropout_keep=0.7, rng=stream(1, "fd"))
+    assert isinstance(cache.x0, sp.csr_array)
+    gw0, gw1 = backward(params, cache, upstream)
+
+    def loss(w0, w1):
+        s, _ = forward(GcnParams(w0, w1), x, adj, dropout_keep=0.7, rng=stream(1, "fd"))
+        return float((upstream * s).sum())
+
+    assert _rel(gw0, _fd(lambda w: loss(w, params.w1), params.w0.copy())) <= 1e-6
+    assert _rel(gw1, _fd(lambda w: loss(params.w0, w), params.w1.copy())) <= 1e-6
 
 
 def test_backward_stale_cache():

@@ -2,36 +2,49 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mrfgcn.errors import ConfigError
 from mrfgcn.numerics import (AdamState, adam_step, dropout_mask, log_sum_exp,
-                             matmul, softmax_rows, stream)
+                             softmax_rows, stream)
+
+
+# `@` with a dense or a CSR left operand: the products the GCN takes with
+# its features and adjacency
+
+
+def _both_forms(a):
+    return a, sp.csr_array(a)
 
 
 def test_matmul_identity():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), m), m)
+    for eye in _both_forms(np.eye(2)):
+        assert np.array_equal(eye @ m, m)
 
 
 def test_matmul_hand_product():
-    assert matmul(np.array([[1.0, 2.0], [3.0, 4.0]]),
-                  np.array([[1.0], [1.0]])).tolist() == [[3.0], [7.0]]
+    for a in _both_forms(np.array([[1.0, 2.0], [3.0, 4.0]])):
+        assert (a @ np.array([[1.0], [1.0]])).tolist() == [[3.0], [7.0]]
 
 
 def test_matmul_matches_triple_loop():
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3))
+    a[rng.random((5, 4)) < 0.4] = 0.0
     ref = np.zeros((5, 3))
     for i in range(5):
         for j in range(3):
             for k in range(4):
                 ref[i, j] += a[i, k] * b[k, j]
-    assert np.allclose(matmul(a, b), ref, atol=1e-12)
+    for left in _both_forms(a):
+        assert np.allclose(left @ b, ref, atol=1e-12)
 
 
 def test_matmul_shape_mismatch():
-    with pytest.raises(ValueError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
+    for a in _both_forms(np.ones((2, 3))):
+        with pytest.raises(ValueError):
+            a @ np.ones((2, 3))
 
 
 def test_softmax_symmetry():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mrfgcn import gcn, training
 from mrfgcn.data import Split, generate_synthetic, ratio_split, row_normalize_features
 from mrfgcn.errors import ConfigError, DegenerateInputError, NonFiniteObjectiveError
 from mrfgcn.factors import PairwiseParams, build_pieces
@@ -11,8 +12,9 @@ from mrfgcn.gcn import GcnParams, forward, init_params
 from mrfgcn.graph import build_graph, normalized_adjacency
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows, stream
 from mrfgcn.oracle import exact_posterior_marginals
-from mrfgcn.training import (Proposal, TrainConfig, _dependency_levels, e_step, evaluate,
-                             m_step, make_r, mean_field_site_update, predict, train)
+from mrfgcn.training import (Proposal, TrainConfig, _argmax_predictions, _dependency_levels,
+                             e_step, evaluate, m_step, make_r, mean_field_site_update,
+                             predict, train)
 
 from conftest import random_graph, random_problem
 
@@ -328,6 +330,47 @@ def test_train_alpha_zero_stays_degenerate():
     scores, _ = forward(res.params, ds.features, normalized_adjacency(ds.graph))
     assert np.allclose(res.proposal.q, softmax_rows(scores[res.proposal.node_ids]),
                        atol=1e-12)
+
+
+def test_train_draws_input_dropout_only_for_stored_features(monkeypatch):
+    # a dense n x f input mask would draw n * f values on every forward pass
+    ds = row_normalize_features(generate_synthetic(150, 3, 3, 0.85, feature_dim=60,
+                                                   feature_noise=0.05, seed=6))
+    n, hidden = ds.graph.num_nodes, 8
+    assert ds.features.nnz + n * hidden < n * ds.num_features
+    split = ratio_split(ds, 0.2, 0.2, 0.6, seed=3)
+    drawn, real = [], gcn.dropout_mask
+
+    def counting(shape, keep_prob, rng):
+        drawn.append(math.prod(shape))
+        return real(shape, keep_prob, rng)
+
+    monkeypatch.setattr(gcn, "dropout_mask", counting)
+    config = _tiny_config(hidden=hidden)
+    train(ds, split, config)
+    per_forward = [a + b for a, b in zip(drawn[::2], drawn[1::2])]
+    assert len(drawn) == 2 * len(per_forward)
+    assert len(per_forward) == config.warm_epochs + config.em_rounds * config.m_epochs
+    assert max(per_forward) <= ds.features.nnz + n * hidden
+
+
+def test_train_reports_the_returned_proposal(monkeypatch):
+    ds = _tiny_dataset(seed=2)
+    split = ratio_split(ds, 0.2, 0.2, 0.6, seed=4)
+    calls, real = [], training._e_step_stats
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(training, "_e_step_stats", counting)
+    config = _tiny_config()
+    res = train(ds, split, config)
+    # the first E-step, then a predict and a validation per round, then the
+    # final convergence; no E-step after it
+    assert len(calls) == 2 + 2 * config.em_rounds
+    predictions = _argmax_predictions(res.proposal, ds.labels, split.train)
+    assert res.report.test_accuracy == evaluate(predictions, ds.labels, split.test)
 
 
 def test_train_empty_train_split_rejected():
