@@ -9,7 +9,7 @@ failure, 3 self-check failure.
 import argparse
 import dataclasses
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,9 @@ _SPLIT_KINDS = ("planetoid", "ratio", "file")
 
 
 @dataclass
-class RunConfig:
+class _RunSettings:
+    """The settings of a run that TrainConfig does not hold; see RunConfig."""
+
     dataset: str = ""
     split: str = "planetoid"
     per_class: int = 20
@@ -45,19 +47,6 @@ class RunConfig:
     seeds: tuple = (0,)
     out: str = "runs"
     quiet: bool = False
-    hidden: int = 16
-    dropout_keep: float = 0.5
-    lr: float = 0.01
-    weight_decay: float = 5e-4
-    warm_epochs: int = 200
-    patience: int = 50
-    em_rounds: int = 5
-    e_sweeps: int = 10
-    e_tolerance: float = 1e-4
-    m_epochs: int = 50
-    redistribution: str = "average"
-    coefficient_mode: str = "edge"
-    alpha_init: float = 1.0
 
     def __post_init__(self):
         if self.split not in _SPLIT_KINDS:
@@ -67,10 +56,7 @@ class RunConfig:
             raise ConfigError("at least one seed is required")
 
     def train_config(self, seed) -> TrainConfig:
-        keep = {f.name for f in fields(TrainConfig)}
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self) if f.name in keep}
-        kwargs["seed"] = seed
-        return TrainConfig(**kwargs)
+        return TrainConfig(seed=seed, **{name: getattr(self, name) for name in _TRAIN_KEYS})
 
     def to_text(self) -> str:
         lines = []
@@ -102,9 +88,20 @@ class RunConfig:
         return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
 
+# every TrainConfig field but the seed, with its default, is a run setting;
+# the run's `seeds` supply the seed
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
+RunConfig = make_dataclass(
+    "RunConfig", [(f.name, f.type, f.default) for f in fields(TrainConfig)
+                  if f.name in _TRAIN_KEYS],
+    bases=(_RunSettings,))
+RunConfig.__doc__ = "Every setting of a run: the key=value config file and the flags."
+RunConfig.__module__ = __name__
+
+
 def _parse_value(f, text):
     if f.name == "seeds":
-        return tuple(int(s) for s in text.split(",") if s.strip())
+        return seed_list(text)
     if f.type in ("int", int):
         return int(text)
     if f.type in ("float", float):
@@ -116,6 +113,10 @@ def _parse_value(f, text):
             return False
         raise ConfigError(f"bad boolean value {text!r} for {f.name}")
     return text
+
+
+def seed_list(text):
+    return tuple(int(s) for s in text.split(",") if s.strip())
 
 
 def _make_split(ds: Dataset, cfg: RunConfig, seed) -> Split:
@@ -264,7 +265,7 @@ def _add_run_flags(p):
     p.add_argument("--config", help="key=value settings file")
     p.add_argument("--dataset", help="dataset directory or .content file")
     p.add_argument("--split", choices=_SPLIT_KINDS)
-    p.add_argument("--seeds", help="comma-separated list, e.g. 0,1,2")
+    p.add_argument("--seeds", type=seed_list, help="comma-separated list, e.g. 0,1,2")
     p.add_argument("--out", help="output directory")
     p.add_argument("--coeff", choices=("none", "layer", "edge"),
                    dest="coefficient_mode")
@@ -280,29 +281,24 @@ def _add_run_flags(p):
     p.add_argument("--num-val", type=int, dest="num_val")
     p.add_argument("--num-test", type=int, dest="num_test")
     p.add_argument("--patience", type=int)
-    p.add_argument("--fixed-split", action="store_true",
+    p.add_argument("--fixed-split", action="store_const", const=False,
+                   dest="resplit_per_seed",
                    help="reuse one split (seeded by split_seed) for every run seed")
-    p.add_argument("--no-row-normalize", action="store_true")
-    p.add_argument("--quiet", action="store_true")
+    p.add_argument("--no-row-normalize", action="store_const", const=False,
+                   dest="row_normalize")
+    p.add_argument("--quiet", action="store_const", const=True)
 
 
 def _build_config(args) -> RunConfig:
+    """The config file's settings (or the defaults), overridden by every flag given.
+
+    Each run flag's dest is the name of the setting it overrides; a flag
+    that is not given parses to None.
+    """
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    for name in ("dataset", "split", "out", "coefficient_mode", "redistribution",
-                 "em_rounds", "warm_epochs", "m_epochs", "e_sweeps", "hidden",
-                 "lr", "alpha_init", "per_class", "num_val", "num_test", "patience"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if args.seeds:
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-    if args.fixed_split:
-        overrides["resplit_per_seed"] = False
-    if args.no_row_normalize:
-        overrides["row_normalize"] = False
-    if args.quiet:
-        overrides["quiet"] = True
+    keys = {f.name for f in fields(RunConfig)}
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in keys and value is not None}
     return dataclasses.replace(cfg, **overrides)
 
 

@@ -122,6 +122,8 @@ def load_citation(content_file, cites_file) -> Dataset:
             class_map[cls] = len(class_map)
         names.append(name)
         class_ids.append(class_map[cls])
+    if width is None:
+        raise StructuralInputError(f"{content_file}: no data rows")
 
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
@@ -141,7 +143,7 @@ def load_citation(content_file, cites_file) -> Dataset:
         log.warning("%s: skipped %d citation rows with unknown node ids", cites_file, skipped)
 
     graph = build_graph(len(names), edges)
-    return Dataset(graph=graph, features=rows.tocsr(width or 0),
+    return Dataset(graph=graph, features=rows.tocsr(width),
                    labels=np.asarray(class_ids, dtype=np.int64),
                    num_classes=len(class_map), node_names=names,
                    num_citation_rows=raw_rows, skipped_citations=skipped)
@@ -294,7 +296,7 @@ def load_generic(directory) -> Dataset:
             raise StructuralInputError(f"{directory}/features.tsv: ragged feature rows")
         rows.append(values)
     if width is None:
-        raise StructuralInputError(f"{directory}/features.tsv: ragged feature rows")
+        raise StructuralInputError(f"{directory}/features.tsv: no data rows")
     features = rows.tocsr(width)
 
     labels = []

@@ -18,9 +18,14 @@ The piecewise objective for a table r of per-node label distributions is
 
 where log Zbar_i is the partition function of the redistributed star
 piece at node i, computed in closed form by summing leaf nodes out
-first. Per-edge tensors below index directed orientations: slot d of a
-graph covers (center(d), leaf(d)); tensors of shape (2E, c, c) put the
-center label on axis 1 and the leaf label on axis 2.
+first. `_piece_stats` is the one star-piece inference: it runs every
+piece at once, and the piece at node i is row i of its per-node outputs
+plus CSR slots indptr[i]:indptr[i+1] of its per-slot outputs. The
+enumeration references (`selfcheck.enumerate_piece` and the tests')
+are compared against those rows. Per-edge tensors below index directed
+orientations: slot d of a graph covers (center(d), leaf(d)); tensors of
+shape (2E, c, c) put the center label on axis 1 and the leaf label on
+axis 2.
 """
 
 from dataclasses import dataclass
@@ -29,7 +34,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import Graph
-from .numerics import log_sum_exp
 
 COEFFICIENT_MODES = ("edge", "layer", "none")
 REDISTRIBUTION_SCHEMES = ("average", "center")
@@ -82,13 +86,6 @@ class PairwiseParams:
         return cls(raw=np.zeros((num_classes, num_classes)), alpha=alpha, mode=mode)
 
 
-@dataclass(frozen=True)
-class StarPiece:
-    center: int
-    leaves: np.ndarray     # sorted neighbor ids
-    edge_ids: np.ndarray   # dense edge id of (center, leaf), aligned with leaves
-
-
 @dataclass
 class Redistribution:
     """Unary factor exponents per piece; pairwise exponent is a constant.
@@ -104,9 +101,6 @@ class Redistribution:
     leaf_exp: np.ndarray
     pair_exp: float = 0.5
 
-    def unary_exponent(self, node, piece_center) -> float:
-        return float(self.center_exp[node] if node == piece_center else self.leaf_exp[node])
-
     @classmethod
     def for_graph(cls, g: Graph, scheme: str):
         if scheme == "average":
@@ -120,65 +114,6 @@ class Redistribution:
         unity = redist.center_exp + g.degrees * redist.leaf_exp
         assert np.allclose(unity, 1.0)
         return redist
-
-
-def build_pieces(g: Graph, scheme="average"):
-    """One star piece per node plus the redistribution exponents."""
-    pieces = []
-    for node in range(g.num_nodes):
-        lo, hi = g.indptr[node], g.indptr[node + 1]
-        pieces.append(StarPiece(center=node, leaves=g.indices[lo:hi],
-                                edge_ids=g.slot_edge_ids[lo:hi]))
-    return pieces, Redistribution.for_graph(g, scheme)
-
-
-def pairwise_log_factor(pp: PairwiseParams, edge_id, y_j, y_k) -> float:
-    return float(pp.alpha_at(np.array([edge_id]))[0] * pp.K[y_j, y_k])
-
-
-def _leaf_message_table(piece, scores, pp, redist):
-    """(num_leaves, c, c) table of leaf log-terms; axis 1 = center label."""
-    k = pp.K
-    alphas = pp.alpha_at(piece.edge_ids)
-    return (redist.leaf_exp[piece.leaves][:, None, None] * scores[piece.leaves][:, None, :]
-            + redist.pair_exp * alphas[:, None, None] * k[None, :, :])
-
-
-def piece_log_partition(piece: StarPiece, scores, pp, redist) -> float:
-    """log of the redistributed star piece's partition function.
-
-    Leaves are summed out first, leaving one log-sum-exp over the center
-    label.
-    """
-    b = redist.center_exp[piece.center] * scores[piece.center]
-    if len(piece.leaves):
-        t = _leaf_message_table(piece, scores, pp, redist)
-        b = b + log_sum_exp(t, axis=2).sum(axis=0)
-    return log_sum_exp(b)
-
-
-@dataclass
-class PieceMarginals:
-    center: np.ndarray      # (c,)
-    leaves: np.ndarray      # (num_leaves, c)
-    pairwise: np.ndarray    # (num_leaves, c, c); axis 1 = center label
-
-
-def piece_marginals(piece: StarPiece, scores, pp, redist) -> PieceMarginals:
-    """Exact unary and pairwise marginals of the piece distribution."""
-    c = pp.num_classes
-    b = redist.center_exp[piece.center] * scores[piece.center]
-    if len(piece.leaves) == 0:
-        center = np.exp(b - log_sum_exp(b))
-        return PieceMarginals(center=center, leaves=np.zeros((0, c)),
-                              pairwise=np.zeros((0, c, c)))
-    t = _leaf_message_table(piece, scores, pp, redist)
-    msgs = log_sum_exp(t, axis=2)           # (m, c)
-    b = b + msgs.sum(axis=0)
-    log_z = log_sum_exp(b)
-    pairwise = np.exp((b - log_z)[None, :, None] - msgs[:, :, None] + t)
-    return PieceMarginals(center=np.exp(b - log_z),
-                          leaves=pairwise.sum(axis=1), pairwise=pairwise)
 
 
 def _segment_sum(values, indptr):
@@ -282,12 +217,6 @@ def objective_and_gradients(r, scores, pp, redist, g: Graph):
         grad_alpha = per_edge if pp.mode == "edge" else np.array([per_edge.sum()])
 
     return value, grad_scores, grad_raw, grad_alpha
-
-
-def objective_gradients(r, scores, pp, redist, g: Graph):
-    """Gradients of expected_piecewise_objective (scores, K storage, alpha)."""
-    _, grad_scores, grad_raw, grad_alpha = objective_and_gradients(r, scores, pp, redist, g)
-    return grad_scores, grad_raw, grad_alpha
 
 
 def diagnose_non_finite(g: Graph, scores, pp, redist):

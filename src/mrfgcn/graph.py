@@ -41,21 +41,8 @@ class Graph:
         centers.flags.writeable = False
         return centers
 
-    @cached_property
-    def edge_index(self) -> dict:
-        """Map from unordered pair (j, k), j < k, to dense edge id."""
-        return {(int(j), int(k)): e for e, (j, k) in enumerate(self.edges)}
-
     def neighbors(self, node: int) -> np.ndarray:
         return self.indices[self.indptr[node]:self.indptr[node + 1]]
-
-    def edge_id(self, j: int, k: int) -> int:
-        if j > k:
-            j, k = k, j
-        eid = self.edge_index.get((j, k))
-        if eid is None:
-            raise StructuralInputError(f"no edge between {j} and {k}")
-        return eid
 
 
 def build_graph(num_nodes, raw_edges) -> Graph:

@@ -29,19 +29,6 @@ def softmax_rows(m):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_sum_exp(v, axis=None):
-    """Stable log(sum(exp(v))) along `axis` (whole array when None)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ValueError("log_sum_exp of an empty vector is undefined")
-    if axis is None:
-        hi = v.max()
-        return float(np.log(np.exp(v - hi).sum()) + hi)
-    hi = v.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(v - hi).sum(axis=axis, keepdims=True)) + hi
-    return np.squeeze(out, axis=axis)
-
-
 def dropout_mask(shape, keep_prob, rng):
     """Binary mask scaled by 1/keep_prob, so kept activations are unbiased."""
     if not 0.0 < keep_prob <= 1.0:

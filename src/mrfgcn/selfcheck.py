@@ -1,19 +1,22 @@
 """Randomized self-checks run by the oracle-check command.
 
-Each check pits the fast inference/gradient paths against direct
-enumeration or central finite differences on small random instances and
-reports the worst discrepancy seen.
+Each check pits the code that training runs against direct enumeration
+or central finite differences on small random instances and reports the
+worst discrepancy seen. Star-piece inference is checked on the rows of
+the batched `_piece_stats`; the backbone chain runs on the sparse
+adjacency operator and CSR features, as `train` does.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import gcn
 from .errors import EnumerationLimitError
-from .factors import (PairwiseParams, build_pieces, expected_piecewise_objective,
-                      objective_and_gradients, piece_log_partition, piece_marginals)
-from .graph import build_graph, normalized_adjacency
+from .factors import (PairwiseParams, Redistribution, _piece_stats,
+                      expected_piecewise_objective, objective_and_gradients)
+from .graph import build_graph, normalized_adjacency_operator
 from .numerics import stream
 from .oracle import OracleLimit, exact_elbo, exact_observed_ll
 from .training import Proposal
@@ -34,12 +37,20 @@ class CheckResult:
         return self.worst <= self.threshold
 
 
-def random_instance(rng, num_nodes, num_classes, mode="edge", scheme="average",
-                    edge_prob=0.45):
-    """Small random graph with random factors, labels and a labeled subset."""
+def random_graph(rng, num_nodes, edge_prob=0.45):
+    """Each pair j < k is an edge with probability edge_prob."""
     pairs = [(j, k) for j in range(num_nodes) for k in range(j + 1, num_nodes)
              if rng.random() < edge_prob]
-    g = build_graph(num_nodes, pairs)
+    return build_graph(num_nodes, pairs)
+
+
+def random_instance(rng, num_nodes, num_classes, mode="edge", scheme="average",
+                    edge_prob=0.45, min_labeled=0):
+    """Small random graph with random factors, labels and a labeled subset.
+
+    Returns (g, redist, scores, pp, labels, train_ids).
+    """
+    g = random_graph(rng, num_nodes, edge_prob)
     scores = rng.normal(0.0, 1.5, size=(num_nodes, num_classes))
     raw = rng.normal(0.0, 0.6, size=(num_classes, num_classes))
     if mode == "edge":
@@ -49,11 +60,11 @@ def random_instance(rng, num_nodes, num_classes, mode="edge", scheme="average",
     else:
         alpha = np.zeros(0)
     pp = PairwiseParams(raw=raw, alpha=alpha, mode=mode)
-    pieces, redist = build_pieces(g, scheme)
+    redist = Redistribution.for_graph(g, scheme)
     labels = rng.integers(0, num_classes, size=num_nodes).astype(np.int64)
-    num_labeled = int(rng.integers(0, num_nodes))
+    num_labeled = int(rng.integers(min_labeled, num_nodes))
     train_ids = np.sort(rng.choice(num_nodes, size=num_labeled, replace=False))
-    return g, pieces, redist, scores, pp, labels, train_ids
+    return g, redist, scores, pp, labels, train_ids
 
 
 def random_r(rng, num_nodes, num_classes, labels, train_ids):
@@ -64,33 +75,35 @@ def random_r(rng, num_nodes, num_classes, labels, train_ids):
     return r
 
 
-def enumerate_piece(piece, scores, pp, redist):
-    """Direct enumeration over a star piece's assignments.
+def enumerate_piece(g, node, scores, pp, redist):
+    """Direct enumeration over the assignments of the star piece at `node`.
 
-    Returns (log_z, center marginal, leaf marginals, pairwise marginals).
+    Returns (log_z, center marginal, leaf marginals, pairwise marginals),
+    with leaves in the order of the node's CSR slots.
     """
     c = pp.num_classes
-    members = [piece.center] + list(piece.leaves)
-    assign = np.stack(np.unravel_index(np.arange(c ** len(members)),
-                                       (c,) * len(members)), axis=1)
-    logf = redist.center_exp[piece.center] * scores[piece.center][assign[:, 0]]
-    alphas = pp.alpha_at(piece.edge_ids)
-    for pos, (leaf, a) in enumerate(zip(piece.leaves, alphas), start=1):
+    lo, hi = g.indptr[node], g.indptr[node + 1]
+    leaves = g.indices[lo:hi]
+    assign = np.stack(np.unravel_index(np.arange(c ** (len(leaves) + 1)),
+                                       (c,) * (len(leaves) + 1)), axis=1)
+    logf = redist.center_exp[node] * scores[node][assign[:, 0]]
+    alphas = pp.alpha_at(g.slot_edge_ids[lo:hi])
+    for pos, (leaf, a) in enumerate(zip(leaves, alphas), start=1):
         logf = logf + redist.leaf_exp[leaf] * scores[leaf][assign[:, pos]]
         logf = logf + redist.pair_exp * a * pp.K[assign[:, 0], assign[:, pos]]
-    hi = logf.max()
-    log_z = hi + np.log(np.exp(logf - hi).sum())
+    top = logf.max()
+    log_z = top + np.log(np.exp(logf - top).sum())
     probs = np.exp(logf - log_z)
     center = np.bincount(assign[:, 0], weights=probs, minlength=c)
-    leaves = np.zeros((len(piece.leaves), c))
-    pair = np.zeros((len(piece.leaves), c, c))
-    for pos in range(1, len(members)):
-        leaves[pos - 1] = np.bincount(assign[:, pos], weights=probs, minlength=c)
+    leaf_marg = np.zeros((len(leaves), c))
+    pair = np.zeros((len(leaves), c, c))
+    for pos in range(1, len(leaves) + 1):
+        leaf_marg[pos - 1] = np.bincount(assign[:, pos], weights=probs, minlength=c)
         for a in range(c):
             sel = assign[:, 0] == a
             pair[pos - 1, a] = np.bincount(assign[sel, pos], weights=probs[sel],
                                            minlength=c)
-    return float(log_z), center, leaves, pair
+    return float(log_z), center, leaf_marg, pair
 
 
 def fd_gradient(func, x, step=FD_STEP):
@@ -123,16 +136,18 @@ def check_piece_inference(sizes, trials, seed, num_classes=3):
         n = sizes[t % len(sizes)]
         scheme = ("average", "center")[t % 2]
         mode = ("edge", "layer", "none")[t % 3]
-        g, pieces, redist, scores, pp, _, _ = random_instance(
+        g, redist, scores, pp, _, _ = random_instance(
             rng, n, num_classes, mode=mode, scheme=scheme)
-        piece = pieces[int(rng.integers(n))]
-        ref_z, ref_c, ref_l, ref_p = enumerate_piece(piece, scores, pp, redist)
-        worst_z = max(worst_z, abs(piece_log_partition(piece, scores, pp, redist) - ref_z))
-        marg = piece_marginals(piece, scores, pp, redist)
+        node = int(rng.integers(n))
+        ref_z, ref_c, ref_l, ref_p = enumerate_piece(g, node, scores, pp, redist)
+        log_z, mu_center, pair_marg, leaf_marg = _piece_stats(
+            g, scores, pp, redist, want_marginals=True)
+        slots = slice(g.indptr[node], g.indptr[node + 1])
+        worst_z = max(worst_z, abs(log_z[node] - ref_z))
         worst_m = max(worst_m,
-                      np.abs(marg.center - ref_c).max(initial=0.0),
-                      np.abs(marg.leaves - ref_l).max(initial=0.0),
-                      np.abs(marg.pairwise - ref_p).max(initial=0.0))
+                      np.abs(mu_center[node] - ref_c).max(initial=0.0),
+                      np.abs(leaf_marg[slots] - ref_l).max(initial=0.0),
+                      np.abs(pair_marg[slots] - ref_p).max(initial=0.0))
     return [CheckResult("piece log-partition vs enumeration", worst_z, ENUM_TOL),
             CheckResult("piece marginals vs enumeration", worst_m, ENUM_TOL)]
 
@@ -145,7 +160,7 @@ def check_gradients(sizes, trials, seed, num_classes=3, hidden=6,
         n = sizes[t % len(sizes)]
         scheme = ("average", "center")[t % 2]
         mode = ("edge", "layer", "none")[t % 3]
-        g, pieces, redist, scores, pp, labels, train_ids = random_instance(
+        g, redist, scores, pp, labels, train_ids = random_instance(
             rng, n, num_classes, mode=mode, scheme=scheme)
         r = random_r(rng, n, num_classes, labels, train_ids)
 
@@ -172,10 +187,10 @@ def check_gradients(sizes, trials, seed, num_classes=3, hidden=6,
 
         # backbone chain: finite-difference the weights through the same objective
         num_feats = int(rng.integers(2, 5))
-        features = rng.normal(0.0, 1.0, size=(n, num_feats))
+        features = sp.csr_array(rng.normal(0.0, 1.0, size=(n, num_feats)))
         params = gcn.GcnParams(rng.normal(0.0, 0.8, size=(num_feats, hidden)),
                                rng.normal(0.0, 0.8, size=(hidden, num_classes)))
-        adj = normalized_adjacency(g)
+        adj = normalized_adjacency_operator(g)
 
         def through_backbone(p):
             s, _ = gcn.forward(p, features, adj)
@@ -200,18 +215,15 @@ def check_redistribution_identity(sizes, trials, seed, num_classes=3):
     for t in range(trials):
         n = sizes[t % len(sizes)]
         scheme = ("average", "center")[t % 2]
-        g, pieces, redist, scores, pp, _, _ = random_instance(
-            rng, n, num_classes, scheme=scheme)
+        g, redist, scores, pp, _, _ = random_instance(rng, n, num_classes, scheme=scheme)
         assign = rng.integers(0, num_classes, size=n)
-        total = 0.0
-        for piece in pieces:
-            total += redist.unary_exponent(piece.center, piece.center) \
-                * scores[piece.center, assign[piece.center]]
-            alphas = pp.alpha_at(piece.edge_ids)
-            for leaf, a in zip(piece.leaves, alphas):
-                total += redist.unary_exponent(leaf, piece.center) \
-                    * scores[leaf, assign[leaf]]
-                total += redist.pair_exp * a * pp.K[assign[piece.center], assign[leaf]]
+        # every piece's redistributed factors: centers, then each CSR slot's
+        # leaf and piece edge
+        centers, leaves = g.slot_centers, g.indices
+        total = (redist.center_exp * scores[np.arange(n), assign]).sum()
+        total += (redist.leaf_exp[leaves] * scores[leaves, assign[leaves]]).sum()
+        total += (redist.pair_exp * pp.alpha_at(g.slot_edge_ids)
+                  * pp.K[assign[centers], assign[leaves]]).sum()
         direct = scores[np.arange(n), assign].sum()
         if g.num_edges:
             j, k = g.edges[:, 0], g.edges[:, 1]
@@ -227,7 +239,7 @@ def check_elbo_identity(sizes, trials, seed, num_classes=3, limit=None):
     worst = 0.0
     for t in range(trials):
         n = sizes[t % len(sizes)]
-        g, _, _, scores, pp, labels, train_ids = random_instance(rng, n, num_classes)
+        g, _, scores, pp, labels, train_ids = random_instance(rng, n, num_classes)
         free = np.setdiff1d(np.arange(n), train_ids)
         q_rows = rng.random((len(free), num_classes)) + 0.05
         q_rows /= q_rows.sum(axis=1, keepdims=True)

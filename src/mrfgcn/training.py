@@ -30,9 +30,8 @@ from . import gcn
 from .data import Dataset, Split
 from .errors import (ConfigError, DegenerateInputError, NonFiniteObjectiveError,
                      StructuralInputError)
-from .factors import (PairwiseParams, Redistribution, build_pieces,
-                      diagnose_non_finite, objective_and_gradients,
-                      COEFFICIENT_MODES, REDISTRIBUTION_SCHEMES)
+from .factors import (PairwiseParams, Redistribution, diagnose_non_finite,
+                      objective_and_gradients, COEFFICIENT_MODES, REDISTRIBUTION_SCHEMES)
 from .graph import Graph, normalized_adjacency_operator
 from .numerics import AdamState, adam_step, softmax_rows, stream
 
@@ -370,7 +369,7 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
                              stream(config.seed, "gcn_init"))
     pp = PairwiseParams.init(ds.num_classes, g.num_edges,
                              mode=config.coefficient_mode, alpha_init=config.alpha_init)
-    _, redist = build_pieces(g, config.redistribution)
+    redist = Redistribution.for_graph(g, config.redistribution)
     report = TrainReport()
 
     def eval_scores(p):

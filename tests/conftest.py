@@ -1,45 +1,38 @@
+import itertools
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mrfgcn.factors import PairwiseParams, build_pieces
-from mrfgcn.graph import build_graph
 
+def enum_piece(g, node, scores, pp, redist):
+    """Independent enumeration over the star piece at `node` (pure python loops).
 
-def random_graph(rng, num_nodes, edge_prob=0.45):
-    pairs = [(j, k) for j in range(num_nodes) for k in range(j + 1, num_nodes)
-             if rng.random() < edge_prob]
-    return build_graph(num_nodes, pairs)
-
-
-def random_problem(rng, num_nodes, num_classes, mode="edge", scheme="average",
-                   edge_prob=0.45, min_labeled=0):
-    """Graph + factors + labels + labeled subset for randomized checks."""
-    g = random_graph(rng, num_nodes, edge_prob)
-    scores = rng.normal(0.0, 1.5, size=(num_nodes, num_classes))
-    raw = rng.normal(0.0, 0.6, size=(num_classes, num_classes))
-    if mode == "edge":
-        alpha = rng.normal(1.0, 0.5, size=g.num_edges)
-    elif mode == "layer":
-        alpha = rng.normal(1.0, 0.5, size=1)
-    else:
-        alpha = np.zeros(0)
-    pp = PairwiseParams(raw=raw, alpha=alpha, mode=mode)
-    pieces, redist = build_pieces(g, scheme)
-    labels = rng.integers(0, num_classes, size=num_nodes).astype(np.int64)
-    num_labeled = int(rng.integers(min_labeled, num_nodes))
-    train_ids = np.sort(rng.choice(num_nodes, size=num_labeled, replace=False))
-    return g, pieces, redist, scores, pp, labels, train_ids
-
-
-def random_r(rng, num_nodes, num_classes, labels, train_ids):
-    r = rng.random((num_nodes, num_classes)) + 0.05
-    r /= r.sum(axis=1, keepdims=True)
-    r[train_ids] = 0.0
-    r[train_ids, labels[train_ids]] = 1.0
-    return r
+    Returns (log_z, center marginal, pairwise marginals), the latter in the
+    order of the node's CSR slots.
+    """
+    c = pp.num_classes
+    lo, hi = g.indptr[node], g.indptr[node + 1]
+    leaves = [int(v) for v in g.indices[lo:hi]]
+    alphas = pp.alpha_at(g.slot_edge_ids[lo:hi])
+    k = pp.K
+    weights = {}
+    for assign in itertools.product(range(c), repeat=len(leaves) + 1):
+        lf = redist.center_exp[node] * scores[node][assign[0]]
+        for pos, (leaf, a) in enumerate(zip(leaves, alphas), start=1):
+            lf += redist.leaf_exp[leaf] * scores[leaf][assign[pos]]
+            lf += redist.pair_exp * a * k[assign[0], assign[pos]]
+        weights[assign] = math.exp(lf)
+    z = sum(weights.values())
+    center = np.zeros(c)
+    pair = np.zeros((len(leaves), c, c))
+    for assign, w in weights.items():
+        center[assign[0]] += w / z
+        for pos in range(len(leaves)):
+            pair[pos, assign[0], assign[pos + 1]] += w / z
+    return math.log(z), center, pair
 
 
 def write_citation(directory, name, content_rows, cite_rows):

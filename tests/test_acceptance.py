@@ -10,27 +10,27 @@ dataset criteria for quick spot checks; the defaults match the stated
 criteria.
 """
 
-import itertools
-import math
 import os
 import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mrfgcn.data import (generate_synthetic, load_dataset, planetoid_split,
                          ratio_split, row_normalize_features)
-from mrfgcn.factors import (PairwiseParams, build_pieces,
-                            expected_piecewise_objective, objective_gradients,
-                            piece_log_partition, piece_marginals)
-from mrfgcn.gcn import GcnParams, forward, init_params
-from mrfgcn.graph import build_graph, homophily_beta, normalized_adjacency
+from mrfgcn.factors import (PairwiseParams, Redistribution, _piece_stats,
+                            expected_piecewise_objective, objective_and_gradients)
+from mrfgcn.gcn import GcnParams, backward, forward, init_params
+from mrfgcn.graph import (build_graph, homophily_beta, normalized_adjacency,
+                          normalized_adjacency_operator)
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows, stream
 from mrfgcn.oracle import exact_elbo, exact_observed_ll
+from mrfgcn.selfcheck import random_instance, random_r
 from mrfgcn.training import (Proposal, TrainConfig, m_step, make_r,
                              mean_field_site_update, predict, train)
 
-from conftest import dataset_dir, random_problem, random_r, require_dataset
+from conftest import dataset_dir, enum_piece, require_dataset
 
 _SEEDS = int(os.environ.get("MRFGCN_ACCEPT_SEEDS", "0"))
 
@@ -184,30 +184,6 @@ def test_c04_disassortative_synthetic_report():
 
 # ---------------------------------------------------------------- criterion 5
 
-def _enum_piece_reference(piece, scores, pp, redist):
-    c = pp.num_classes
-    members = [piece.center] + list(piece.leaves)
-    alphas = pp.alpha_at(piece.edge_ids)
-    k = pp.K
-    z = 0.0
-    center = np.zeros(c)
-    pair = np.zeros((len(piece.leaves), c, c))
-    weights = []
-    for assign in itertools.product(range(c), repeat=len(members)):
-        lf = redist.center_exp[piece.center] * scores[piece.center][assign[0]]
-        for pos, (leaf, a) in enumerate(zip(piece.leaves, alphas), start=1):
-            lf += redist.leaf_exp[leaf] * scores[leaf][assign[pos]]
-            lf += redist.pair_exp * a * k[assign[0], assign[pos]]
-        w = math.exp(lf)
-        z += w
-        weights.append((assign, w))
-    for assign, w in weights:
-        center[assign[0]] += w / z
-        for pos in range(len(piece.leaves)):
-            pair[pos, assign[0], assign[pos + 1]] += w / z
-    return math.log(z), center, pair
-
-
 def test_c05_oracle_equivalence_on_random_pieces():
     rng = stream(505, "acceptance")
     worst_z = worst_m = 0.0
@@ -217,18 +193,19 @@ def test_c05_oracle_equivalence_on_random_pieces():
         c = int(rng.integers(2, 5))
         scheme = ("average", "center")[checked % 2]
         mode = ("edge", "layer", "none")[checked % 3]
-        g, pieces, redist, scores, pp, _, _ = random_problem(
+        g, redist, scores, pp, _, _ = random_instance(
             rng, n, c, mode=mode, scheme=scheme, edge_prob=0.35)
-        eligible = [p for p in pieces if len(p.leaves) <= 6]
-        if not eligible:
+        eligible = np.flatnonzero(g.degrees <= 6)
+        if not len(eligible):
             continue
-        piece = eligible[int(rng.integers(len(eligible)))]
-        ref_z, ref_center, ref_pair = _enum_piece_reference(piece, scores, pp, redist)
-        worst_z = max(worst_z, abs(piece_log_partition(piece, scores, pp, redist)
-                                   - ref_z))
-        marg = piece_marginals(piece, scores, pp, redist)
-        worst_m = max(worst_m, np.abs(marg.center - ref_center).max(initial=0.0),
-                      np.abs(marg.pairwise - ref_pair).max(initial=0.0))
+        node = int(eligible[int(rng.integers(len(eligible)))])
+        ref_z, ref_center, ref_pair = enum_piece(g, node, scores, pp, redist)
+        log_z, mu_center, pair_marg, _ = _piece_stats(g, scores, pp, redist,
+                                                      want_marginals=True)
+        slots = slice(g.indptr[node], g.indptr[node + 1])
+        worst_z = max(worst_z, abs(log_z[node] - ref_z))
+        worst_m = max(worst_m, np.abs(mu_center[node] - ref_center).max(initial=0.0),
+                      np.abs(pair_marg[slots] - ref_pair).max(initial=0.0))
         checked += 1
     ok = worst_z <= 1e-10 and worst_m <= 1e-10
     _line(5, "PASS" if ok else "FAIL",
@@ -268,11 +245,11 @@ def test_c06_gradient_exactness():
         hidden = int(rng.integers(2, 9))
         scheme = ("average", "center")[trial % 2]
         mode = ("edge", "layer", "none")[trial % 3]
-        g, _, redist, scores, pp, labels, train_ids = random_problem(
+        g, redist, scores, pp, labels, train_ids = random_instance(
             rng, n, c, mode=mode, scheme=scheme)
         r = random_r(rng, n, c, labels, train_ids)
 
-        g_scores, g_raw, g_alpha = objective_gradients(r, scores, pp, redist, g)
+        _, g_scores, g_raw, g_alpha = objective_and_gradients(r, scores, pp, redist, g)
         worst["scores"] = max(worst["scores"], _rel(g_scores, _fd(
             lambda s: expected_piecewise_objective(r, s, pp, redist, g),
             scores.copy())))
@@ -286,13 +263,13 @@ def test_c06_gradient_exactness():
                     r, scores, PairwiseParams(pp.raw, al, pp.mode), redist, g),
                 pp.alpha.copy())))
 
-        feats = rng.normal(size=(n, int(rng.integers(2, 5))))
+        # the backbone chain on the operator and CSR features train uses
+        feats = sp.csr_array(rng.normal(size=(n, int(rng.integers(2, 5)))))
         params = GcnParams(rng.normal(scale=0.8, size=(feats.shape[1], hidden)),
                            rng.normal(scale=0.8, size=(hidden, c)))
-        adj = normalized_adjacency(g)
+        adj = normalized_adjacency_operator(g)
         s, cache = forward(params, feats, adj)
-        gs, _, _ = objective_gradients(r, s, pp, redist, g)
-        from mrfgcn.gcn import backward
+        _, gs, _, _ = objective_and_gradients(r, s, pp, redist, g)
         gw0, gw1 = backward(params, cache, gs)
 
         def through(p):
@@ -319,16 +296,15 @@ def test_c07_redistribution_identity():
         n = int(rng.integers(2, 11))
         c = int(rng.integers(2, 5))
         scheme = ("average", "center")[trial % 2]
-        g, pieces, redist, scores, pp, _, _ = random_problem(rng, n, c, scheme=scheme)
+        g, redist, scores, pp, _, _ = random_instance(rng, n, c, scheme=scheme)
         assign = rng.integers(0, c, size=n)
         total = 0.0
-        for piece in pieces:
-            total += redist.unary_exponent(piece.center, piece.center) \
-                * scores[piece.center, assign[piece.center]]
-            for leaf, a in zip(piece.leaves, pp.alpha_at(piece.edge_ids)):
-                total += redist.unary_exponent(leaf, piece.center) \
-                    * scores[leaf, assign[leaf]]
-                total += redist.pair_exp * a * pp.K[assign[piece.center], assign[leaf]]
+        for node in range(n):
+            total += redist.center_exp[node] * scores[node, assign[node]]
+            slots = slice(g.indptr[node], g.indptr[node + 1])
+            for leaf, a in zip(g.indices[slots], pp.alpha_at(g.slot_edge_ids[slots])):
+                total += redist.leaf_exp[leaf] * scores[leaf, assign[leaf]]
+                total += redist.pair_exp * a * pp.K[assign[node], assign[leaf]]
         direct = float(scores[np.arange(n), assign].sum())
         if g.num_edges:
             j, k = g.edges[:, 0], g.edges[:, 1]
@@ -349,7 +325,7 @@ def test_c08_shift_invariance():
     for trial in range(20):
         scheme = ("average", "center")[trial % 2]
         n, c = int(rng.integers(2, 11)), int(rng.integers(2, 5))
-        g, _, redist, scores, pp, labels, train_ids = random_problem(
+        g, redist, scores, pp, labels, train_ids = random_instance(
             rng, n, c, scheme=scheme)
         r = random_r(rng, n, c, labels, train_ids)
         base = expected_piecewise_objective(r, scores, pp, redist, g)
@@ -389,7 +365,7 @@ def test_c09_elbo_coordinate_ascent_and_kl_identity():
     worst_drop, worst_gap = 0.0, 0.0
     for _ in range(20):
         n, c = int(rng.integers(4, 11)), 3
-        g, _, _, scores, pp, labels, train_ids = random_problem(
+        g, _, scores, pp, labels, train_ids = random_instance(
             rng, n, c, min_labeled=1)
         free = np.setdiff1d(np.arange(n), train_ids)
         rows = rng.random((len(free), c)) + 0.05
@@ -442,7 +418,7 @@ def test_c10_degenerate_reductions():
     pp = PairwiseParams.init(3, 0, mode="edge")
     gap_edgeless = 0.0
     for scheme in ("average", "center"):
-        _, redist = build_pieces(g, scheme)
+        redist = Redistribution.for_graph(g, scheme)
         value = expected_piecewise_objective(r, scores, pp, redist, g)
         exact = exact_observed_ll(g, scores, pp, labels, np.arange(6))
         gap_edgeless = max(gap_edgeless, abs(value - exact))
@@ -457,7 +433,7 @@ def test_c10_degenerate_reductions():
     train_ids = np.array([0, 3, 5])
     params = init_params(3, 5, 3, stream(4, "init"))
     pp2 = PairwiseParams.init(3, g2.num_edges, mode="edge", alpha_init=0.0)
-    _, redist2 = build_pieces(g2, "center")
+    redist2 = Redistribution.for_graph(g2, "center")
     adj = normalized_adjacency(g2)
     free = np.setdiff1d(np.arange(7), train_ids)
     s0, _ = forward(params, feats, adj)

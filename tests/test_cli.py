@@ -5,6 +5,8 @@ from mrfgcn.data import load_generic
 from mrfgcn.errors import ConfigError
 from mrfgcn.graph import homophily_beta
 
+from conftest import write_citation
+
 
 def _synth_dir(tmp_path, name="ds", target=0.85, nodes=120, seed=0, edges_per_node=3,
                classes=3):
@@ -165,6 +167,25 @@ def test_evaluate_checkpoint_with_fewer_classes_exits_two(tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "class 3" in captured.err
+
+
+@pytest.mark.parametrize("layout", ["generic", "citation"])
+def test_dataset_file_without_data_rows_exits_two(tmp_path, capsys, layout):
+    if layout == "generic":
+        (tmp_path / "features.tsv").write_text("# no rows\n", encoding="utf-8")
+        (tmp_path / "labels.tsv").write_text("", encoding="utf-8")
+        empty = "features.tsv"
+    else:
+        write_citation(tmp_path, "tiny", [], [("a", "b")])
+        empty = "tiny.content"
+    for command in ("homophily", "train"):
+        code = main([command, "--dataset", str(tmp_path), "--out", str(tmp_path / "runs"),
+                     "--quiet"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert f"{empty}: no data rows" in captured.err
 
 
 def test_ablate_grid_shape(tmp_path):

@@ -4,50 +4,39 @@ import math
 import numpy as np
 import pytest
 
+from mrfgcn import selfcheck
 from mrfgcn.errors import ConfigError
-from mrfgcn.factors import (PairwiseParams, build_pieces,
-                            expected_piecewise_objective, objective_gradients,
-                            pairwise_log_factor, piece_log_partition,
-                            piece_marginals)
+from mrfgcn.factors import (PairwiseParams, Redistribution, _piece_stats,
+                            expected_piecewise_objective, objective_and_gradients)
 from mrfgcn.graph import build_graph
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows
+from mrfgcn.selfcheck import random_instance, random_r
 
-from conftest import random_problem, random_r
+from conftest import enum_piece
 
 
-def _enum_piece(piece, scores, pp, redist):
-    """Independent enumeration over one star piece (pure python loops)."""
-    c = pp.num_classes
-    members = [piece.center] + list(piece.leaves)
-    alphas = pp.alpha_at(piece.edge_ids)
-    k = pp.K
-    weights = {}
-    for assign in itertools.product(range(c), repeat=len(members)):
-        lf = redist.center_exp[piece.center] * scores[piece.center][assign[0]]
-        for pos, (leaf, a) in enumerate(zip(piece.leaves, alphas), start=1):
-            lf += redist.leaf_exp[leaf] * scores[leaf][assign[pos]]
-            lf += redist.pair_exp * a * k[assign[0], assign[pos]]
-        weights[assign] = math.exp(lf)
-    z = sum(weights.values())
-    center = np.zeros(c)
-    pair = np.zeros((len(piece.leaves), c, c))
-    for assign, w in weights.items():
-        center[assign[0]] += w / z
-        for pos in range(len(piece.leaves)):
-            pair[pos, assign[0], assign[pos + 1]] += w / z
-    return math.log(z), center, pair
+def _piece(g, node, scores, pp, redist):
+    """The piece at `node`: (log_z, center, leaf and pairwise marginals) rows."""
+    log_z, mu_center, pair_marg, leaf_marg = _piece_stats(g, scores, pp, redist,
+                                                          want_marginals=True)
+    slots = slice(g.indptr[node], g.indptr[node + 1])
+    return log_z[node], mu_center[node], leaf_marg[slots], pair_marg[slots]
+
+
+def _log_factor(pp, edge_id, y_j, y_k):
+    return float(pp.alpha_at([edge_id])[0] * pp.K[y_j, y_k])
 
 
 def test_pairwise_log_factor_values():
     pp = PairwiseParams(raw=np.zeros((3, 3)), alpha=np.ones(1), mode="edge")
-    assert pairwise_log_factor(pp, 0, 1, 2) == 0.0
+    assert _log_factor(pp, 0, 1, 2) == 0.0
     pp = PairwiseParams(raw=np.eye(3), alpha=np.ones(2), mode="edge")
-    assert pairwise_log_factor(pp, 1, 2, 2) == 1.0
-    assert pairwise_log_factor(pp, 1, 0, 2) == 0.0
+    assert _log_factor(pp, 1, 2, 2) == 1.0
+    assert _log_factor(pp, 1, 0, 2) == 0.0
     raw = np.zeros((3, 3))
     raw[1, 2] = raw[2, 1] = -0.4
     pp = PairwiseParams(raw=raw, alpha=np.array([2.5]), mode="edge")
-    assert pairwise_log_factor(pp, 0, 1, 2) == pytest.approx(-1.0)
+    assert _log_factor(pp, 0, 1, 2) == pytest.approx(-1.0)
 
 
 def test_pairwise_log_factor_symmetric_in_labels():
@@ -55,36 +44,21 @@ def test_pairwise_log_factor_symmetric_in_labels():
     pp = PairwiseParams(raw=rng.normal(size=(4, 4)), alpha=rng.normal(size=(3,)),
                         mode="edge")
     for y1, y2 in itertools.product(range(4), repeat=2):
-        assert pairwise_log_factor(pp, 2, y1, y2) == pytest.approx(
-            pairwise_log_factor(pp, 2, y2, y1), abs=1e-15)
-
-
-def test_build_pieces_edgeless():
-    pieces, redist = build_pieces(build_graph(3, []), "average")
-    assert len(pieces) == 3
-    assert all(len(p.leaves) == 0 for p in pieces)
-    assert np.allclose(redist.center_exp, 1.0)
-
-
-def test_build_pieces_star():
-    g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    pieces, _ = build_pieces(g, "average")
-    assert pieces[0].leaves.tolist() == [1, 2, 3]
-    for i in (1, 2, 3):
-        assert pieces[i].leaves.tolist() == [0]
+        assert _log_factor(pp, 2, y1, y2) == pytest.approx(
+            _log_factor(pp, 2, y2, y1), abs=1e-15)
 
 
 def test_piece_membership_counts():
     rng = np.random.default_rng(1)
-    g, pieces, _, _, _, _, _ = random_problem(rng, 9, 3)
-    assert len(pieces) == g.num_nodes
+    g, _, _, _, _, _ = random_instance(rng, 9, 3)
     appearances = np.zeros(g.num_nodes, dtype=int)
     edge_appearances = np.zeros(g.num_edges, dtype=int)
-    for p in pieces:
-        appearances[p.center] += 1
-        for leaf in p.leaves:
+    for node in range(g.num_nodes):
+        slots = slice(g.indptr[node], g.indptr[node + 1])
+        appearances[node] += 1
+        for leaf in g.indices[slots]:
             appearances[leaf] += 1
-        for eid in p.edge_ids:
+        for eid in g.slot_edge_ids[slots]:
             edge_appearances[eid] += 1
     assert np.array_equal(appearances, g.degrees + 1)
     assert np.all(edge_appearances == 2)
@@ -93,12 +67,12 @@ def test_piece_membership_counts():
 @pytest.mark.parametrize("scheme", ["average", "center"])
 def test_redistribution_partition_of_unity(scheme):
     rng = np.random.default_rng(2)
-    g, pieces, redist, _, pp, _, _ = random_problem(rng, 10, 3, scheme=scheme)
+    g, redist, _, pp, _, _ = random_instance(rng, 10, 3, scheme=scheme)
     node_total = np.zeros(g.num_nodes)
-    for p in pieces:
-        node_total[p.center] += redist.unary_exponent(p.center, p.center)
-        for leaf in p.leaves:
-            node_total[leaf] += redist.unary_exponent(leaf, p.center)
+    for node in range(g.num_nodes):
+        node_total[node] += redist.center_exp[node]
+        for leaf in g.indices[g.indptr[node]:g.indptr[node + 1]]:
+            node_total[leaf] += redist.leaf_exp[leaf]
     assert np.allclose(node_total, 1.0, atol=1e-15)
     # every edge: exponent 1/2 in exactly two pieces
     assert redist.pair_exp == 0.5
@@ -106,31 +80,32 @@ def test_redistribution_partition_of_unity(scheme):
 
 def test_redistribution_unknown_scheme():
     with pytest.raises(ConfigError):
-        build_pieces(build_graph(2, [(0, 1)]), "quadratic")
+        Redistribution.for_graph(build_graph(2, [(0, 1)]), "quadratic")
 
 
 def test_piece_log_partition_singleton_uniform():
     g = build_graph(1, [])
-    pieces, redist = build_pieces(g, "average")
+    redist = Redistribution.for_graph(g, "average")
     pp = PairwiseParams.init(3, 0, mode="none")
-    assert piece_log_partition(pieces[0], np.zeros((1, 3)), pp, redist) == \
-        pytest.approx(math.log(3))
+    assert _piece(g, 0, np.zeros((1, 3)), pp, redist)[0] == pytest.approx(math.log(3))
+    # large scores: the max-shifted sum neither overflows nor loses the shift
+    assert _piece(g, 0, np.full((1, 3), 1000.0), pp, redist)[0] == \
+        pytest.approx(1000.0 + math.log(3), abs=1e-12)
 
 
 def test_piece_log_partition_pair_all_zero_factors():
     g = build_graph(2, [(0, 1)])
-    pieces, redist = build_pieces(g, "average")
+    redist = Redistribution.for_graph(g, "average")
     pp = PairwiseParams.init(2, 1, mode="none")   # K = 0
-    assert piece_log_partition(pieces[0], np.zeros((2, 2)), pp, redist) == \
-        pytest.approx(math.log(4))
+    assert _piece(g, 0, np.zeros((2, 2)), pp, redist)[0] == pytest.approx(math.log(4))
 
 
 def test_piece_log_partition_pair_identity_compatibility():
     g = build_graph(2, [(0, 1)])
-    pieces, redist = build_pieces(g, "average")
+    redist = Redistribution.for_graph(g, "average")
     pp = PairwiseParams(raw=np.eye(2), alpha=np.ones(1), mode="edge")
     expected = math.log(2 * math.exp(0.5) + 2)    # 4-assignment enumeration
-    assert piece_log_partition(pieces[0], np.zeros((2, 2)), pp, redist) == \
+    assert _piece(g, 0, np.zeros((2, 2)), pp, redist)[0] == \
         pytest.approx(expected, abs=1e-12)
 
 
@@ -139,56 +114,72 @@ def test_piece_log_partition_pair_identity_compatibility():
 def test_piece_inference_matches_enumeration(scheme, mode):
     rng = np.random.default_rng(3)
     for _ in range(6):
-        g, pieces, redist, scores, pp, _, _ = random_problem(
+        g, redist, scores, pp, _, _ = random_instance(
             rng, int(rng.integers(2, 8)), int(rng.integers(2, 5)),
             mode=mode, scheme=scheme)
-        piece = pieces[int(rng.integers(g.num_nodes))]
-        ref_z, ref_center, ref_pair = _enum_piece(piece, scores, pp, redist)
-        assert piece_log_partition(piece, scores, pp, redist) == \
-            pytest.approx(ref_z, abs=1e-10)
-        marg = piece_marginals(piece, scores, pp, redist)
-        assert np.abs(marg.center - ref_center).max() <= 1e-10
-        if len(piece.leaves):
-            assert np.abs(marg.pairwise - ref_pair).max() <= 1e-10
+        node = int(rng.integers(g.num_nodes))
+        ref_z, ref_center, ref_pair = enum_piece(g, node, scores, pp, redist)
+        log_z, center, _, pair = _piece(g, node, scores, pp, redist)
+        assert log_z == pytest.approx(ref_z, abs=1e-10)
+        assert np.abs(center - ref_center).max() <= 1e-10
+        if g.degrees[node]:
+            assert np.abs(pair - ref_pair).max() <= 1e-10
+
+
+@pytest.mark.parametrize("field", ["log_z", "pair_marg"])
+def test_piece_check_fails_on_a_perturbed_piece_stats(monkeypatch, field):
+    # the self-check must read the batched inference training runs, and
+    # must notice an error far below what a wrong formula would give
+    def perturbed(*args, **kwargs):
+        log_z, mu_center, pair_marg, leaf_marg = _piece_stats(*args, **kwargs)
+        if field == "log_z":
+            log_z = log_z + 1e-8
+        else:
+            pair_marg = pair_marg + 1e-8
+        return log_z, mu_center, pair_marg, leaf_marg
+
+    monkeypatch.setattr(selfcheck, "_piece_stats", perturbed)
+    results = selfcheck.check_piece_inference([4, 6], trials=6, seed=0)
+    assert not all(r.passed for r in results)
 
 
 def test_piece_marginals_uniform():
     g = build_graph(3, [(0, 1), (0, 2)])
-    pieces, redist = build_pieces(g, "average")
+    redist = Redistribution.for_graph(g, "average")
     pp = PairwiseParams.init(3, 2, mode="none")
-    marg = piece_marginals(pieces[0], np.zeros((3, 3)), pp, redist)
-    assert np.allclose(marg.center, 1.0 / 3.0)
-    assert np.allclose(marg.leaves, 1.0 / 3.0)
-    assert np.allclose(marg.pairwise, 1.0 / 9.0)
+    _, center, leaves, pair = _piece(g, 0, np.zeros((3, 3)), pp, redist)
+    assert np.allclose(center, 1.0 / 3.0)
+    assert np.allclose(leaves, 1.0 / 3.0)
+    assert np.allclose(pair, 1.0 / 9.0)
 
 
 def test_piece_marginals_strong_diagonal_concentrates():
     g = build_graph(2, [(0, 1)])
-    pieces, redist = build_pieces(g, "average")
+    redist = Redistribution.for_graph(g, "average")
     pp = PairwiseParams(raw=100.0 * np.eye(2), alpha=np.ones(1), mode="edge")
-    marg = piece_marginals(pieces[0], np.zeros((2, 2)), pp, redist)
-    off_diag = marg.pairwise[0] - np.diag(np.diag(marg.pairwise[0]))
+    _, _, _, pair = _piece(g, 0, np.zeros((2, 2)), pp, redist)
+    off_diag = pair[0] - np.diag(np.diag(pair[0]))
     assert off_diag.sum() < 1e-8
-    assert np.trace(marg.pairwise[0]) == pytest.approx(1.0, abs=1e-12)
+    assert np.trace(pair[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_piece_marginals_are_consistent():
     rng = np.random.default_rng(4)
-    g, pieces, redist, scores, pp, _, _ = random_problem(rng, 7, 3)
-    for piece in pieces:
-        marg = piece_marginals(piece, scores, pp, redist)
-        assert marg.center.sum() == pytest.approx(1.0, abs=1e-12)
-        for pos in range(len(piece.leaves)):
-            joint = marg.pairwise[pos]
+    g, redist, scores, pp, _, _ = random_instance(rng, 7, 3)
+    for node in range(g.num_nodes):
+        _, center, leaves, pair = _piece(g, node, scores, pp, redist)
+        assert center.sum() == pytest.approx(1.0, abs=1e-12)
+        for pos in range(g.degrees[node]):
+            joint = pair[pos]
             assert joint.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.allclose(joint.sum(axis=1), marg.center, atol=1e-12)
-            assert np.allclose(joint.sum(axis=0), marg.leaves[pos], atol=1e-12)
+            assert np.allclose(joint.sum(axis=1), center, atol=1e-12)
+            assert np.allclose(joint.sum(axis=0), leaves[pos], atol=1e-12)
 
 
 def test_objective_edgeless_is_log_softmax_likelihood():
     rng = np.random.default_rng(5)
     g = build_graph(5, [])
-    pieces, redist = build_pieces(g, "average")
+    redist = Redistribution.for_graph(g, "average")
     scores = rng.normal(size=(5, 3))
     labels = rng.integers(0, 3, size=5)
     r = np.zeros((5, 3))
@@ -201,7 +192,7 @@ def test_objective_edgeless_is_log_softmax_likelihood():
 
 def test_objective_ignores_alpha_when_k_zero():
     rng = np.random.default_rng(6)
-    g, pieces, redist, scores, _, labels, train = random_problem(rng, 6, 3)
+    g, redist, scores, _, labels, train = random_instance(rng, 6, 3)
     r = random_r(rng, 6, 3, labels, train)
     values = []
     for mode, alpha in (("edge", np.full(g.num_edges, 3.3)),
@@ -215,7 +206,7 @@ def test_objective_ignores_alpha_when_k_zero():
 def test_objective_two_node_hand_enumeration():
     rng = np.random.default_rng(7)
     g = build_graph(2, [(0, 1)])
-    pieces, redist = build_pieces(g, "average")
+    redist = Redistribution.for_graph(g, "average")
     scores = rng.normal(size=(2, 2))
     pp = PairwiseParams(raw=rng.normal(size=(2, 2)), alpha=np.array([0.8]), mode="edge")
     r = rng.random((2, 2))
@@ -224,7 +215,7 @@ def test_objective_two_node_hand_enumeration():
     expected = float((r * scores).sum())
     expected += 0.8 * sum(r[0, a] * k[a, b] * r[1, b]
                           for a in range(2) for b in range(2))
-    for piece in pieces:
+    for _ in range(2):   # both pieces are the same two-node star
         z = sum(math.exp(0.5 * scores[0, a] + 0.5 * scores[1, b] + 0.5 * 0.8 * k[a, b])
                 for a in range(2) for b in range(2))
         expected -= math.log(z)
@@ -234,22 +225,22 @@ def test_objective_two_node_hand_enumeration():
 
 def test_gradients_uniform_cancellation():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    pieces, redist = build_pieces(g, "average")
+    redist = Redistribution.for_graph(g, "average")
     pp = PairwiseParams(raw=np.zeros((3, 3)), alpha=np.ones(3), mode="edge")
     r = np.full((4, 3), 1.0 / 3.0)
-    grad_scores, _, _ = objective_gradients(r, np.zeros((4, 3)), pp, redist, g)
+    _, grad_scores, _, _ = objective_and_gradients(r, np.zeros((4, 3)), pp, redist, g)
     assert np.abs(grad_scores).max() <= 1e-14
 
 
 def test_gradients_edgeless_logistic_form():
     rng = np.random.default_rng(8)
     g = build_graph(5, [])
-    pieces, redist = build_pieces(g, "average")
+    redist = Redistribution.for_graph(g, "average")
     scores = rng.normal(size=(5, 3))
     r = rng.random((5, 3))
     r /= r.sum(axis=1, keepdims=True)
     pp = PairwiseParams.init(3, 0, mode="edge")
-    grad_scores, _, _ = objective_gradients(r, scores, pp, redist, g)
+    _, grad_scores, _, _ = objective_and_gradients(r, scores, pp, redist, g)
     assert np.allclose(grad_scores, r - softmax_rows(scores), atol=1e-12)
 
 
@@ -279,10 +270,11 @@ def test_gradients_match_finite_differences(scheme, mode):
     rng = np.random.default_rng(9)
     for _ in range(3):
         n, c = int(rng.integers(3, 9)), int(rng.integers(2, 4))
-        g, pieces, redist, scores, pp, labels, train = random_problem(
+        g, redist, scores, pp, labels, train = random_instance(
             rng, n, c, mode=mode, scheme=scheme)
         r = random_r(rng, n, c, labels, train)
-        grad_scores, grad_raw, grad_alpha = objective_gradients(r, scores, pp, redist, g)
+        _, grad_scores, grad_raw, grad_alpha = objective_and_gradients(
+            r, scores, pp, redist, g)
         fd_scores = _fd(lambda s: expected_piecewise_objective(r, s, pp, redist, g),
                         scores.copy())
         assert _rel(grad_scores, fd_scores) <= 1e-6
@@ -304,17 +296,16 @@ def test_redistribution_identity_global_factor_sum(scheme):
     rng = np.random.default_rng(10)
     for _ in range(10):
         n, c = int(rng.integers(2, 10)), int(rng.integers(2, 5))
-        g, pieces, redist, scores, pp, _, _ = random_problem(rng, n, c, scheme=scheme)
+        g, redist, scores, pp, _, _ = random_instance(rng, n, c, scheme=scheme)
         assign = rng.integers(0, c, size=n)
         total = 0.0
-        for piece in pieces:
-            total += redist.unary_exponent(piece.center, piece.center) \
-                * scores[piece.center, assign[piece.center]]
-            alphas = pp.alpha_at(piece.edge_ids)
-            for leaf, a in zip(piece.leaves, alphas):
-                total += redist.unary_exponent(leaf, piece.center) \
-                    * scores[leaf, assign[leaf]]
-                total += redist.pair_exp * a * pp.K[assign[piece.center], assign[leaf]]
+        for node in range(n):
+            total += redist.center_exp[node] * scores[node, assign[node]]
+            slots = slice(g.indptr[node], g.indptr[node + 1])
+            alphas = pp.alpha_at(g.slot_edge_ids[slots])
+            for leaf, a in zip(g.indices[slots], alphas):
+                total += redist.leaf_exp[leaf] * scores[leaf, assign[leaf]]
+                total += redist.pair_exp * a * pp.K[assign[node], assign[leaf]]
         direct = float(scores[np.arange(n), assign].sum())
         if g.num_edges:
             j, k = g.edges[:, 0], g.edges[:, 1]
@@ -326,7 +317,7 @@ def test_redistribution_identity_global_factor_sum(scheme):
 def test_shift_invariance_of_objective():
     rng = np.random.default_rng(11)
     for scheme in ("average", "center"):
-        g, pieces, redist, scores, pp, labels, train = random_problem(
+        g, redist, scores, pp, labels, train = random_instance(
             rng, 8, 3, scheme=scheme)
         r = random_r(rng, 8, 3, labels, train)
         base = expected_piecewise_objective(r, scores, pp, redist, g)
@@ -337,7 +328,7 @@ def test_shift_invariance_of_objective():
 
 def test_mode_consistency_none_equals_edge_at_unit_alpha():
     rng = np.random.default_rng(12)
-    g, pieces, redist, scores, _, labels, train = random_problem(rng, 7, 3)
+    g, redist, scores, _, labels, train = random_instance(rng, 7, 3)
     r = random_r(rng, 7, 3, labels, train)
     raw = rng.normal(size=(3, 3))
     pp_none = PairwiseParams(raw=raw, alpha=np.zeros(0), mode="none")
@@ -345,18 +336,19 @@ def test_mode_consistency_none_equals_edge_at_unit_alpha():
     assert expected_piecewise_objective(r, scores, pp_none, redist, g) == \
         pytest.approx(expected_piecewise_objective(r, scores, pp_edge, redist, g),
                       abs=1e-12)
-    for piece in [build_pieces(g)[0][i] for i in range(g.num_nodes)]:
-        assert piece_log_partition(piece, scores, pp_none, redist) == \
-            pytest.approx(piece_log_partition(piece, scores, pp_edge, redist), abs=1e-12)
+    stats_none = _piece_stats(g, scores, pp_none, redist, want_marginals=True)
+    stats_edge = _piece_stats(g, scores, pp_edge, redist, want_marginals=True)
+    for a, b in zip(stats_none, stats_edge):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
 
 def test_k_stays_symmetric_under_adam_steps():
     rng = np.random.default_rng(13)
-    g, pieces, redist, scores, pp, labels, train = random_problem(rng, 6, 3)
+    g, redist, scores, pp, labels, train = random_instance(rng, 6, 3)
     r = random_r(rng, 6, 3, labels, train)
     st = AdamState.for_param(pp.raw, lr=0.05)
     for _ in range(5):
-        _, grad_raw, _ = objective_gradients(r, scores, pp, redist, g)
+        _, _, grad_raw, _ = objective_and_gradients(r, scores, pp, redist, g)
         pp = PairwiseParams(adam_step(pp.raw, -grad_raw, st), pp.alpha, pp.mode)
         k = pp.K
         assert np.array_equal(k, k.T)
@@ -370,10 +362,10 @@ def test_gradients_with_trailing_isolated_node():
     scores = rng.normal(size=(4, 2))
     pp = PairwiseParams(raw=rng.normal(size=(2, 2)), alpha=np.array([0.9]),
                         mode="layer")
-    _, redist = build_pieces(g, "average")
+    redist = Redistribution.for_graph(g, "average")
     r = rng.random((4, 2))
     r /= r.sum(axis=1, keepdims=True)
-    grad_scores, grad_raw, grad_alpha = objective_gradients(r, scores, pp, redist, g)
+    _, grad_scores, _, _ = objective_and_gradients(r, scores, pp, redist, g)
     fd = _fd(lambda s: expected_piecewise_objective(r, s, pp, redist, g),
              scores.copy())
     assert _rel(grad_scores, fd) <= 1e-6

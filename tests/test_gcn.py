@@ -6,8 +6,7 @@ from mrfgcn.errors import StaleCacheError
 from mrfgcn.gcn import GcnParams, backward, forward, init_params, supervised_loss_and_grad
 from mrfgcn.graph import build_graph, normalized_adjacency
 from mrfgcn.numerics import dropout_mask, stream
-
-from conftest import random_graph
+from mrfgcn.selfcheck import random_graph
 
 
 def test_init_ranges():

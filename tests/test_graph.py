@@ -4,8 +4,7 @@ import pytest
 from mrfgcn.errors import DegenerateInputError, StructuralInputError
 from mrfgcn.graph import (build_graph, homophily_beta, normalized_adjacency,
                           normalized_adjacency_operator)
-
-from conftest import random_graph
+from mrfgcn.selfcheck import random_graph
 
 
 def test_build_drops_self_loops_and_duplicates():
@@ -55,16 +54,14 @@ def test_neighbor_lists_symmetric():
 def test_edge_ids_bijection():
     rng = np.random.default_rng(2)
     g = random_graph(rng, 12)
-    seen = set()
-    for e, (j, k) in enumerate(g.edges):
-        assert g.edge_id(int(j), int(k)) == e
-        assert g.edge_id(int(k), int(j)) == e
-        seen.add(e)
-    assert seen == set(range(g.num_edges))
-    assert g.edge_index == {(int(j), int(k)): e for e, (j, k) in enumerate(g.edges)}
-    with pytest.raises(StructuralInputError):
-        g_small = build_graph(3, [(0, 1)])
-        g_small.edge_id(0, 2)
+    # edge ids are positions in the sorted edge list, and every id labels
+    # exactly the two CSR slots of its pair, one per orientation
+    assert np.array_equal(np.unique(g.edges, axis=0), g.edges)
+    assert (g.edges[:, 0] < g.edges[:, 1]).all()
+    assert np.array_equal(np.bincount(g.slot_edge_ids, minlength=g.num_edges),
+                          np.full(g.num_edges, 2))
+    pairs = np.sort(np.stack([g.slot_centers, g.indices], axis=1), axis=1)
+    assert np.array_equal(pairs, g.edges[g.slot_edge_ids])
 
 
 def test_slot_reverse_pairs_orientations():

@@ -5,8 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from mrfgcn.errors import ConfigError
-from mrfgcn.numerics import (AdamState, adam_step, dropout_mask, log_sum_exp,
-                             softmax_rows, stream)
+from mrfgcn.numerics import AdamState, adam_step, dropout_mask, softmax_rows, stream
 
 
 # `@` with a dense or a CSR left operand: the products the GCN takes with
@@ -66,23 +65,6 @@ def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(1)
     out = softmax_rows(rng.normal(scale=30.0, size=(50, 7)))
     assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12
-
-
-def test_log_sum_exp_basics():
-    assert log_sum_exp(np.array([0.0, 0.0])) == pytest.approx(math.log(2.0))
-    assert log_sum_exp(np.array([3.7])) == pytest.approx(3.7)
-    assert log_sum_exp(np.array([1000.0, 1000.0])) == pytest.approx(1000.0 + math.log(2.0))
-
-
-def test_log_sum_exp_shift_identity():
-    rng = np.random.default_rng(2)
-    v = rng.normal(size=20)
-    assert log_sum_exp(v + 11.25) == pytest.approx(log_sum_exp(v) + 11.25, abs=1e-12)
-
-
-def test_log_sum_exp_empty():
-    with pytest.raises(ValueError):
-        log_sum_exp(np.array([]))
 
 
 def test_adam_zero_gradient_is_noop():

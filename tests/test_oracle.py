@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from mrfgcn.errors import EnumerationLimitError
-from mrfgcn.factors import PairwiseParams, Redistribution, StarPiece, piece_log_partition
+from mrfgcn.factors import PairwiseParams, Redistribution, _piece_stats
 from mrfgcn.graph import build_graph
 from mrfgcn.numerics import softmax_rows
 from mrfgcn.oracle import (OracleLimit, exact_elbo, exact_log_partition,
                            exact_observed_ll, exact_posterior_marginals)
+from mrfgcn.selfcheck import random_instance
 from mrfgcn.training import Proposal
-
-from conftest import random_problem
 
 
 def _linear_space_posterior(g, scores, pp, labels, train_ids):
@@ -67,7 +66,7 @@ def test_log_partition_pair_identity_compatibility():
 
 def test_posterior_factorizes_when_k_zero():
     rng = np.random.default_rng(1)
-    g, _, _, scores, _, labels, train = random_problem(rng, 6, 3, min_labeled=1)
+    g, _, scores, _, labels, train = random_instance(rng, 6, 3, min_labeled=1)
     pp = PairwiseParams(raw=np.zeros((3, 3)), alpha=np.ones(g.num_edges), mode="edge")
     free, marg = exact_posterior_marginals(g, scores, pp, labels, train)
     assert np.allclose(marg, softmax_rows(scores[free]), atol=1e-12)
@@ -75,7 +74,7 @@ def test_posterior_factorizes_when_k_zero():
 
 def test_posterior_fully_labeled_empty():
     rng = np.random.default_rng(2)
-    g, _, _, scores, pp, labels, _ = random_problem(rng, 5, 3)
+    g, _, scores, pp, labels, _ = random_instance(rng, 5, 3)
     free, marg = exact_posterior_marginals(g, scores, pp, labels, np.arange(5))
     assert len(free) == 0 and marg.shape == (0, 3)
 
@@ -83,7 +82,7 @@ def test_posterior_fully_labeled_empty():
 def test_posterior_matches_second_enumeration():
     rng = np.random.default_rng(3)
     for _ in range(5):
-        g, _, _, scores, pp, labels, train = random_problem(rng, 6, 3)
+        g, _, scores, pp, labels, train = random_instance(rng, 6, 3)
         free, marg = exact_posterior_marginals(g, scores, pp, labels, train)
         ref_free, ref = _linear_space_posterior(g, scores, pp, labels, train)
         assert np.array_equal(free, ref_free)
@@ -104,14 +103,14 @@ def test_observed_ll_all_labeled_edgeless():
 
 def test_observed_ll_no_labels_is_zero():
     rng = np.random.default_rng(5)
-    g, _, _, scores, pp, labels, _ = random_problem(rng, 5, 3)
+    g, _, scores, pp, labels, _ = random_instance(rng, 5, 3)
     assert exact_observed_ll(g, scores, pp, labels, np.array([], dtype=np.int64)) == \
         pytest.approx(0.0, abs=1e-10)
 
 
 def test_observed_ll_upper_bounds_elbo():
     rng = np.random.default_rng(6)
-    g, _, _, scores, pp, labels, train = random_problem(rng, 6, 3, min_labeled=1)
+    g, _, scores, pp, labels, train = random_instance(rng, 6, 3, min_labeled=1)
     free = np.setdiff1d(np.arange(6), train)
     obs = exact_observed_ll(g, scores, pp, labels, train)
     for _ in range(100):
@@ -122,14 +121,14 @@ def test_observed_ll_upper_bounds_elbo():
 def test_elbo_equals_observed_when_q_is_posterior():
     rng = np.random.default_rng(7)
     # K = 0: the posterior factorizes, so the mean-field family contains it
-    g, _, _, scores, _, labels, train = random_problem(rng, 6, 3, min_labeled=1)
+    g, _, scores, _, labels, train = random_instance(rng, 6, 3, min_labeled=1)
     pp = PairwiseParams(raw=np.zeros((3, 3)), alpha=np.ones(g.num_edges), mode="edge")
     free, marg = exact_posterior_marginals(g, scores, pp, labels, train)
     q = Proposal(free, marg, 6)
     assert exact_elbo(g, scores, pp, labels, train, q) == \
         pytest.approx(exact_observed_ll(g, scores, pp, labels, train), abs=1e-10)
     # single unlabeled node: posterior trivially factorizes even with coupling
-    g2, _, _, scores2, pp2, labels2, _ = random_problem(rng, 5, 3)
+    g2, _, scores2, pp2, labels2, _ = random_instance(rng, 5, 3)
     train2 = np.array([0, 1, 2, 3])
     free2, marg2 = exact_posterior_marginals(g2, scores2, pp2, labels2, train2)
     q2 = Proposal(free2, marg2, 5)
@@ -139,7 +138,7 @@ def test_elbo_equals_observed_when_q_is_posterior():
 
 def test_elbo_point_mass_bound():
     rng = np.random.default_rng(8)
-    g, _, _, scores, pp, labels, train = random_problem(rng, 5, 3, min_labeled=1)
+    g, _, scores, pp, labels, train = random_instance(rng, 5, 3, min_labeled=1)
     free = np.setdiff1d(np.arange(5), train)
     if len(free) == 0:
         pytest.skip("instance happened to be fully labeled")
@@ -154,7 +153,7 @@ def test_elbo_point_mass_bound():
 def test_gap_equals_direct_kl():
     rng = np.random.default_rng(9)
     for _ in range(5):
-        g, _, _, scores, pp, labels, train = random_problem(rng, 6, 3, min_labeled=1)
+        g, _, scores, pp, labels, train = random_instance(rng, 6, 3, min_labeled=1)
         free = np.setdiff1d(np.arange(6), train)
         q = _rand_q(rng, free, 3, 6)
         gap = exact_observed_ll(g, scores, pp, labels, train) \
@@ -183,7 +182,7 @@ def test_gap_equals_direct_kl():
 
 def test_marginals_invariant_to_score_shifts():
     rng = np.random.default_rng(10)
-    g, _, _, scores, pp, labels, train = random_problem(rng, 6, 3, min_labeled=1)
+    g, _, scores, pp, labels, train = random_instance(rng, 6, 3, min_labeled=1)
     free, marg = exact_posterior_marginals(g, scores, pp, labels, train)
     shifted = scores + rng.normal(scale=4.0, size=(6, 1))
     _, marg2 = exact_posterior_marginals(g, shifted, pp, labels, train)
@@ -192,7 +191,7 @@ def test_marginals_invariant_to_score_shifts():
 
 def test_enumeration_refused_above_limit():
     rng = np.random.default_rng(11)
-    g, _, _, scores, pp, labels, train = random_problem(rng, 8, 3)
+    g, _, scores, pp, labels, train = random_instance(rng, 8, 3)
     with pytest.raises(EnumerationLimitError):
         exact_log_partition(g, scores, pp, limit=OracleLimit(max_configurations=100))
 
@@ -203,9 +202,7 @@ def test_lone_star_piece_with_unit_exponents_matches_exact():
     scores = rng.normal(size=(5, 3))
     pp = PairwiseParams(raw=rng.normal(size=(3, 3)), alpha=rng.normal(size=4),
                         mode="edge")
-    piece = StarPiece(center=0, leaves=g.neighbors(0),
-                      edge_ids=g.slot_edge_ids[g.indptr[0]:g.indptr[1]])
     unit = Redistribution(scheme="manual", center_exp=np.ones(5),
                           leaf_exp=np.ones(5), pair_exp=1.0)
-    assert piece_log_partition(piece, scores, pp, unit) == \
-        pytest.approx(exact_log_partition(g, scores, pp), abs=1e-10)
+    log_z, _, _, _ = _piece_stats(g, scores, pp, unit, want_marginals=False)
+    assert log_z[0] == pytest.approx(exact_log_partition(g, scores, pp), abs=1e-10)

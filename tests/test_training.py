@@ -7,16 +7,15 @@ import scipy.sparse as sp
 from mrfgcn import gcn, training
 from mrfgcn.data import Split, generate_synthetic, ratio_split, row_normalize_features
 from mrfgcn.errors import ConfigError, DegenerateInputError, NonFiniteObjectiveError
-from mrfgcn.factors import PairwiseParams, build_pieces
+from mrfgcn.factors import PairwiseParams, Redistribution
 from mrfgcn.gcn import GcnParams, forward, init_params
 from mrfgcn.graph import build_graph, normalized_adjacency
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows, stream
 from mrfgcn.oracle import exact_posterior_marginals
+from mrfgcn.selfcheck import random_graph, random_instance
 from mrfgcn.training import (Proposal, TrainConfig, _argmax_predictions, _dependency_levels,
                              e_step, evaluate, m_step, make_r, mean_field_site_update,
                              predict, train)
-
-from conftest import random_graph, random_problem
 
 
 def _uniform_q(free, c, n):
@@ -51,7 +50,7 @@ def test_e_step_single_labeled_neighbor_closed_form():
 
 def test_e_step_k_zero_fixed_point():
     rng = np.random.default_rng(0)
-    g, _, _, scores, _, labels, train = random_problem(rng, 7, 3, min_labeled=1)
+    g, _, scores, _, labels, train = random_instance(rng, 7, 3, min_labeled=1)
     pp = PairwiseParams(raw=np.zeros((3, 3)), alpha=np.ones(g.num_edges), mode="edge")
     free = np.setdiff1d(np.arange(7), train)
     q1 = e_step(_uniform_q(free, 3, 7), scores, pp, g, labels, train, sweeps=1,
@@ -73,7 +72,7 @@ def _e_step_case(name):
     """
     if name == "draw8":
         rng = np.random.default_rng(1)
-        g, _, _, scores, pp, labels, train = random_problem(rng, 8, 3)
+        g, _, scores, pp, labels, train = random_instance(rng, 8, 3)
         return rng, g, scores, pp, labels, train
     rng = np.random.default_rng(_E_STEP_CASES.index(name))
     if name.startswith("random"):
@@ -141,7 +140,7 @@ def test_dependency_levels_follow_lower_neighbours(case):
 
 def test_e_step_converged_fixed_point():
     rng = np.random.default_rng(2)
-    g, _, _, scores, pp, labels, train = random_problem(rng, 9, 3, min_labeled=1)
+    g, _, scores, pp, labels, train = random_instance(rng, 9, 3, min_labeled=1)
     free = np.setdiff1d(np.arange(9), train)
     if len(free) == 0:
         pytest.skip("fully labeled draw")
@@ -153,7 +152,7 @@ def test_e_step_converged_fixed_point():
 
 def test_e_step_rows_stay_normalized():
     rng = np.random.default_rng(3)
-    g, _, _, scores, pp, labels, train = random_problem(rng, 10, 4, min_labeled=1)
+    g, _, scores, pp, labels, train = random_instance(rng, 10, 4, min_labeled=1)
     free = np.setdiff1d(np.arange(10), train)
     q = e_step(_uniform_q(free, 4, 10), scores, pp, g, labels, train, sweeps=7)
     assert np.abs(q.q.sum(axis=1) - 1.0).max() <= 1e-12
@@ -194,7 +193,7 @@ def test_m_step_edgeless_reduces_to_supervised():
     train_ids = np.arange(6)
     params = init_params(3, 4, 3, seed=0)
     pp = PairwiseParams.init(3, 0, mode="edge")
-    _, redist = build_pieces(g, "average")
+    redist = Redistribution.for_graph(g, "average")
     adj = normalized_adjacency(g)
     q = Proposal(np.array([], dtype=np.int64), np.zeros((0, 3)), 6)
     cfg = TrainConfig(m_epochs=40, dropout_keep=1.0, lr=0.05, weight_decay=0.0)
@@ -220,7 +219,7 @@ def test_m_step_dead_pairwise_center_scheme_matches_supervised():
     train_ids = np.array([0, 2, 4])
     params = init_params(3, 4, 3, seed=1)
     pp = PairwiseParams.init(3, g.num_edges, mode="edge", alpha_init=0.0)
-    _, redist = build_pieces(g, "center")
+    redist = Redistribution.for_graph(g, "center")
     adj = normalized_adjacency(g)
     free = np.setdiff1d(np.arange(6), train_ids)
     scores0, _ = forward(params, features, adj)
@@ -239,7 +238,7 @@ def test_m_step_dead_pairwise_center_scheme_matches_supervised():
 
 def test_m_step_small_steps_do_not_decrease_objective():
     rng = np.random.default_rng(6)
-    g, _, redist, _, pp, labels, train = random_problem(rng, 8, 3, min_labeled=1)
+    g, redist, _, pp, labels, train = random_instance(rng, 8, 3, min_labeled=1)
     features = rng.normal(size=(8, 3))
     params = init_params(3, 4, 3, seed=2)
     adj = normalized_adjacency(g)
@@ -261,7 +260,7 @@ def test_m_step_non_finite_diagnostic():
     raw = np.zeros((2, 2))
     raw[0, 0] = np.inf
     pp = PairwiseParams(raw=raw, alpha=np.ones(1), mode="edge")
-    _, redist = build_pieces(g, "average")
+    redist = Redistribution.for_graph(g, "average")
     q = Proposal(np.array([1]), np.array([[0.5, 0.5]]), 2)
     cfg = TrainConfig(m_epochs=1, dropout_keep=1.0)
     with pytest.raises(NonFiniteObjectiveError, match="node"), \
@@ -383,7 +382,7 @@ def test_train_empty_train_split_rejected():
 
 def test_predict_k_zero_is_argmax():
     rng = np.random.default_rng(7)
-    g, _, _, scores, _, labels, train = random_problem(rng, 8, 3, min_labeled=1)
+    g, _, scores, _, labels, train = random_instance(rng, 8, 3, min_labeled=1)
     pp = PairwiseParams(raw=np.zeros((3, 3)), alpha=np.ones(g.num_edges), mode="edge")
     free = np.setdiff1d(np.arange(8), train)
     q = _uniform_q(free, 3, 8)
@@ -409,7 +408,7 @@ def test_predict_agrees_with_exact_argmax_on_confident_marginals():
     checked = 0
     for _ in range(20):
         n, c = 6, 3
-        g, _, _, scores, pp, labels, train = random_problem(rng, n, c, min_labeled=1)
+        g, _, scores, pp, labels, train = random_instance(rng, n, c, min_labeled=1)
         free, marg = exact_posterior_marginals(g, scores, pp, labels, train)
         if len(free) == 0:
             continue
