@@ -7,7 +7,9 @@ files append the K storage, the alpha vector, and a one-element
 coefficient-mode code.
 """
 
+import io
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -28,13 +30,22 @@ def _write_array(fh, arr):
     fh.write(arr.tobytes())
 
 
-def _read_array(fh):
-    (ndim,) = struct.unpack("<I", fh.read(4))
-    shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim)) if ndim else ()
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-    if data.size != count:
-        raise StructuralInputError("checkpoint truncated")
+def _read(fh, size, path):
+    """Exactly `size` bytes of an in-memory file; fewer left means it was cut.
+
+    The size is checked before reading, so a size from a damaged header
+    never reaches an allocation.
+    """
+    if size > fh.getbuffer().nbytes - fh.tell():
+        raise StructuralInputError(f"{path}: checkpoint truncated")
+    return fh.read(size)
+
+
+def _read_array(fh, path):
+    (ndim,) = struct.unpack("<I", _read(fh, 4, path))
+    shape = struct.unpack(f"<{ndim}Q", _read(fh, 8 * ndim, path))
+    count = int(np.prod(shape, dtype=object))
+    data = np.frombuffer(_read(fh, 8 * count, path), dtype="<f8")
     return data.reshape(shape).copy()
 
 
@@ -53,14 +64,17 @@ def save_checkpoint(path, params: GcnParams, pairwise: PairwiseParams | None = N
 
 def load_checkpoint(path):
     """Returns (GcnParams, PairwiseParams or None)."""
-    with open(path, "rb") as fh:
-        if fh.read(12) != _MAGIC:
-            raise StructuralInputError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
-            raise StructuralInputError(f"{path}: unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", fh.read(4))
-        arrays = [_read_array(fh) for _ in range(count)]
+    fh = io.BytesIO(Path(path).read_bytes())
+    magic = fh.read(len(_MAGIC))
+    if magic != _MAGIC:
+        cut = len(magic) < len(_MAGIC) and _MAGIC.startswith(magic)
+        raise StructuralInputError(
+            f"{path}: {'checkpoint truncated' if cut else 'not a checkpoint file'}")
+    (version,) = struct.unpack("<I", _read(fh, 4, path))
+    if version != _VERSION:
+        raise StructuralInputError(f"{path}: unsupported checkpoint version {version}")
+    (count,) = struct.unpack("<I", _read(fh, 4, path))
+    arrays = [_read_array(fh, path) for _ in range(count)]
     if count == 2:
         return GcnParams(*arrays), None
     if count == 5:

@@ -80,7 +80,10 @@ class _RunSettings:
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in types:
                 raise ConfigError(f"config line {line_no}: unknown key {key!r}")
-            values[key] = _parse_value(types[key], value)
+            try:
+                values[key] = _parse_value(types[key], value)
+            except ConfigError as exc:
+                raise ConfigError(f"config line {line_no}: {exc}") from None
         return cls(**values)
 
     @classmethod
@@ -102,10 +105,12 @@ RunConfig.__module__ = __name__
 def _parse_value(f, text):
     if f.name == "seeds":
         return seed_list(text)
-    if f.type in ("int", int):
-        return int(text)
-    if f.type in ("float", float):
-        return float(text)
+    for kind, noun in ((int, "an int"), (float, "a float")):
+        if f.type in (kind, kind.__name__):
+            try:
+                return kind(text)
+            except ValueError:
+                raise ConfigError(f"{f.name} expects {noun}, got {text!r}") from None
     if f.type in ("bool", bool):
         if text.lower() in ("true", "1", "yes"):
             return True
@@ -115,8 +120,22 @@ def _parse_value(f, text):
     return text
 
 
+def _int_list(text, name):
+    try:
+        return tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise ConfigError(f"{name} expects comma-separated ints, got {text!r}") from None
+
+
 def seed_list(text):
-    return tuple(int(s) for s in text.split(",") if s.strip())
+    return _int_list(text, "seeds")
+
+
+def _require_at_least(lowest, **values):
+    for flag, value in values.items():
+        if value < lowest:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be at least {lowest}, "
+                              f"got {value}")
 
 
 def _make_split(ds: Dataset, cfg: RunConfig, seed) -> Split:
@@ -206,6 +225,11 @@ def cmd_homophily(cfg: RunConfig) -> int:
 
 def cmd_oracle_check(sizes, trials, seed, num_classes, max_configs,
                      inject_gradient_bug=False) -> int:
+    if not sizes:
+        raise ConfigError("--sizes needs at least one instance size")
+    _require_at_least(1, sizes=min(sizes), trials=trials)
+    # with one class every objective is constant, so no gradient can be checked
+    _require_at_least(2, classes=num_classes)
     try:
         results = run_selfchecks(sizes, trials, seed, num_classes=num_classes,
                                  limit=OracleLimit(max_configs),
@@ -247,6 +271,8 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
 def cmd_synth(out_dir, num_nodes, num_classes, edges_per_node, target,
               feature_dim, noise, seed) -> int:
+    _require_at_least(1, nodes=num_nodes, classes=num_classes)
+    _require_at_least(0, edges_per_node=edges_per_node)
     ds = generate_synthetic(num_nodes, num_classes, edges_per_node, target,
                             feature_dim, noise, seed)
     save_generic(ds, out_dir)
@@ -348,9 +374,9 @@ def main(argv=None) -> int:
         if args.command == "homophily":
             return cmd_homophily(_build_config(args))
         if args.command == "oracle-check":
-            sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-            return cmd_oracle_check(sizes, args.trials, args.seed, args.classes,
-                                    args.max_configs, args.inject_gradient_bug)
+            return cmd_oracle_check(_int_list(args.sizes, "--sizes"), args.trials,
+                                    args.seed, args.classes, args.max_configs,
+                                    args.inject_gradient_bug)
         if args.command == "synth":
             return cmd_synth(args.out, args.nodes, args.classes, args.edges_per_node,
                              args.target, args.feature_dim, args.noise, args.seed)

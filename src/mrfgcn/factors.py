@@ -18,14 +18,17 @@ The piecewise objective for a table r of per-node label distributions is
 
 where log Zbar_i is the partition function of the redistributed star
 piece at node i, computed in closed form by summing leaf nodes out
-first. `_piece_stats` is the one star-piece inference: it runs every
-piece at once, and the piece at node i is row i of its per-node outputs
-plus CSR slots indptr[i]:indptr[i+1] of its per-slot outputs. The
-enumeration references (`selfcheck.enumerate_piece` and the tests')
-are compared against those rows. Per-edge tensors below index directed
-orientations: slot d of a graph covers (center(d), leaf(d)); tensors of
-shape (2E, c, c) put the center label on axis 1 and the leaf label on
-axis 2.
+first. `_leaf_major_pieces` is the one star-piece inference: it runs
+every piece at once, and `objective_and_gradients` reads its buffers
+directly. `_piece_stats` presents the same buffers per piece: the piece
+at node i is row i of its per-node outputs plus CSR slots
+indptr[i]:indptr[i+1] of its per-slot outputs. The enumeration
+references (`selfcheck.enumerate_piece` and the tests') are compared
+against those rows. Per-slot tensors below index directed orientations:
+slot d of a graph covers (center(d), leaf(d)). The one per-slot label
+tensor is built leaf label first, as (c_leaf, 2E, c_center), so that
+summing a leaf out reduces over the leading axis; the `pair_marg` that
+`_piece_stats` returns is its (2E, c_center, c_leaf) view.
 """
 
 from dataclasses import dataclass
@@ -134,24 +137,29 @@ def _segment_sum(values, indptr):
     return out
 
 
-def _piece_stats(g: Graph, scores, pp, redist, want_marginals):
-    """Batched star inference over all pieces.
+def _leaf_major_pieces(g: Graph, scores, pp, redist, want_marginals):
+    """Batched star inference over all pieces, in the leaf-major layout.
 
-    Returns (log_z, mu_center, pair_marg, leaf_marg); the latter two are
-    None unless marginals were requested. pair_marg[d] is the joint
-    (center label, leaf label) marginal of directed slot d's piece edge and
-    leaf_marg[d] the corresponding leaf marginal, both under the piece of
-    center(d).
+    Returns (log_z, mu_center, t, rim); the latter two are None unless
+    marginals were requested. t[b, d, a] is the joint marginal of leaf
+    label b and center label a on slot d under the piece of center(d),
+    and rim[b, d] holds (sum_a t[b, d, a], sum_a t[b, d, a] * K[b, a]).
     """
     centers = g.slot_centers
     leaves = g.indices
+    c = pp.num_classes
     k = pp.K
-    alphas = pp.alpha_at(g.slot_edge_ids)
-
-    t = (redist.leaf_exp[leaves][:, None, None] * scores[leaves][:, None, :]
-         + redist.pair_exp * alphas[:, None, None] * k[None, :, :])
-    hi = t.max(axis=2)
-    msgs = hi + np.log(np.exp(t - hi[:, :, None]).sum(axis=2))   # (2E, c)
+    # t[b, d, a] = leaf_exp * s[leaf(d), b] + pair_exp * alpha_d * K[b, a] for leaf
+    # label b, slot d and center label a (K is symmetric), built as one batched
+    # rank-2 product: (c, 2E, 2) @ (c, 2, c)
+    unary = (redist.leaf_exp[leaves][:, None] * scores[leaves]).T
+    pair = np.broadcast_to(redist.pair_exp * pp.alpha_at(g.slot_edge_ids), unary.shape)
+    t = np.stack([unary, pair], axis=2) @ np.stack([np.ones((c, c)), k], axis=1)
+    hi = t.max(axis=0)
+    t -= hi
+    np.exp(t, out=t)
+    mass = t.sum(axis=0)                                   # (2E, c), each >= 1
+    msgs = hi + np.log(mass)
 
     b = redist.center_exp[:, None] * scores + _segment_sum(msgs, g.indptr)
     b_hi = b.max(axis=1)
@@ -160,10 +168,25 @@ def _piece_stats(g: Graph, scores, pp, redist, want_marginals):
 
     if not want_marginals:
         return log_z, mu_center, None, None
-    cavity = b[centers] - msgs
-    pair_marg = np.exp(cavity[:, :, None] + t - log_z[centers][:, None, None])
-    leaf_marg = pair_marg.sum(axis=1)
-    return log_z, mu_center, pair_marg, leaf_marg
+    # exp(b[centers] - msgs + hi - log_z[centers]) == mu_center[centers] / mass <= 1
+    t *= mu_center[centers] / mass
+    rim = t @ np.stack([np.ones((c, c)), k], axis=2)
+    return log_z, mu_center, t, rim
+
+
+def _piece_stats(g: Graph, scores, pp, redist, want_marginals):
+    """Batched star inference over all pieces.
+
+    Returns (log_z, mu_center, pair_marg, leaf_marg); the latter two are
+    None unless marginals were requested. pair_marg[d] is the joint
+    (center label, leaf label) marginal of directed slot d's piece edge and
+    leaf_marg[d] the corresponding leaf marginal, both under the piece of
+    center(d). Both are views of `_leaf_major_pieces`' buffers.
+    """
+    log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist, want_marginals)
+    if t is None:
+        return log_z, mu_center, None, None
+    return log_z, mu_center, t.transpose(1, 2, 0), rim[:, :, 0].T
 
 
 def _pair_expectations(r, pp, g):
@@ -188,7 +211,7 @@ def objective_and_gradients(r, scores, pp, redist, g: Graph):
     Gradients are w.r.t. scores, the unconstrained K storage, and the
     alpha parameter vector (None in no-coefficient mode).
     """
-    log_z, mu_center, pair_marg, _ = _piece_stats(g, scores, pp, redist,
+    log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist,
                                                   want_marginals=True)
     alphas_e = pp.alpha_at(np.arange(g.num_edges))
     alphas_d = pp.alpha_at(g.slot_edge_ids)
@@ -197,21 +220,18 @@ def objective_and_gradients(r, scores, pp, redist, g: Graph):
 
     # leaf contribution: pieces where node i sits on the rim are the
     # reverses of the slots centered at i
-    leaf_marg_at_leaf = pair_marg.sum(axis=1)[g.slot_reverse]
+    leaf_marg_at_leaf = rim[:, g.slot_reverse, 0].T
     grad_scores = (r - redist.center_exp[:, None] * mu_center
                    - redist.leaf_exp[:, None] * _segment_sum(leaf_marg_at_leaf, g.indptr))
 
     j, k = g.edges[:, 0], g.edges[:, 1]
-    if g.num_edges:
-        g_k = np.einsum("e,ea,eb->ab", alphas_e, r[j], r[k])
-        g_k -= redist.pair_exp * np.einsum("d,dab->ab", alphas_d, pair_marg)
-    else:
-        g_k = np.zeros_like(pp.raw)
+    g_k = (r[j] * alphas_e[:, None]).T @ r[k]
+    g_k -= redist.pair_exp * (alphas_d @ t).T              # t is leaf-major
     grad_raw = 0.5 * (g_k + g_k.T)
 
     grad_alpha = None
     if pp.mode != "none":
-        dots = np.einsum("dab,ab->d", pair_marg, pp.K)
+        dots = rim[:, :, 1].sum(axis=0)                    # <pair_marg[d], K>
         per_edge = pair_dots - redist.pair_exp * np.bincount(
             g.slot_edge_ids, weights=dots, minlength=g.num_edges)
         grad_alpha = per_edge if pp.mode == "edge" else np.array([per_edge.sum()])

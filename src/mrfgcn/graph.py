@@ -45,6 +45,21 @@ class Graph:
         return self.indices[self.indptr[node]:self.indptr[node + 1]]
 
 
+def _unique_edges(pairs, n):
+    """The distinct (j, k), j < k, of in-range pairs, in lexicographic order.
+
+    A pair is keyed j * n + k, which orders keys as (j, k) orders pairs; the
+    largest key, n * n - 1, fits in int64 for any n below 3e9. Sorting and
+    dropping repeats is several times faster here than np.unique, which
+    hashes integer keys.
+    """
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    keys = np.sort(np.minimum(pairs[:, 0], pairs[:, 1]) * n
+                   + np.maximum(pairs[:, 0], pairs[:, 1]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return np.stack([keys // n, keys % n], axis=1)
+
+
 def build_graph(num_nodes, raw_edges) -> Graph:
     """Normalize raw pairs into a Graph.
 
@@ -64,17 +79,16 @@ def build_graph(num_nodes, raw_edges) -> Graph:
         raise StructuralInputError(
             f"edge endpoint out of range [0, {num_nodes}): {tuple(int(x) for x in bad)}")
 
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    edges = np.unique(np.stack([lo, hi], axis=1), axis=0) if len(pairs) else pairs.reshape(0, 2)
+    n = np.int64(num_nodes)
+    edges = _unique_edges(pairs, n)
 
     num_edges = len(edges)
     slots_center = np.concatenate([edges[:, 0], edges[:, 1]])
     slots_leaf = np.concatenate([edges[:, 1], edges[:, 0]])
     slots_eid = np.concatenate([np.arange(num_edges), np.arange(num_edges)]).astype(np.int64)
 
-    order = np.lexsort((slots_leaf, slots_center))
+    # slot keys are distinct, so every sort gives this one order
+    order = np.argsort(slots_center * n + slots_leaf)
     slots_center = slots_center[order]
     slots_leaf = slots_leaf[order]
     slots_eid = slots_eid[order]
@@ -83,11 +97,13 @@ def build_graph(num_nodes, raw_edges) -> Graph:
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
 
-    # the two CSR slots of each edge id are paired up as reverses
+    # unsorted slot s (edge s's forward orientation for s < E, edge s - E's
+    # backward one after) lands at CSR position[s]; the two orientations of
+    # an edge are each other's reverse
+    position = np.empty(2 * num_edges, dtype=np.int64)
+    position[order] = np.arange(2 * num_edges)
     reverse = np.empty(2 * num_edges, dtype=np.int64)
-    by_eid = np.argsort(slots_eid, kind="stable")
-    reverse[by_eid[0::2]] = by_eid[1::2]
-    reverse[by_eid[1::2]] = by_eid[0::2]
+    reverse[position] = np.roll(position, num_edges)
 
     for arr in (edges, indptr, slots_leaf, slots_eid, reverse):
         arr.flags.writeable = False

@@ -50,3 +50,17 @@ def test_truncated_file_rejected(tmp_path):
     path.write_bytes(data[:-16])
     with pytest.raises(StructuralInputError):
         load_checkpoint(path)
+
+
+def test_checkpoint_cut_at_every_offset_rejected(tmp_path):
+    rng = np.random.default_rng(3)
+    params = GcnParams(rng.normal(size=(3, 4)), rng.normal(size=(4, 2)))
+    pp = PairwiseParams(raw=rng.normal(size=(2, 2)), alpha=rng.normal(size=3), mode="edge")
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, params, pp)
+    data = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(StructuralInputError, match=r"cut\.bin: checkpoint truncated$"):
+            load_checkpoint(cut)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import mrfgcn
 from mrfgcn.cli import RunConfig, main
 from mrfgcn.data import load_generic
 from mrfgcn.errors import ConfigError
@@ -90,6 +96,19 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     cfg.write_text("warm_epochs = 5\nwibble = 3\n", encoding="utf-8")
     assert main(["train", "--config", str(cfg)]) == 1
     assert "wibble" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("hidden = abc", "config line 2: hidden expects an int, got 'abc'"),
+    ("lr = fast", "config line 2: lr expects a float, got 'fast'"),
+])
+def test_non_numeric_config_value_exits_one(tmp_path, capsys, line, message):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text(f"warm_epochs = 5\n{line}\n", encoding="utf-8")
+    assert main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert message in err
 
 
 def test_config_file_with_flag_overrides(tmp_path):
@@ -188,6 +207,23 @@ def test_dataset_file_without_data_rows_exits_two(tmp_path, capsys, layout):
         assert f"{empty}: no data rows" in captured.err
 
 
+def test_evaluate_truncated_checkpoint_exits_two(tmp_path, capsys):
+    ds_dir = _synth_dir(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["train", "--dataset", str(ds_dir), "--out", str(out),
+                 "--seeds", "0", *_FAST, "--quiet"]) == 0
+    checkpoint = out / "checkpoint_seed0.bin"
+    checkpoint.write_bytes(checkpoint.read_bytes()[:30])
+    capsys.readouterr()
+    code = main(["evaluate", "--dataset", str(ds_dir), "--split", "ratio", "--seeds", "0",
+                 "--checkpoint", str(checkpoint)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "checkpoint truncated" in captured.err
+
+
 def test_ablate_grid_shape(tmp_path):
     ds_dir = _synth_dir(tmp_path, nodes=90)
     out = tmp_path / "ablation"
@@ -225,3 +261,36 @@ def test_run_config_validation():
         RunConfig(split="bogus")
     with pytest.raises(ConfigError):
         RunConfig(seeds=())
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["oracle-check", "--classes", "0"], "--classes"),
+    (["oracle-check", "--classes", "1"], "--classes"),
+    (["oracle-check", "--trials", "0"], "--trials"),
+    (["oracle-check", "--sizes", "4,0"], "--sizes"),
+    (["oracle-check", "--sizes", "-2"], "--sizes"),
+    (["oracle-check", "--sizes", ","], "--sizes"),
+    (["oracle-check", "--sizes", "4,x"], "--sizes"),
+    (["synth", "--nodes", "0"], "--nodes"),
+    (["synth", "--classes", "0"], "--classes"),
+    (["synth", "--edges-per-node", "-1"], "--edges-per-node"),
+])
+def test_out_of_range_counts_exit_one(tmp_path, capsys, args, flag):
+    if args[0] == "synth":
+        args = [*args, "--out", str(tmp_path / "ds")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert flag in captured.err
+    assert not (tmp_path / "ds").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(mrfgcn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", "mrfgcn", "--help"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0
+    assert "oracle-check" in done.stdout

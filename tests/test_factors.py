@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,3 +379,49 @@ def test_alpha_storage_shapes_validated():
         PairwiseParams(raw=np.zeros((2, 2)), alpha=np.ones(1), mode="none")
     with pytest.raises(ConfigError):
         PairwiseParams(raw=np.zeros((2, 2)), alpha=np.ones(1), mode="diagonal")
+
+
+def test_objective_and_gradients_allocates_at_most_two_slot_label_tensors():
+    # the 2E·c² star-piece tensor is built once and reused in place for
+    # the pair marginals and every gradient; a copying layout peaks above 3
+    rng = np.random.default_rng(15)
+    g, redist, scores, pp, labels, train = random_instance(rng, 200, 10, edge_prob=0.1)
+    r = random_r(rng, 200, 10, labels, train)
+    assert g.degrees.mean() > 18
+    objective_and_gradients(r, scores, pp, redist, g)
+    tracemalloc.start()
+    try:
+        objective_and_gradients(r, scores, pp, redist, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (2 * g.num_edges * 10 * 10 * 8)
+
+
+@pytest.mark.parametrize("scheme", ["average", "center"])
+@pytest.mark.parametrize("mode", ["edge", "layer", "none"])
+def test_piece_stats_stable_at_large_scores(scheme, mode):
+    rng = np.random.default_rng(16)
+    for _ in range(4):
+        n, c = int(rng.integers(6, 14)), int(rng.integers(2, 6))
+        g, redist, scores, pp, _, _ = random_instance(rng, n, c, mode=mode, scheme=scheme)
+        scores = scores * 200.0                                  # std 300
+        pp = PairwiseParams(raw=5.0 * pp.raw, alpha=rng.normal(0.0, 2.0, pp.alpha.shape),
+                            mode=mode)
+        stats = _piece_stats(g, scores, pp, redist, want_marginals=True)
+        log_z, mu_center, pair_marg, leaf_marg = stats
+        assert all(np.isfinite(x).all() for x in stats)
+        assert np.abs(pair_marg.sum(axis=2) - mu_center[g.slot_centers]).max(initial=0.0) \
+            <= 1e-12
+        assert np.abs(pair_marg.sum(axis=1) - leaf_marg).max(initial=0.0) <= 1e-12
+
+        # a per-node constant m moves each piece's log Z by its exponent-weighted
+        # sum of m and leaves every marginal alone; shifted by thousands, the
+        # unnormalized leaf and center terms are far outside exp's range
+        m = rng.normal(0.0, 3000.0, size=n)
+        moved = _piece_stats(g, scores - m[:, None], pp, redist, want_marginals=True)
+        shift = redist.center_exp * m + np.bincount(
+            g.slot_centers, weights=(redist.leaf_exp * m)[g.indices], minlength=n)
+        assert np.abs(log_z - moved[0] - shift).max() <= 1e-14 * np.abs(moved[0]).max()
+        for a, b in zip(stats[1:], moved[1:]):
+            assert np.abs(a - b).max(initial=0.0) <= 1e-12

@@ -32,6 +32,54 @@ def test_build_endpoint_out_of_range():
         build_graph(3, [(-1, 0)])
 
 
+def _reference_build(num_nodes, raw_edges):
+    """build_graph's arrays by its earlier formulation: a row-wise unique of
+    the (lo, hi) pairs, a lexsort of the slots and an argsort by edge id."""
+    pairs = np.asarray(raw_edges, dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    edges = np.unique(np.stack([lo, hi], axis=1), axis=0) if len(pairs) else pairs
+    num_edges = len(edges)
+    center = np.concatenate([edges[:, 0], edges[:, 1]])
+    leaf = np.concatenate([edges[:, 1], edges[:, 0]])
+    eid = np.concatenate([np.arange(num_edges), np.arange(num_edges)]).astype(np.int64)
+    order = np.lexsort((leaf, center))
+    center, leaf, eid = center[order], leaf[order], eid[order]
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(center, minlength=num_nodes), out=indptr[1:])
+    reverse = np.empty(2 * num_edges, dtype=np.int64)
+    by_eid = np.argsort(eid, kind="stable")
+    reverse[by_eid[0::2]] = by_eid[1::2]
+    reverse[by_eid[1::2]] = by_eid[0::2]
+    return {"edges": edges, "indptr": indptr, "indices": leaf, "slot_edge_ids": eid,
+            "slot_reverse": reverse}
+
+
+def _raw_pair_cases():
+    rng = np.random.default_rng(21)
+    yield 0, []
+    yield 1, []
+    yield 1, [(0, 0), (0, 0)]
+    yield 5, []
+    yield 5, [(3, 3), (0, 0), (3, 3)]
+    yield 2, [(1, 0), (0, 1), (1, 0)]
+    for _ in range(40):
+        n = int(rng.integers(2, 80))
+        raw = rng.integers(0, n, size=(int(rng.integers(1, 4 * n)), 2))
+        raw = np.concatenate([raw, raw[:, ::-1], raw[: len(raw) // 2]])   # both ways, repeats
+        yield n, raw[rng.permutation(len(raw))]
+
+
+def test_build_matches_the_row_unique_formulation():
+    for num_nodes, raw in _raw_pair_cases():
+        g = build_graph(num_nodes, raw)
+        for name, expected in _reference_build(num_nodes, raw).items():
+            got = getattr(g, name)
+            assert got.dtype == expected.dtype and got.shape == expected.shape, name
+            assert got.tobytes() == expected.tobytes(), (num_nodes, name)
+
+
 def test_build_idempotent():
     rng = np.random.default_rng(0)
     for _ in range(10):
