@@ -10,9 +10,20 @@ Two on-disk layouts are supported:
   integer per node) and optionally ``split.tsv`` (node_id and one of
   train/val/test).
 
-Files are UTF-8, whitespace-separated; lines starting with ``#`` are
-ignored. Node features are held as a CSR matrix: the loaders keep only
-the nonzero entries of each row as they read it.
+Files are UTF-8, whitespace-separated; blank lines and lines starting
+with ``#`` are ignored (a ``#`` later in a row is data, and an error).
+
+Every numeric table (feature columns, labels, edges) is parsed in
+blocks of about ``_BLOCK_VALUES`` values, each by one ``np.loadtxt``
+call. Reals take numpy's syntax: optional sign, digits with an optional
+point, optional exponent. Integers are decimal digits with an optional
+sign. Spellings only Python takes (``1_000``, non-ASCII digits) are
+errors, as is ``1.0`` where an integer is expected.
+Feature values must be finite: ``nan``, ``inf`` and overflowing values
+such as ``1e999`` are rejected with their line rather than trained on.
+When a block fails, the same call is repeated line by line to name the
+first bad line. Node features are held as a CSR matrix built block by
+block, so at most one dense block exists at a time.
 """
 
 import logging
@@ -29,7 +40,7 @@ from .numerics import stream
 log = logging.getLogger(__name__)
 
 _PARTNER_RETRIES = 100
-_SAVE_BLOCK_ROWS = 1024   # feature rows made dense at a time by save_generic
+_BLOCK_VALUES = 1 << 17   # values per dense block, parsed by the loaders or written by save_generic
 
 
 @dataclass(eq=False)
@@ -73,56 +84,110 @@ class Split:
             raise StructuralInputError("split sets must be pairwise disjoint")
 
 
-class _CsrRows:
-    """Collects feature rows one at a time, keeping only their nonzero entries."""
-
-    def __init__(self):
-        self.indptr, self.indices, self.values = [0], [np.zeros(0, np.int64)], [np.zeros(0)]
-
-    def append(self, row):
-        row = np.asarray(row, dtype=np.float64)
-        nonzero = np.flatnonzero(row)
-        self.indices.append(nonzero)
-        self.values.append(row[nonzero])
-        self.indptr.append(self.indptr[-1] + len(nonzero))
-
-    def tocsr(self, width) -> sp.csr_array:
-        return sp.csr_array((np.concatenate(self.values), np.concatenate(self.indices),
-                             np.asarray(self.indptr)), shape=(len(self.indptr) - 1, width))
-
-
 def _data_lines(path):
+    """Yield (line_no, stripped line) for the rows of `path` that carry data."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            yield line_no, stripped.split()
+            yield line_no, stripped
+
+
+def _loadtxt(lines, dtype):
+    """The one parse call, for a block of rows and for a single row alike."""
+    if not any(lines):   # .content rows without feature columns; loadtxt drops them
+        return np.zeros((len(lines), 0), dtype)
+    # comments=None: a '#' inside a row is data, as in _data_lines
+    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+
+
+def _read_table(path, rows, dtype, width, width_error, what):
+    """Parse (line_no, text) rows of `width` numbers into 2-D blocks.
+
+    `width` None takes the first row's token count. Each block of about
+    _BLOCK_VALUES values goes through one `_loadtxt` call. A block that
+    fails, comes back with another shape or holds a non-finite value is
+    parsed again line by line to raise the error of its first bad line:
+    `width_error(line_no, found, width)`, or a ParseError for a value.
+    """
+    def parse(line_nos, lines):
+        try:
+            block = _loadtxt(lines, dtype)
+            if block.shape == (len(lines), width) and np.isfinite(block).all():
+                return block
+        except ValueError:
+            pass
+        for line_no, text in zip(line_nos, lines):
+            found = len(text.split())
+            if found != width:
+                raise width_error(line_no, found, width)
+            try:
+                row = _loadtxt([text], dtype)
+            except ValueError as exc:
+                detail = str(exc).partition(" at row ")[0]
+                raise ParseError(path, line_no, f"bad {what} ({detail})") from None
+            if not np.isfinite(row).all():
+                raise ParseError(path, line_no, f"non-finite {what}")
+        raise StructuralInputError(f"{path}:{line_nos[0]}: rows do not parse as one table")
+
+    line_nos, lines = [], []
+    for line_no, text in rows:
+        if width is None:
+            width = len(text.split())
+        line_nos.append(line_no)
+        lines.append(text)
+        if len(lines) * max(width, 1) >= _BLOCK_VALUES:
+            yield parse(line_nos, lines)
+            line_nos, lines = [], []
+    if lines:
+        yield parse(line_nos, lines)
+
+
+def _read_features(path, rows, width_error) -> sp.csr_array | None:
+    """CSR of the feature rows (None when there are none), one dense block at a time."""
+    blocks = [sp.csr_array(block) for block in
+              _read_table(path, rows, np.float64, None, width_error, "feature value")]
+    if not blocks:
+        return None
+    stacked = sp.vstack(blocks, format="csr")
+    return sp.csr_array((stacked.data, stacked.indices.astype(np.int64),
+                         stacked.indptr.astype(np.int64)), shape=stacked.shape)
+
+
+def _read_ints(path, width, what, message) -> np.ndarray:
+    """(rows, width) int64 table; a row of another width raises ParseError(message)."""
+    def width_error(line_no, found, expected):
+        return ParseError(path, line_no, message)
+    blocks = list(_read_table(path, _data_lines(path), np.int64, width, width_error, what))
+    return np.concatenate(blocks) if blocks else np.zeros((0, width), np.int64)
 
 
 def load_citation(content_file, cites_file) -> Dataset:
     """Load the two-file citation layout; class ids follow first appearance."""
-    names, rows, class_ids = [], _CsrRows(), []
-    class_map = {}
-    width = None
-    for line_no, parts in _data_lines(content_file):
-        if len(parts) < 2:
-            raise ParseError(content_file, line_no, "expected node_id, features, class_label")
-        name, feats, cls = parts[0], parts[1:-1], parts[-1]
-        if width is None:
-            width = len(feats)
-        elif len(feats) != width:
-            raise StructuralInputError(
-                f"{content_file}:{line_no}: feature width {len(feats)} != {width}")
-        try:
-            rows.append([float(x) for x in feats])
-        except ValueError as exc:
-            raise ParseError(content_file, line_no, f"bad feature value ({exc})") from None
-        if cls not in class_map:
-            class_map[cls] = len(class_map)
-        names.append(name)
-        class_ids.append(class_map[cls])
-    if width is None:
+    names, class_ids, class_map, short_rows = [], [], {}, []
+
+    def feature_rows():
+        # only the feature substring of a row reaches the block reader; a row
+        # too short to hold a name and a class ends the rows, and is reported
+        # after the rows before it, which may hold an earlier error
+        for line_no, text in _data_lines(content_file):
+            name, *rest = text.split(None, 1)
+            if not rest:
+                short_rows.append(line_no)
+                return
+            head = rest[0].rsplit(None, 1)
+            names.append(name)
+            class_ids.append(class_map.setdefault(head[-1], len(class_map)))
+            yield line_no, head[0] if len(head) == 2 else ""
+
+    def width_error(line_no, found, width):
+        return StructuralInputError(f"{content_file}:{line_no}: feature width {found} != {width}")
+
+    features = _read_features(content_file, feature_rows(), width_error)
+    if short_rows:
+        raise ParseError(content_file, short_rows[0], "expected node_id, features, class_label")
+    if features is None:
         raise StructuralInputError(f"{content_file}: no data rows")
 
     index = {name: i for i, name in enumerate(names)}
@@ -130,7 +195,8 @@ def load_citation(content_file, cites_file) -> Dataset:
         raise StructuralInputError(f"{content_file}: duplicate node ids")
 
     edges, skipped, raw_rows = [], 0, 0
-    for line_no, parts in _data_lines(cites_file):
+    for line_no, text in _data_lines(cites_file):
+        parts = text.split()
         if len(parts) != 2:
             raise ParseError(cites_file, line_no, "expected cited_id citing_id")
         a, b = index.get(parts[0]), index.get(parts[1])
@@ -143,7 +209,7 @@ def load_citation(content_file, cites_file) -> Dataset:
         log.warning("%s: skipped %d citation rows with unknown node ids", cites_file, skipped)
 
     graph = build_graph(len(names), edges)
-    return Dataset(graph=graph, features=rows.tocsr(width),
+    return Dataset(graph=graph, features=features,
                    labels=np.asarray(class_ids, dtype=np.int64),
                    num_classes=len(class_map), node_names=names,
                    num_citation_rows=raw_rows, skipped_citations=skipped)
@@ -188,10 +254,14 @@ def ratio_split(ds: Dataset, train_frac, val_frac, test_frac, seed=0) -> Split:
 def load_split_file(path, num_nodes=None) -> Split:
     """Read a split.tsv of (node_id, train|val|test) rows."""
     sets = {"train": [], "val": [], "test": []}
-    for line_no, parts in _data_lines(path):
+    for line_no, text in _data_lines(path):
+        parts = text.split()
         if len(parts) != 2 or parts[1] not in sets:
             raise ParseError(path, line_no, "expected `node_id train|val|test`")
-        node = int(parts[0])
+        try:
+            node = int(parts[0])
+        except ValueError as exc:
+            raise ParseError(path, line_no, f"bad node id ({exc})") from None
         if num_nodes is not None and not 0 <= node < num_nodes:
             raise ParseError(path, line_no, f"node id {node} out of range")
         sets[parts[1]].append(node)
@@ -269,8 +339,9 @@ def save_generic(ds: Dataset, directory, split: Split | None = None):
             fh.write(f"{j}\t{k}\n")
     with open(directory / "features.tsv", "w", encoding="utf-8") as fh:
         # dense blocks of rows: every zero is written, as in the file layout
-        for start in range(0, ds.graph.num_nodes, _SAVE_BLOCK_ROWS):
-            for row in ds.features[start:start + _SAVE_BLOCK_ROWS].toarray():
+        rows = max(1, _BLOCK_VALUES // max(ds.num_features, 1))
+        for start in range(0, ds.graph.num_nodes, rows):
+            for row in ds.features[start:start + rows].toarray():
                 fh.write("\t".join("%.17g" % x for x in row) + "\n")
     with open(directory / "labels.tsv", "w", encoding="utf-8") as fh:
         for lab in ds.labels:
@@ -284,35 +355,18 @@ def save_generic(ds: Dataset, directory, split: Split | None = None):
 
 def load_generic(directory) -> Dataset:
     directory = Path(directory)
-    rows, width = _CsrRows(), None
-    for line_no, parts in _data_lines(directory / "features.tsv"):
-        try:
-            values = [float(x) for x in parts]
-        except ValueError as exc:
-            raise ParseError(directory / "features.tsv", line_no, str(exc)) from None
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise StructuralInputError(f"{directory}/features.tsv: ragged feature rows")
-        rows.append(values)
-    if width is None:
+
+    def width_error(line_no, found, width):
+        return StructuralInputError(f"{directory}/features.tsv: ragged feature rows")
+
+    features_path = directory / "features.tsv"
+    features = _read_features(features_path, _data_lines(features_path), width_error)
+    if features is None:
         raise StructuralInputError(f"{directory}/features.tsv: no data rows")
-    features = rows.tocsr(width)
-
-    labels = []
-    for line_no, parts in _data_lines(directory / "labels.tsv"):
-        if len(parts) != 1:
-            raise ParseError(directory / "labels.tsv", line_no, "expected one label per row")
-        labels.append(int(parts[0]))
-    labels = np.asarray(labels, dtype=np.int64)
-
-    edges = []
+    labels = _read_ints(directory / "labels.tsv", 1, "label", "expected one label per row")[:, 0]
     edges_path = directory / "edges.tsv"
-    if edges_path.exists():
-        for line_no, parts in _data_lines(edges_path):
-            if len(parts) != 2:
-                raise ParseError(edges_path, line_no, "expected two integer columns")
-            edges.append((int(parts[0]), int(parts[1])))
+    edges = (_read_ints(edges_path, 2, "node id", "expected two integer columns")
+             if edges_path.exists() else np.zeros((0, 2), np.int64))
 
     graph = build_graph(features.shape[0], edges)
     return Dataset(graph=graph, features=features, labels=labels,

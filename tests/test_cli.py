@@ -207,6 +207,48 @@ def test_dataset_file_without_data_rows_exits_two(tmp_path, capsys, layout):
         assert f"{empty}: no data rows" in captured.err
 
 
+def _replace_line(path, line_no, text):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[line_no - 1] = text
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_evaluate_non_finite_feature_value_exits_two(tmp_path, capsys):
+    ds_dir = _synth_dir(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["train", "--dataset", str(ds_dir), "--out", str(out),
+                 "--seeds", "0", *_FAST, "--quiet"]) == 0
+    features = ds_dir / "features.tsv"
+    row = features.read_text(encoding="utf-8").splitlines()[5].split("\t")
+    _replace_line(features, 6, "\t".join(["nan", *row[1:]]))
+    capsys.readouterr()
+    code = main(["evaluate", "--dataset", str(ds_dir), "--split", "ratio", "--seeds", "0",
+                 "--checkpoint", str(out / "checkpoint_seed0.bin")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "features.tsv:6: non-finite feature value" in captured.err
+
+
+@pytest.mark.parametrize("name, line_no, text",
+                         [("edges.tsv", 3, "0 x"), ("labels.tsv", 2, "1.0"),
+                          ("split.tsv", 4, "foo val")])
+def test_non_integer_id_or_label_names_its_file_and_line(tmp_path, capsys, name, line_no, text):
+    ds_dir = _synth_dir(tmp_path)
+    split = [f"{i}\t{'train' if i < 30 else 'val' if i < 60 else 'test'}" for i in range(120)]
+    (ds_dir / "split.tsv").write_text("\n".join(split) + "\n", encoding="utf-8")
+    _replace_line(ds_dir / name, line_no, text)
+    capsys.readouterr()
+    code = main(["train", "--dataset", str(ds_dir), "--out", str(tmp_path / "runs"),
+                 "--seeds", "0", *_FAST, "--split", "file", "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert f"{name}:{line_no}: bad" in captured.err
+
+
 def test_evaluate_truncated_checkpoint_exits_two(tmp_path, capsys):
     ds_dir = _synth_dir(tmp_path)
     out = tmp_path / "runs"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mrfgcn import data
 from mrfgcn.data import (generate_synthetic, load_citation, load_generic,
                          load_split_file, planetoid_split, ratio_split,
                          row_normalize_features, save_generic, Split)
@@ -217,8 +218,9 @@ def test_loaders_round_trip_to_the_same_csr(tmp_path):
     assert _same_csr(load_generic(tmp_path / "twice").features, normalized.features)
 
 
-def test_save_generic_writes_every_entry_of_the_dense_rows(tmp_path):
+def test_save_generic_writes_every_entry_of_the_dense_rows(tmp_path, monkeypatch):
     # more rows than one dense block, so a block boundary is crossed
+    monkeypatch.setattr(data, "_BLOCK_VALUES", 1024)
     ds = row_normalize_features(generate_synthetic(
         1100, 3, 1, 0.5, feature_dim=5, feature_noise=0.3, seed=4))
     save_generic(ds, tmp_path / "out")
