@@ -4,7 +4,8 @@ Layout: a 16-byte header (12-byte magic, uint32 version), a uint32
 record count, then one record per array: uint32 ndim, uint64 dims,
 float64 row-major data. Backbone-only files hold W0 and W1; extended
 files append the K storage, the alpha vector, and a one-element
-coefficient-mode code.
+coefficient-mode code. Every stored value must be finite; records are
+numbered from 1 in error messages.
 """
 
 import io
@@ -75,6 +76,10 @@ def load_checkpoint(path):
         raise StructuralInputError(f"{path}: unsupported checkpoint version {version}")
     (count,) = struct.unpack("<I", _read(fh, 4, path))
     arrays = [_read_array(fh, path) for _ in range(count)]
+    for number, arr in enumerate(arrays, start=1):
+        # a nan or inf weight would evaluate to a plausible but wrong accuracy
+        if not np.isfinite(arr).all():
+            raise StructuralInputError(f"{path}: non-finite value in checkpoint record {number}")
     if count == 2:
         return GcnParams(*arrays), None
     if count == 5:

@@ -194,7 +194,7 @@ def load_citation(content_file, cites_file) -> Dataset:
     if len(index) != len(names):
         raise StructuralInputError(f"{content_file}: duplicate node ids")
 
-    edges, skipped, raw_rows = [], 0, 0
+    ends, skipped = [], 0   # endpoint pairs, flattened
     for line_no, text in _data_lines(cites_file):
         parts = text.split()
         if len(parts) != 2:
@@ -203,10 +203,11 @@ def load_citation(content_file, cites_file) -> Dataset:
         if a is None or b is None:
             skipped += 1
             continue
-        raw_rows += 1
-        edges.append((a, b))
+        ends += (a, b)
     if skipped:
         log.warning("%s: skipped %d citation rows with unknown node ids", cites_file, skipped)
+    edges = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    raw_rows = len(edges)
 
     graph = build_graph(len(names), edges)
     return Dataset(graph=graph, features=features,

@@ -10,9 +10,12 @@ That ascending Gauss-Seidel order is run by dependency level, as level
 scheduling runs a sparse triangular solve: a node's level is one more
 than the highest level among its lower-numbered unlabeled neighbours,
 and one vectorized update per level reproduces the node-by-node sweep.
-A numbering that chains the unlabeled nodes (a path numbered end to
-end) puts every node on its own level, where this is slower than a
-per-node loop.
+The unlabeled rows are renumbered level by level for the E-step, so a
+level is one contiguous slice of the table, and each level's logits are
+computed class-major, (c, L), so that max, sum and TV reduce down axis 0
+rather than along the short class axis. A numbering that chains the
+unlabeled nodes (a path numbered end to end) puts every node on its own
+level, where this is slower than a per-node loop.
 
 The M-step fixes q and runs full-batch Adam ascent on the expected
 piecewise objective, updating the backbone weights together with K and
@@ -53,7 +56,10 @@ class Proposal:
         if self.q.size:
             if self.q.min() < 0:
                 raise ConfigError("proposal rows must be non-negative")
-            if np.abs(self.q.sum(axis=1) - 1.0).max() > _ROW_SUM_TOL:
+            # row sums as one matrix-vector product: numpy's sum over a short
+            # last axis is several times slower
+            row_sums = self.q @ np.ones(self.q.shape[1])
+            if np.abs(row_sums - 1.0).max() > _ROW_SUM_TOL:
                 raise ConfigError("proposal rows must sum to 1")
         positions = np.full(self.num_nodes, -1, dtype=np.int64)
         positions[self.node_ids] = np.arange(len(self.node_ids))
@@ -213,6 +219,11 @@ def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
     are adjacent, and every lower-numbered neighbour sits on a lower level,
     so a level reads this sweep's values below it and last sweep's values
     above it, exactly as the one-node-at-a-time ascending sweep does.
+
+    Within the call the rows are renumbered level by level (ascending within
+    a level) and the renumbering is undone on return. Up to 7 classes the
+    result is bit-identical to row-major (L, c) logits; from 8 on numpy sums
+    a row pairwise, so the class-major sums differ in the last bits.
     """
     k, c = pp.K, scores.shape[1]
     train_labels = labels[np.asarray(train_ids, dtype=np.int64)]
@@ -254,29 +265,39 @@ def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
     np.cumsum(counts, out=u_indptr[1:])
     coupling = sp.csr_array((nb_alpha, nb_pos, u_indptr), shape=(m, m))
 
-    # one (rows, base rows, coupling rows) block per level, rows ascending
+    # new row i is old row order[i]; the stored entries keep their order, so
+    # every row sums its neighbours in the same order as before
     level = _dependency_levels(coupling)
     order = np.argsort(level, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(level))])
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = np.arange(m)
     permuted = coupling[order]
-    blocks = [(order[lo:hi], base[order[lo:hi]], permuted[lo:hi])
-              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    permuted = sp.csr_array((permuted.data, rank[permuted.indices], permuted.indptr),
+                            shape=(m, m))
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(level))])
+    blocks = [(lo, hi, permuted[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    table = q.q.copy()
-    kt = k.T
+    # class-major logits: every reduction over the classes runs along axis 0
+    base_t = np.ascontiguousarray(base[order].T)
+    table = q.q[order]
     sweeps_run, max_tv = 0, 0.0
     for _ in range(sweeps):
         max_tv = 0.0
-        for rows, base_rows, block in blocks:
-            logits = base_rows + (block @ table) @ kt
-            e = np.exp(logits - logits.max(axis=1, keepdims=True))
-            new = e / e.sum(axis=1, keepdims=True)
-            max_tv = max(max_tv, float(0.5 * np.abs(new - table[rows]).sum(axis=1).max()))
-            table[rows] = new
+        for lo, hi, block in blocks:
+            new = k @ (block @ table).T
+            new += base_t[:, lo:hi]
+            new -= new.max(axis=0)
+            np.exp(new, out=new)
+            new /= new.sum(axis=0)
+            prev = table[lo:hi].T
+            max_tv = max(max_tv, float(0.5 * np.abs(new - prev).sum(axis=0).max()))
+            prev[...] = new
         sweeps_run += 1
         if max_tv < tolerance:
             break
-    return Proposal(q.node_ids.copy(), table, q.num_nodes), sweeps_run, max_tv
+    out = np.empty_like(table)
+    out[order] = table
+    return Proposal(q.node_ids.copy(), out, q.num_nodes), sweeps_run, max_tv
 
 
 def e_step(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels, train_ids,
@@ -426,11 +447,12 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
         if e_result is None:
             e_result = _e_step_stats(q, scores, pp, g, labels, train_ids,
                                      config.e_sweeps, config.e_tolerance)
-        q, sweeps_run, _ = e_result
+        q, sweeps_run, final_tv = e_result
         phase = f"round{rnd}:e"
         acc = val_accuracy_of(predict(scores, pp, q, g, labels, train_ids,
                                       sweeps=config.e_sweeps, tolerance=config.e_tolerance))
         report.add(phase, 0, "sweeps_run", sweeps_run)
+        report.add(phase, 0, "final_tv", final_tv)
         report.add(phase, 0, "val_accuracy", acc)
         consider(acc, phase, params, pp, q)
 

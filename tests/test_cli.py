@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import mrfgcn
+from mrfgcn.checkpoint import load_checkpoint, save_checkpoint
 from mrfgcn.cli import RunConfig, main
 from mrfgcn.data import load_generic
 from mrfgcn.errors import ConfigError
@@ -264,6 +265,31 @@ def test_evaluate_truncated_checkpoint_exits_two(tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "checkpoint truncated" in captured.err
+
+
+@pytest.mark.parametrize("record, field, index, value",
+                         [(2, "w1", (0, 0), float("nan")), (3, "raw", (0, 0), float("nan")),
+                          (4, "alpha", (3,), float("inf"))], ids=["w1", "K", "alpha"])
+def test_evaluate_non_finite_checkpoint_value_exits_two(tmp_path, capsys, recwarn,
+                                                        record, field, index, value):
+    ds_dir = _synth_dir(tmp_path, nodes=300, seed=1)
+    out = tmp_path / "runs"
+    assert main(["train", "--dataset", str(ds_dir), "--out", str(out), "--seeds", "0",
+                 "--warm-epochs", "10", "--em-rounds", "1", "--m-epochs", "3",
+                 "--split", "ratio", "--quiet"]) == 0
+    checkpoint = out / "checkpoint_seed0.bin"
+    params, pairwise = load_checkpoint(checkpoint)
+    getattr(params if field == "w1" else pairwise, field)[index] = value
+    save_checkpoint(checkpoint, params, pairwise)
+    capsys.readouterr()
+    code = main(["evaluate", "--dataset", str(ds_dir), "--split", "ratio", "--seeds", "0",
+                 "--checkpoint", str(checkpoint)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert f"non-finite value in checkpoint record {record}" in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_ablate_grid_shape(tmp_path):

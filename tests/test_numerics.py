@@ -67,6 +67,31 @@ def test_softmax_rows_sum_to_one():
     assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12
 
 
+def _softmax_row_major(m):
+    """The row-major formula softmax_rows used before its class-major layout."""
+    e = np.exp(m - m.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("c", [3, 7, 10, 16])
+def test_softmax_matches_the_row_major_formula(c):
+    # numpy sums a row of 8 or more values pairwise, so the class-major sum
+    # may differ from it in the last bits there, and only there
+    m = np.random.default_rng(c).normal(scale=5.0, size=(300, c))
+    out = softmax_rows(m)
+    assert out.flags.c_contiguous and out.shape == m.shape
+    assert np.abs(out - _softmax_row_major(m)).max() <= (0.0 if c <= 7 else 1e-15)
+
+
+def test_softmax_of_no_rows_and_of_a_transposed_view():
+    out = softmax_rows(np.zeros((0, 4)))
+    assert out.shape == (0, 4) and out.flags.c_contiguous
+    m = np.random.default_rng(2).normal(size=(5, 40))
+    out = softmax_rows(m.T)
+    assert out.flags.c_contiguous
+    assert np.array_equal(out, softmax_rows(np.ascontiguousarray(m.T)))
+
+
 def test_adam_zero_gradient_is_noop():
     p = np.array([[1.0, -2.0]])
     st = AdamState.for_param(p, lr=0.1)

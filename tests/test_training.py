@@ -60,7 +60,8 @@ def test_e_step_k_zero_fixed_point():
     assert np.allclose(q2.q, q1.q, atol=1e-15)
 
 
-_E_STEP_CASES = ("draw8", "random60", "random130", "random200", "path", "one_level")
+_E_STEP_CASES = ("draw8", "random60", "random130", "random200", "path", "one_level",
+                 "random60_c7", "random130_c10", "path_c10", "one_level_c10")
 
 
 def _e_step_case(name):
@@ -68,13 +69,15 @@ def _e_step_case(name):
 
     The random graphs interleave labeled and unlabeled nodes; on the path
     every unlabeled node is on its own level, and in `one_level` unlabeled
-    nodes only touch labeled ones.
+    nodes only touch labeled ones. A `_c<k>` suffix sets k classes (else 3);
+    10 is the class count of the `dense_train` benchmark workload.
     """
     if name == "draw8":
         rng = np.random.default_rng(1)
         g, _, scores, pp, labels, train = random_instance(rng, 8, 3)
         return rng, g, scores, pp, labels, train
     rng = np.random.default_rng(_E_STEP_CASES.index(name))
+    name, _, classes = name.partition("_c")
     if name.startswith("random"):
         n = int(name[len("random"):])
         g = random_graph(rng, n, edge_prob=4.0 / n)
@@ -88,7 +91,7 @@ def _e_step_case(name):
         g = build_graph(n, [(j, k) for j in range(0, n, 2) for k in range(1, n, 2)
                             if rng.random() < 0.3])
         train = np.arange(0, n, 2)
-    c = 3
+    c = int(classes or 3)
     scores = rng.normal(0.0, 1.5, size=(n, c))
     pp = PairwiseParams(rng.normal(0.0, 0.6, size=(c, c)),
                         rng.normal(1.0, 0.5, size=g.num_edges), "edge")
@@ -132,10 +135,79 @@ def test_dependency_levels_follow_lower_neighbours(case):
     for u, nb in enumerate(neighbours):
         lower = [level[v] for v in nb if v < u]
         assert level[u] == (1 + max(lower) if lower else 0)
-    if case == "path":
+    if case.startswith("path"):
         assert level.max() + 1 == len(free)
-    if case == "one_level":
+    if case.startswith("one_level"):
         assert level.max() == 0
+
+
+def _row_major_e_step(q, scores, pp, g, labels, train_ids, sweeps, tolerance):
+    """Reference: the level-scheduled sweep with row-major (L, c) logits.
+
+    Rows stay in node order and each level's rows are gathered and scattered
+    by index. Returns (table, sweeps_run, max_tv).
+    """
+    k = pp.K
+    labeled = training._labeled_mask(g.num_nodes, train_ids)
+    m = len(q.node_ids)
+    centers, leaves = g.slot_centers, g.indices
+    alphas = pp.alpha_at(g.slot_edge_ids)
+    positions = np.full(g.num_nodes, -1, dtype=np.int64)
+    positions[q.node_ids] = np.arange(m)
+    base = scores[q.node_ids].astype(np.float64).copy()
+    sel = ~labeled[centers] & labeled[leaves]
+    if sel.any():
+        full = np.zeros((g.num_nodes, k.shape[0]))
+        np.add.at(full, centers[sel], alphas[sel, None] * k[:, labels[leaves[sel]]].T)
+        base += full[q.node_ids]
+    sel_u = ~labeled[centers] & ~labeled[leaves]
+    u_indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(positions[centers[sel_u]], minlength=m), out=u_indptr[1:])
+    coupling = sp.csr_array((alphas[sel_u], positions[leaves[sel_u]], u_indptr), shape=(m, m))
+    level = _dependency_levels(coupling)
+    order = np.argsort(level, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(level))])
+    permuted = coupling[order]
+    blocks = [(order[lo:hi], base[order[lo:hi]], permuted[lo:hi])
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    table, kt = q.q.copy(), k.T
+    sweeps_run, max_tv = 0, 0.0
+    for _ in range(sweeps):
+        max_tv = 0.0
+        for rows, base_rows, block in blocks:
+            logits = base_rows + (block @ table) @ kt
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            new = e / e.sum(axis=1, keepdims=True)
+            max_tv = max(max_tv, float(0.5 * np.abs(new - table[rows]).sum(axis=1).max()))
+            table[rows] = new
+        sweeps_run += 1
+        if max_tv < tolerance:
+            break
+    return table, sweeps_run, max_tv
+
+
+@pytest.mark.parametrize("case", _E_STEP_CASES)
+def test_e_step_matches_the_row_major_sweep(case):
+    rng, g, scores, pp, labels, train = _e_step_case(case)
+    n, c = scores.shape
+    free = np.setdiff1d(np.arange(n), train)
+    rows = rng.random((len(free), c)) + 0.1
+    q = Proposal(free, rows / rows.sum(axis=1, keepdims=True), n)
+    args = (scores, pp, g, labels, train)
+    # the class-major sums run in another order only from 8 classes up, where
+    # numpy sums a row pairwise; each sweep is then checked from the same q
+    bound = 0.0 if c <= 7 else 1e-15
+    start = q
+    for _ in range(5):
+        fast, _, tv = training._e_step_stats(q, *args, 1, 0.0)
+        ref, _, ref_tv = _row_major_e_step(q, *args, 1, 0.0)
+        assert np.abs(fast.q - ref).max() <= bound
+        assert abs(tv - ref_tv) <= bound
+        q = fast
+    if c <= 7:
+        fast, sweeps_run, tv = training._e_step_stats(start, *args, 30, 1e-6)
+        ref, ref_sweeps, ref_tv = _row_major_e_step(start, *args, 30, 1e-6)
+        assert np.array_equal(fast.q, ref) and (sweeps_run, tv) == (ref_sweeps, ref_tv)
 
 
 def test_e_step_converged_fixed_point():
@@ -370,6 +442,19 @@ def test_train_reports_the_returned_proposal(monkeypatch):
     assert len(calls) == 2 + 2 * config.em_rounds
     predictions = _argmax_predictions(res.proposal, ds.labels, split.train)
     assert res.report.test_accuracy == evaluate(predictions, ds.labels, split.test)
+
+
+def test_train_reports_each_e_step_final_tv():
+    ds = _tiny_dataset(seed=2)
+    split = ratio_split(ds, 0.2, 0.2, 0.6, seed=4)
+    config = _tiny_config(em_rounds=3)
+    report = train(ds, split, config).report
+    for rnd in range(1, config.em_rounds + 1):
+        (sweeps_run,) = report.trace(f"round{rnd}:e", "sweeps_run")
+        (final_tv,) = report.trace(f"round{rnd}:e", "final_tv")
+        assert math.isfinite(final_tv) and final_tv >= 0.0
+        if sweeps_run < config.e_sweeps:
+            assert final_tv < config.e_tolerance
 
 
 def test_train_empty_train_split_rejected():
