@@ -16,7 +16,6 @@ from .graph import Graph, build_graph, homophily_beta, normalized_adjacency
 from .oracle import (OracleLimit, exact_elbo, exact_log_partition,
                      exact_observed_ll, exact_posterior_marginals)
 from .training import (Proposal, TrainConfig, TrainReport, TrainResult,
-                       e_step, evaluate, m_step, mean_field_site_update,
-                       predict, train)
+                       evaluate, m_step, mean_field_site_update, predict, train)
 
 __version__ = "0.1.0"

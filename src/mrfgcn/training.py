@@ -19,9 +19,12 @@ level, where this is slower than a per-node loop.
 
 The M-step fixes q and runs full-batch Adam ascent on the expected
 piecewise objective, updating the backbone weights together with K and
-alpha. Labeled nodes stay clamped throughout; model selection keeps the
-checkpoint with the best validation accuracy seen at any phase
-boundary.
+alpha. Each EM round is one M-step on q, then one E-step on the new
+scores; the round is validated once, on the argmax of that E-step's q.
+The warm start's softmax(scores) is the first q: with K still zero an
+E-step would return it unchanged. Labeled nodes stay clamped throughout;
+model selection keeps the checkpoint (parameters, and the validated q of
+a round) with the best validation accuracy of any warm epoch or round.
 """
 
 from dataclasses import dataclass, field
@@ -54,11 +57,14 @@ class Proposal:
         if self.q.shape[0] != len(self.node_ids):
             raise ConfigError("proposal table and node ids disagree")
         if self.q.size:
+            # row sums as one matrix-vector product: numpy's sum over a short
+            # last axis is several times slower; a nan or inf entry makes its
+            # row sum non-finite, where the comparisons below would pass it
+            row_sums = self.q @ np.ones(self.q.shape[1])
+            if not np.isfinite(row_sums).all():
+                raise DegenerateInputError("proposal rows must be finite")
             if self.q.min() < 0:
                 raise ConfigError("proposal rows must be non-negative")
-            # row sums as one matrix-vector product: numpy's sum over a short
-            # last axis is several times slower
-            row_sums = self.q @ np.ones(self.q.shape[1])
             if np.abs(row_sums - 1.0).max() > _ROW_SUM_TOL:
                 raise ConfigError("proposal rows must sum to 1")
         positions = np.full(self.num_nodes, -1, dtype=np.int64)
@@ -101,6 +107,9 @@ class TrainConfig:
     alpha_init: float = 1.0
 
     def __post_init__(self):
+        for name in ("lr", "weight_decay", "e_tolerance", "alpha_init"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.hidden < 1 or self.warm_epochs < 0 or self.em_rounds < 0:
             raise ConfigError("hidden must be >= 1 and epoch/round counts >= 0")
         if self.e_sweeps < 1 or self.m_epochs < 1 or self.patience < 1:
@@ -300,12 +309,6 @@ def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
     return Proposal(q.node_ids.copy(), out, q.num_nodes), sweeps_run, max_tv
 
 
-def e_step(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels, train_ids,
-           sweeps=10, tolerance=1e-4) -> Proposal:
-    out, _, _ = _e_step_stats(q, scores, pp, g, labels, train_ids, sweeps, tolerance)
-    return out
-
-
 def m_step(params: gcn.GcnParams, pp: PairwiseParams, q: Proposal, features,
            norm_adj, g: Graph, redist: Redistribution, labels, train_ids,
            config: TrainConfig, rng_dropout):
@@ -345,8 +348,7 @@ def predict(scores, pp: PairwiseParams, q: Proposal, g: Graph, labels, train_ids
 
     Labeled nodes report their own label.
     """
-    if len(q.node_ids):
-        q = e_step(q, scores, pp, g, labels, train_ids, sweeps=sweeps, tolerance=tolerance)
+    q, _, _ = _e_step_stats(q, scores, pp, g, labels, train_ids, sweeps, tolerance)
     return _argmax_predictions(q, labels, train_ids)
 
 
@@ -442,47 +444,35 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
     q = Proposal.from_scores(scores, unlabeled, g.num_nodes)
 
     # ---- EM rounds
-    e_result = None
     for rnd in range(1, config.em_rounds + 1):
-        if e_result is None:
-            e_result = _e_step_stats(q, scores, pp, g, labels, train_ids,
-                                     config.e_sweeps, config.e_tolerance)
-        q, sweeps_run, final_tv = e_result
-        phase = f"round{rnd}:e"
-        acc = val_accuracy_of(predict(scores, pp, q, g, labels, train_ids,
-                                      sweeps=config.e_sweeps, tolerance=config.e_tolerance))
+        params, pp, trace = m_step(params, pp, q, features, norm_adj, g, redist,
+                                   labels, train_ids, config, rng_drop)
+        scores = eval_scores(params)
+        q, sweeps_run, final_tv = _e_step_stats(q, scores, pp, g, labels, train_ids,
+                                                config.e_sweeps, config.e_tolerance)
+        acc = val_accuracy_of(_argmax_predictions(q, labels, train_ids))
+        phase = f"round{rnd}"
+        for step, value in enumerate(trace):
+            report.add(phase, step, "objective", value)
         report.add(phase, 0, "sweeps_run", sweeps_run)
         report.add(phase, 0, "final_tv", final_tv)
         report.add(phase, 0, "val_accuracy", acc)
         consider(acc, phase, params, pp, q)
 
-        params, pp, trace = m_step(params, pp, q, features, norm_adj, g, redist,
-                                   labels, train_ids, config, rng_drop)
-        phase = f"round{rnd}:m"
-        for step, value in enumerate(trace):
-            report.add(phase, step, "objective", value)
-        scores = eval_scores(params)
-        # validating the new parameters runs the next round's E-step: same q,
-        # scores and pairwise parameters, so its result is kept for that round
-        e_result = _e_step_stats(q, scores, pp, g, labels, train_ids,
-                                 config.e_sweeps, config.e_tolerance)
-        acc = val_accuracy_of(_argmax_predictions(e_result[0], labels, train_ids))
-        report.add(phase, 0, "val_accuracy", acc)
-        consider(acc, phase, params, pp, q)
-
-    # ---- restore the selected checkpoint and make final predictions
+    # ---- restore the selected checkpoint and make final predictions; with
+    # none selected, scores and q already belong to the final parameters
     if best is not None:
         params, pp = best.params, best.pairwise
         scores = eval_scores(params)
         q = best.proposal if best.proposal is not None else \
             Proposal.from_scores(scores, unlabeled, g.num_nodes)
-    else:
-        scores = eval_scores(params)
 
-    q = e_step(q, scores, pp, g, labels, train_ids,
-               sweeps=max(50, config.e_sweeps), tolerance=config.e_tolerance)
+    q, sweeps_run, final_tv = _e_step_stats(q, scores, pp, g, labels, train_ids,
+                                            max(50, config.e_sweeps), config.e_tolerance)
     predictions = _argmax_predictions(q, labels, train_ids)
     report.best_phase = best.phase if best is not None else "last"
+    report.add("final", 0, "sweeps_run", sweeps_run)
+    report.add("final", 0, "final_tv", final_tv)
     if len(split.val):
         report.add("final", 0, "val_accuracy", evaluate(predictions, labels, split.val))
     if len(split.test):

@@ -292,6 +292,40 @@ def test_evaluate_non_finite_checkpoint_value_exits_two(tmp_path, capsys, recwar
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_evaluate_checkpoint_whose_scores_overflow_exits_two(tmp_path, capsys):
+    # every stored value is finite, but the scores overflow to inf and the
+    # proposal's softmax rows to nan
+    ds_dir = _synth_dir(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["train", "--dataset", str(ds_dir), "--out", str(out),
+                 "--seeds", "0", *_FAST, "--quiet"]) == 0
+    checkpoint = out / "checkpoint_seed0.bin"
+    params, pairwise = load_checkpoint(checkpoint)
+    params.w0[...] = 1e200
+    params.w1[...] = 1e200
+    save_checkpoint(checkpoint, params, pairwise)
+    capsys.readouterr()
+    code = main(["evaluate", "--dataset", str(ds_dir), "--split", "ratio", "--seeds", "0",
+                 "--checkpoint", str(checkpoint)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "runtime failure: proposal rows must be finite"
+
+
+@pytest.mark.parametrize("flag, value, name", [("--lr", "nan", "lr"),
+                                               ("--alpha-init", "inf", "alpha_init")])
+def test_train_non_finite_setting_exits_one(tmp_path, capsys, flag, value, name):
+    ds_dir = _synth_dir(tmp_path)
+    code = main(["train", "--dataset", str(ds_dir), "--out", str(tmp_path / "runs"),
+                 "--seeds", "0", *_FAST, "--em-rounds", "0", flag, value, "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [f"config error: {name} must be finite, got {value}"]
+
+
 def test_ablate_grid_shape(tmp_path):
     ds_dir = _synth_dir(tmp_path, nodes=90)
     out = tmp_path / "ablation"

@@ -14,8 +14,8 @@ from mrfgcn.numerics import AdamState, adam_step, softmax_rows, stream
 from mrfgcn.oracle import exact_posterior_marginals
 from mrfgcn.selfcheck import random_graph, random_instance
 from mrfgcn.training import (Proposal, TrainConfig, _argmax_predictions, _dependency_levels,
-                             e_step, evaluate, m_step, make_r, mean_field_site_update,
-                             predict, train)
+                             _e_step_stats, evaluate, m_step, make_r,
+                             mean_field_site_update, predict, train)
 
 
 def _uniform_q(free, c, n):
@@ -29,12 +29,27 @@ def test_proposal_row_validation():
         Proposal(np.array([0]), np.array([[1.2, -0.2]]), 2)
 
 
+@pytest.mark.parametrize("row", [[np.nan, np.nan], [np.inf, 0.0], [1.0, -np.inf]],
+                         ids=["nan", "inf", "minus_inf"])
+def test_proposal_non_finite_rows_are_a_runtime_failure(row):
+    # nan compares False against both the sign and the row-sum checks
+    with pytest.raises(DegenerateInputError, match="finite"):
+        Proposal(np.array([0]), np.array([row]), 1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["lr", "weight_decay", "e_tolerance", "alpha_init"])
+def test_train_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        TrainConfig(**{name: value})
+
+
 def test_e_step_isolated_node_softmax():
     g = build_graph(1, [])
     scores = np.array([[math.log(3.0), 0.0]])
     pp = PairwiseParams(raw=np.zeros((2, 2)), alpha=np.zeros(0), mode="none")
-    q = e_step(_uniform_q(np.array([0]), 2, 1), scores, pp, g,
-               np.array([0]), np.array([], dtype=np.int64))
+    q = _e_step_stats(_uniform_q(np.array([0]), 2, 1), scores, pp, g,
+                      np.array([0]), np.array([], dtype=np.int64), 10, 1e-4)[0]
     assert np.allclose(q.q, [[0.75, 0.25]], atol=1e-12)
 
 
@@ -43,7 +58,8 @@ def test_e_step_single_labeled_neighbor_closed_form():
     scores = np.zeros((2, 2))
     pp = PairwiseParams(raw=np.eye(2), alpha=np.ones(1), mode="edge")
     labels = np.array([0, 0])
-    q = e_step(_uniform_q(np.array([1]), 2, 2), scores, pp, g, labels, np.array([0]))
+    q = _e_step_stats(_uniform_q(np.array([1]), 2, 2), scores, pp, g, labels,
+                      np.array([0]), 10, 1e-4)[0]
     expected = np.array([math.e / (math.e + 1.0), 1.0 / (math.e + 1.0)])
     assert np.allclose(q.q[0], expected, atol=1e-12)
 
@@ -53,10 +69,9 @@ def test_e_step_k_zero_fixed_point():
     g, _, scores, _, labels, train = random_instance(rng, 7, 3, min_labeled=1)
     pp = PairwiseParams(raw=np.zeros((3, 3)), alpha=np.ones(g.num_edges), mode="edge")
     free = np.setdiff1d(np.arange(7), train)
-    q1 = e_step(_uniform_q(free, 3, 7), scores, pp, g, labels, train, sweeps=1,
-                tolerance=0.0)
+    q1 = _e_step_stats(_uniform_q(free, 3, 7), scores, pp, g, labels, train, 1, 0.0)[0]
     assert np.allclose(q1.q, softmax_rows(scores[free]), atol=1e-12)
-    q2 = e_step(q1, scores, pp, g, labels, train, sweeps=3, tolerance=0.0)
+    q2 = _e_step_stats(q1, scores, pp, g, labels, train, 3, 0.0)[0]
     assert np.allclose(q2.q, q1.q, atol=1e-15)
 
 
@@ -114,9 +129,9 @@ def test_e_step_matches_sequential_site_updates(case):
         for node in free:
             ref = mean_field_site_update(ref, node, scores, pp, g, labels, train)
         if sweep == 0:
-            fast = e_step(q0, scores, pp, g, labels, train, sweeps=1, tolerance=0.0)
+            fast = _e_step_stats(q0, scores, pp, g, labels, train, 1, 0.0)[0]
             assert np.abs(fast.q - ref.q).max() <= 1e-14
-    fast = e_step(q0, scores, pp, g, labels, train, sweeps=5, tolerance=0.0)
+    fast = _e_step_stats(q0, scores, pp, g, labels, train, 5, 0.0)[0]
     assert np.abs(fast.q - ref.q).max() <= 1e-12
 
 
@@ -216,9 +231,8 @@ def test_e_step_converged_fixed_point():
     free = np.setdiff1d(np.arange(9), train)
     if len(free) == 0:
         pytest.skip("fully labeled draw")
-    q = e_step(_uniform_q(free, 3, 9), scores, pp, g, labels, train,
-               sweeps=200, tolerance=1e-12)
-    q2 = e_step(q, scores, pp, g, labels, train, sweeps=1, tolerance=0.0)
+    q = _e_step_stats(_uniform_q(free, 3, 9), scores, pp, g, labels, train, 200, 1e-12)[0]
+    q2 = _e_step_stats(q, scores, pp, g, labels, train, 1, 0.0)[0]
     assert 0.5 * np.abs(q2.q - q.q).sum(axis=1).max() <= 1e-10
 
 
@@ -226,7 +240,7 @@ def test_e_step_rows_stay_normalized():
     rng = np.random.default_rng(3)
     g, _, scores, pp, labels, train = random_instance(rng, 10, 4, min_labeled=1)
     free = np.setdiff1d(np.arange(10), train)
-    q = e_step(_uniform_q(free, 4, 10), scores, pp, g, labels, train, sweeps=7)
+    q = _e_step_stats(_uniform_q(free, 4, 10), scores, pp, g, labels, train, 7, 1e-4)[0]
     assert np.abs(q.q.sum(axis=1) - 1.0).max() <= 1e-12
 
 
@@ -437,9 +451,8 @@ def test_train_reports_the_returned_proposal(monkeypatch):
     monkeypatch.setattr(training, "_e_step_stats", counting)
     config = _tiny_config()
     res = train(ds, split, config)
-    # the first E-step, then a predict and a validation per round, then the
-    # final convergence; no E-step after it
-    assert len(calls) == 2 + 2 * config.em_rounds
+    # one E-step per round, then the final convergence; no E-step after it
+    assert len(calls) == 1 + config.em_rounds
     predictions = _argmax_predictions(res.proposal, ds.labels, split.train)
     assert res.report.test_accuracy == evaluate(predictions, ds.labels, split.test)
 
@@ -449,12 +462,35 @@ def test_train_reports_each_e_step_final_tv():
     split = ratio_split(ds, 0.2, 0.2, 0.6, seed=4)
     config = _tiny_config(em_rounds=3)
     report = train(ds, split, config).report
-    for rnd in range(1, config.em_rounds + 1):
-        (sweeps_run,) = report.trace(f"round{rnd}:e", "sweeps_run")
-        (final_tv,) = report.trace(f"round{rnd}:e", "final_tv")
+    caps = {f"round{rnd}": config.e_sweeps for rnd in range(1, config.em_rounds + 1)}
+    caps["final"] = max(50, config.e_sweeps)
+    for phase, cap in caps.items():
+        (sweeps_run,) = report.trace(phase, "sweeps_run")
+        (final_tv,) = report.trace(phase, "final_tv")
+        assert 1 <= sweeps_run <= cap
         assert math.isfinite(final_tv) and final_tv >= 0.0
-        if sweeps_run < config.e_sweeps:
+        if sweeps_run < cap:
             assert final_tv < config.e_tolerance
+    assert not any(p.endswith((":e", ":m")) for p, _, _, _ in report.records)
+
+
+def test_final_e_step_starts_from_the_validated_proposal(monkeypatch):
+    # at this draw the best phase is an EM round, and one more E-step from
+    # the q before that round's E-step changes a validation prediction
+    ds = _tiny_dataset(seed=0)
+    split = ratio_split(ds, 0.2, 0.2, 0.6, seed=0)
+    handed, real = [], training._e_step_stats
+
+    def recording(q, *args):
+        handed.append(q)
+        return real(q, *args)
+
+    monkeypatch.setattr(training, "_e_step_stats", recording)
+    report = train(ds, split, _tiny_config(seed=1)).report
+    assert report.best_phase.startswith("round")
+    (recorded,) = report.trace(report.best_phase, "val_accuracy")
+    predictions = _argmax_predictions(handed[-1], ds.labels, split.train)
+    assert evaluate(predictions, ds.labels, split.val) == recorded
 
 
 def test_train_empty_train_split_rejected():
