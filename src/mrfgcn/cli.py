@@ -2,8 +2,9 @@
 
 Subcommands: train, evaluate, homophily, oracle-check, ablate, synth.
 Run settings come from an optional key=value config file plus flags;
-flags win. Exit codes: 0 success, 1 configuration error, 2 runtime
-failure, 3 self-check failure.
+flags win. They are all checked when they are built, before a command
+reads data or writes a file. Exit codes: 0 success, 1 configuration
+error, 2 runtime failure, 3 self-check failure.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from .gcn import forward
 from .graph import homophily_beta, normalized_adjacency_operator
 from .oracle import OracleLimit
 from .selfcheck import run_selfchecks
-from .training import (Proposal, TrainConfig, evaluate, predict, train)
+from .training import FINAL_E_SWEEPS, Proposal, TrainConfig, evaluate, predict, train
 
 _SPLIT_KINDS = ("planetoid", "ratio", "file")
 
@@ -51,12 +52,17 @@ class _RunSettings:
     def __post_init__(self):
         if self.split not in _SPLIT_KINDS:
             raise ConfigError(f"split must be one of {_SPLIT_KINDS}, got {self.split!r}")
+        for name in ("train_frac", "val_frac", "test_frac"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        # built once here, so a bad train setting fails before any file is touched
+        self._train = TrainConfig(**{name: getattr(self, name) for name in _TRAIN_KEYS})
 
     def train_config(self, seed) -> TrainConfig:
-        return TrainConfig(seed=seed, **{name: getattr(self, name) for name in _TRAIN_KEYS})
+        return dataclasses.replace(self._train, seed=seed)
 
     def to_text(self) -> str:
         lines = []
@@ -68,8 +74,8 @@ class _RunSettings:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text, base=None):
-        values = dataclasses.asdict(base) if base is not None else {}
+    def from_text(cls, text):
+        values = {}
         types = {f.name: f for f in fields(cls)}
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -204,7 +210,8 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_path) -> int:
     scores, _ = forward(params, ds.features, normalized_adjacency_operator(ds.graph))
     unlabeled = np.setdiff1d(np.arange(ds.graph.num_nodes), split.train)
     q = Proposal.from_scores(scores, unlabeled, ds.graph.num_nodes)
-    predictions = predict(scores, pp, q, ds.graph, ds.labels, split.train)
+    predictions = predict(scores, pp, q, ds.graph, ds.labels, split.train,
+                          max(FINAL_E_SWEEPS, cfg.e_sweeps), cfg.e_tolerance)
     for name, ids in (("val", split.val), ("test", split.test)):
         if len(ids):
             print(f"{name} accuracy: {evaluate(predictions, ds.labels, ids):.4f}")

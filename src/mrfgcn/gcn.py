@@ -2,13 +2,13 @@
 
 The forward map is ``A @ relu(A @ drop(X) @ W0) @ W1`` where A is the
 normalized adjacency (dense array or sparse operator) and dropout is
-active only in train mode. The features X are a CSR matrix, and the
-input dropout scales only its stored entries: a zero stays zero whether
-it is dropped or kept, so one mask value per nonzero is drawn. The
-hidden-layer mask is dense. Raw scores serve directly as unary
-log-factors; no per-node normalization is applied. Backward passes are
-exact for the activations cached by the forward call that produced
-them, including its dropout masks.
+active only for a keep probability below 1. The features X are a CSR
+matrix, and the input dropout scales only its stored entries: a zero
+stays zero whether it is dropped or kept, so one mask value per nonzero
+is drawn. The hidden-layer mask is dense. Raw scores serve directly as
+unary log-factors; no per-node normalization is applied. Backward
+passes are exact for the activations cached by the forward call that
+produced them, including its dropout masks.
 """
 
 from dataclasses import dataclass
@@ -94,10 +94,9 @@ def backward(params: GcnParams, cache: GcnCache, grad_scores):
 
 
 def supervised_loss_and_grad(params, features, norm_adj, labels, train_ids,
-                             train_mode=False, rng=None, dropout_keep=0.5):
+                             rng=None, dropout_keep=1.0):
     """Mean cross-entropy over train_ids plus its exact weight gradients."""
-    keep = dropout_keep if train_mode else 1.0
-    scores, cache = forward(params, features, norm_adj, dropout_keep=keep, rng=rng)
+    scores, cache = forward(params, features, norm_adj, dropout_keep=dropout_keep, rng=rng)
     train_ids = np.asarray(train_ids)
     probs = softmax_rows(scores[train_ids])
     picked = probs[np.arange(len(train_ids)), labels[train_ids]]

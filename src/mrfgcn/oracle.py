@@ -115,8 +115,7 @@ def exact_elbo(g: Graph, scores, pp, labels, train_ids, q: Proposal,
             raise ValueError("proposal rows do not cover exactly the unlabeled nodes")
         logw = _factor_sum(full, scores, pp, g)
         if len(free):
-            rows = q.q[[q.position(node) for node in free]]
-            probs = rows[np.arange(len(free))[None, :], block]
+            probs = q.q[np.arange(len(free))[None, :], block]
             with np.errstate(divide="ignore"):
                 logq = np.log(probs).sum(axis=1)
             weight = np.exp(logq)

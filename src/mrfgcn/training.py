@@ -42,6 +42,7 @@ from .graph import Graph, normalized_adjacency_operator
 from .numerics import AdamState, adam_step, softmax_rows, stream
 
 _ROW_SUM_TOL = 1e-12
+FINAL_E_SWEEPS = 50   # least sweep cap of the E-step that predictions are read from
 
 
 @dataclass
@@ -67,18 +68,13 @@ class Proposal:
                 raise ConfigError("proposal rows must be non-negative")
             if np.abs(row_sums - 1.0).max() > _ROW_SUM_TOL:
                 raise ConfigError("proposal rows must sum to 1")
-        positions = np.full(self.num_nodes, -1, dtype=np.int64)
-        positions[self.node_ids] = np.arange(len(self.node_ids))
-        self._positions = positions
 
     def position(self, node) -> int:
-        return int(self._positions[node])
-
-    def row(self, node) -> np.ndarray:
-        pos = self._positions[node]
-        if pos < 0:
-            raise ConfigError(f"node {node} is labeled; the proposal has no row for it")
-        return self.q[pos]
+        """Row of `node` in the table; a labeled node has none."""
+        pos = int(np.searchsorted(self.node_ids, node))
+        if pos == len(self.node_ids) or self.node_ids[pos] != node:
+            raise ConfigError(f"node {node} has no row in the proposal")
+        return pos
 
     def copy(self):
         return Proposal(self.node_ids.copy(), self.q.copy(), self.num_nodes)
@@ -185,7 +181,7 @@ def mean_field_site_update(q: Proposal, node, scores, pp: PairwiseParams,
         if labeled[leaf]:
             logits += a * k[:, labels[leaf]]
         else:
-            logits += a * (k @ q.row(leaf))
+            logits += a * (k @ q.q[q.position(leaf)])
     out = q.copy()
     shifted = np.exp(logits - logits.max())
     out.q[q.position(node)] = shifted / shifted.sum()
@@ -233,9 +229,13 @@ def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
     a level) and the renumbering is undone on return. Up to 7 classes the
     result is bit-identical to row-major (L, c) logits; from 8 on numpy sums
     a row pairwise, so the class-major sums differ in the last bits.
+
+    Both the fixed labeled-neighbour term and the unlabeled coupling are
+    slices of one alpha-weighted adjacency, one row per unlabeled node.
     """
     k, c = pp.K, scores.shape[1]
-    train_labels = labels[np.asarray(train_ids, dtype=np.int64)]
+    train_ids = np.asarray(train_ids, dtype=np.int64)
+    train_labels = labels[train_ids]
     if train_labels.size and train_labels.max() >= c:
         raise StructuralInputError(
             f"labeled node has class {train_labels.max()} but the scores have {c} classes")
@@ -246,33 +246,16 @@ def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
         raise StructuralInputError(
             f"pairwise parameters hold {len(pp.alpha)} edge coefficients "
             f"but the graph has {g.num_edges} edges")
-    labeled = _labeled_mask(g.num_nodes, train_ids)
     m = len(q.node_ids)
     if m == 0:
         return q.copy(), 0, 0.0
-    centers = g.slot_centers
-    leaves = g.indices
-    alphas = pp.alpha_at(g.slot_edge_ids)
-    positions = np.full(g.num_nodes, -1, dtype=np.int64)
-    positions[q.node_ids] = np.arange(m)
-
+    weights = sp.csr_array((pp.alpha_at(g.slot_edge_ids), g.indices, g.indptr),
+                           shape=(g.num_nodes, g.num_nodes))
+    rows = weights[q.node_ids]
     # contributions from labeled neighbors never change during the E-step
-    base = scores[q.node_ids].astype(np.float64).copy()
-    sel = ~labeled[centers] & labeled[leaves]
-    if sel.any():
-        contrib = alphas[sel, None] * k[:, labels[leaves[sel]]].T
-        full = np.zeros((g.num_nodes, k.shape[0]))
-        np.add.at(full, centers[sel], contrib)
-        base += full[q.node_ids]
-
+    base = scores[q.node_ids] + rows[:, train_ids] @ k[train_labels]
     # unlabeled-to-unlabeled coupling, one CSR row per unlabeled node
-    sel_u = ~labeled[centers] & ~labeled[leaves]
-    nb_pos = positions[leaves[sel_u]]
-    nb_alpha = alphas[sel_u]
-    counts = np.bincount(positions[centers[sel_u]], minlength=m)
-    u_indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(counts, out=u_indptr[1:])
-    coupling = sp.csr_array((nb_alpha, nb_pos, u_indptr), shape=(m, m))
+    coupling = rows[:, q.node_ids]
 
     # new row i is old row order[i]; the stored entries keep their order, so
     # every row sums its neighbours in the same order as before
@@ -343,7 +326,7 @@ def m_step(params: gcn.GcnParams, pp: PairwiseParams, q: Proposal, features,
 
 
 def predict(scores, pp: PairwiseParams, q: Proposal, g: Graph, labels, train_ids,
-            sweeps=50, tolerance=1e-4) -> np.ndarray:
+            sweeps=FINAL_E_SWEEPS, tolerance=1e-4) -> np.ndarray:
     """Converge the proposal under fixed factors, then take per-node argmax.
 
     Labeled nodes report their own label.
@@ -426,7 +409,7 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
     for epoch in range(config.warm_epochs):
         loss, gw0, gw1 = gcn.supervised_loss_and_grad(
             params, features, norm_adj, labels, train_ids,
-            train_mode=True, rng=rng_drop, dropout_keep=config.dropout_keep)
+            rng=rng_drop, dropout_keep=config.dropout_keep)
         params = gcn.GcnParams(adam_step(params.w0, gw0, st_w0),
                                adam_step(params.w1, gw1, st_w1))
         scores = eval_scores(params)
@@ -468,7 +451,8 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
             Proposal.from_scores(scores, unlabeled, g.num_nodes)
 
     q, sweeps_run, final_tv = _e_step_stats(q, scores, pp, g, labels, train_ids,
-                                            max(50, config.e_sweeps), config.e_tolerance)
+                                            max(FINAL_E_SWEEPS, config.e_sweeps),
+                                            config.e_tolerance)
     predictions = _argmax_predictions(q, labels, train_ids)
     report.best_phase = best.phase if best is not None else "last"
     report.add("final", 0, "sweeps_run", sweeps_run)

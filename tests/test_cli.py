@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import mrfgcn
+from mrfgcn import training
 from mrfgcn.checkpoint import load_checkpoint, save_checkpoint
 from mrfgcn.cli import RunConfig, main
 from mrfgcn.data import load_generic
@@ -324,6 +325,56 @@ def test_train_non_finite_setting_exits_one(tmp_path, capsys, flag, value, name)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.splitlines() == [f"config error: {name} must be finite, got {value}"]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "evaluate"])
+def test_bad_setting_is_rejected_before_any_file_is_read_or_written(tmp_path, capsys,
+                                                                    command):
+    ds_dir = _synth_dir(tmp_path)
+    out = tmp_path / "runs"
+    checkpoint = ["--checkpoint", str(tmp_path / "none.bin")] if command == "evaluate" else []
+    code = main([command, "--dataset", str(ds_dir), "--out", str(out), "--split", "ratio",
+                 "--lr", "nan", *checkpoint, "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["config error: lr must be finite, got nan"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["train_frac", "val_frac", "test_frac"])
+def test_non_finite_split_fraction_exits_one(tmp_path, capsys, key, value):
+    ds_dir = _synth_dir(tmp_path)
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text(f"split = ratio\n{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "runs"
+    code = main(["train", "--config", str(cfg), "--dataset", str(ds_dir), "--out", str(out),
+                 *_FAST, "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {key} must be finite, got {value}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("e_sweeps, cap", [(80, 80), (3, 50)])
+def test_evaluate_runs_the_e_step_with_the_run_settings(tmp_path, monkeypatch, e_sweeps, cap):
+    # the cap is the one train's final E-step uses: max(50, e_sweeps)
+    ds_dir = _synth_dir(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["train", "--dataset", str(ds_dir), "--out", str(out),
+                 "--seeds", "0", *_FAST, "--quiet"]) == 0
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("e_tolerance = 1e-06\n", encoding="utf-8")
+    received, real = [], training._e_step_stats
+
+    def recording(q, scores, pp, g, labels, train_ids, sweeps, tolerance):
+        received.append((sweeps, tolerance))
+        return real(q, scores, pp, g, labels, train_ids, sweeps, tolerance)
+
+    monkeypatch.setattr(training, "_e_step_stats", recording)
+    assert main(["evaluate", "--config", str(cfg), "--dataset", str(ds_dir),
+                 "--split", "ratio", "--seeds", "0", "--e-sweeps", str(e_sweeps),
+                 "--checkpoint", str(out / "checkpoint_seed0.bin")]) == 0
+    assert received == [(cap, 1e-6)]
 
 
 def test_ablate_grid_shape(tmp_path):

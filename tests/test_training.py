@@ -22,6 +22,14 @@ def _uniform_q(free, c, n):
     return Proposal(free, np.full((len(free), c), 1.0 / c), n)
 
 
+def test_proposal_position_is_the_row_of_an_unlabeled_node():
+    q = _uniform_q(np.array([1, 4, 6]), 2, 8)
+    assert [q.position(node) for node in (1, 4, 6)] == [0, 1, 2]
+    for node in (0, 5, 7):
+        with pytest.raises(ConfigError, match=f"node {node} has no row"):
+            q.position(node)
+
+
 def test_proposal_row_validation():
     with pytest.raises(ConfigError):
         Proposal(np.array([0]), np.array([[0.7, 0.7]]), 2)
@@ -76,7 +84,8 @@ def test_e_step_k_zero_fixed_point():
 
 
 _E_STEP_CASES = ("draw8", "random60", "random130", "random200", "path", "one_level",
-                 "random60_c7", "random130_c10", "path_c10", "one_level_c10")
+                 "random60_c7", "random130_c10", "path_c10", "one_level_c10",
+                 "random60_layer", "random60_none")
 
 
 def _e_step_case(name):
@@ -85,13 +94,18 @@ def _e_step_case(name):
     The random graphs interleave labeled and unlabeled nodes; on the path
     every unlabeled node is on its own level, and in `one_level` unlabeled
     nodes only touch labeled ones. A `_c<k>` suffix sets k classes (else 3);
-    10 is the class count of the `dense_train` benchmark workload.
+    10 is the class count of the `dense_train` benchmark workload. A `_layer`
+    or `_none` suffix sets that coefficient mode (else edge): `ablate` runs
+    layer mode, and `evaluate` runs none mode on a backbone-only checkpoint.
     """
     if name == "draw8":
         rng = np.random.default_rng(1)
         g, _, scores, pp, labels, train = random_instance(rng, 8, 3)
         return rng, g, scores, pp, labels, train
     rng = np.random.default_rng(_E_STEP_CASES.index(name))
+    mode = "edge"
+    if name.endswith(("_layer", "_none")):
+        name, mode = name.rsplit("_", 1)
     name, _, classes = name.partition("_c")
     if name.startswith("random"):
         n = int(name[len("random"):])
@@ -108,8 +122,9 @@ def _e_step_case(name):
         train = np.arange(0, n, 2)
     c = int(classes or 3)
     scores = rng.normal(0.0, 1.5, size=(n, c))
+    num_alphas = {"edge": g.num_edges, "layer": 1, "none": 0}[mode]
     pp = PairwiseParams(rng.normal(0.0, 0.6, size=(c, c)),
-                        rng.normal(1.0, 0.5, size=g.num_edges), "edge")
+                        rng.normal(1.0, 0.5, size=num_alphas), mode)
     labels = rng.integers(0, c, size=n)
     return rng, g, scores, pp, labels, train
 
