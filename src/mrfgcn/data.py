@@ -218,6 +218,10 @@ def load_citation(content_file, cites_file) -> Dataset:
 
 def planetoid_split(ds: Dataset, per_class=20, num_val=500, num_test=1000, seed=0) -> Split:
     """Fixed-count-per-class train set, then val/test from the remainder."""
+    for name, count in (("per_class", per_class), ("num_val", num_val),
+                        ("num_test", num_test)):
+        if count < 0:
+            raise ConfigError(f"{name} must be non-negative, got {count}")
     rng = stream(seed, "planetoid_split")
     train_parts = []
     for cls in range(ds.num_classes):

@@ -28,7 +28,13 @@ against those rows. Per-slot tensors below index directed orientations:
 slot d of a graph covers (center(d), leaf(d)). The one per-slot label
 tensor is built leaf label first, as (c_leaf, 2E, c_center), so that
 summing a leaf out reduces over the leading axis; the `pair_marg` that
-`_piece_stats` returns is its (2E, c_center, c_leaf) view.
+`_piece_stats` returns is its (2E, c_center, c_leaf) view. Sums over
+slots per node are products with the graph's cached slot incidence
+matrices: `center_incidence` sums each piece's leaf messages, and
+`leaf_incidence` sums each node's leaf marginals over the pieces it sits
+on the rim of. The pair terms read r only at the edge ends, so
+`objective_and_gradients` takes them pre-gathered (`endpoint_rows`) from
+a caller that holds r fixed.
 """
 
 from dataclasses import dataclass
@@ -119,24 +125,6 @@ class Redistribution:
         return redist
 
 
-def _segment_sum(values, indptr):
-    """Sum `values` rows over CSR-style segments, tolerating empty segments.
-
-    reduceat runs over the starts of the nonempty segments only; each such
-    span then covers exactly one segment, because empty segments have no
-    width.
-    """
-    n = len(indptr) - 1
-    out = np.zeros((n,) + values.shape[1:], dtype=np.float64)
-    if values.shape[0] == 0 or n == 0:
-        return out
-    nonempty = np.flatnonzero(indptr[1:] > indptr[:-1])
-    if len(nonempty) == 0:
-        return out
-    out[nonempty] = np.add.reduceat(values, indptr[:-1][nonempty], axis=0)
-    return out
-
-
 def _leaf_major_pieces(g: Graph, scores, pp, redist, want_marginals):
     """Batched star inference over all pieces, in the leaf-major layout.
 
@@ -152,7 +140,7 @@ def _leaf_major_pieces(g: Graph, scores, pp, redist, want_marginals):
     # t[b, d, a] = leaf_exp * s[leaf(d), b] + pair_exp * alpha_d * K[b, a] for leaf
     # label b, slot d and center label a (K is symmetric), built as one batched
     # rank-2 product: (c, 2E, 2) @ (c, 2, c)
-    unary = (redist.leaf_exp[leaves][:, None] * scores[leaves]).T
+    unary = np.take(scores.T * redist.leaf_exp, leaves, axis=1)
     pair = np.broadcast_to(redist.pair_exp * pp.alpha_at(g.slot_edge_ids), unary.shape)
     t = np.stack([unary, pair], axis=2) @ np.stack([np.ones((c, c)), k], axis=1)
     hi = t.max(axis=0)
@@ -161,7 +149,7 @@ def _leaf_major_pieces(g: Graph, scores, pp, redist, want_marginals):
     mass = t.sum(axis=0)                                   # (2E, c), each >= 1
     msgs = hi + np.log(mass)
 
-    b = redist.center_exp[:, None] * scores + _segment_sum(msgs, g.indptr)
+    b = redist.center_exp[:, None] * scores + g.center_incidence @ msgs
     b_hi = b.max(axis=1)
     log_z = b_hi + np.log(np.exp(b - b_hi[:, None]).sum(axis=1))
     mu_center = np.exp(b - log_z[:, None])
@@ -169,7 +157,7 @@ def _leaf_major_pieces(g: Graph, scores, pp, redist, want_marginals):
     if not want_marginals:
         return log_z, mu_center, None, None
     # exp(b[centers] - msgs + hi - log_z[centers]) == mu_center[centers] / mass <= 1
-    t *= mu_center[centers] / mass
+    t *= np.take(mu_center, centers, axis=0) / mass
     rim = t @ np.stack([np.ones((c, c)), k], axis=2)
     return log_z, mu_center, t, rim
 
@@ -189,43 +177,50 @@ def _piece_stats(g: Graph, scores, pp, redist, want_marginals):
     return log_z, mu_center, t.transpose(1, 2, 0), rim[:, :, 0].T
 
 
-def _pair_expectations(r, pp, g):
+def endpoint_rows(r, g: Graph):
+    """(r[j], r[k]): the rows of r at both ends of every stored edge (j, k)."""
+    return r[g.edges[:, 0]], r[g.edges[:, 1]]
+
+
+def _pair_expectations(r_ends, pp):
     """<r_j, K r_k> for every edge, in stored (j, k) order."""
-    rk = r @ pp.K
-    j, k = g.edges[:, 0], g.edges[:, 1]
-    return np.einsum("ec,ec->e", rk[j], r[k]) if g.num_edges else np.zeros(0)
+    r_j, r_k = r_ends
+    return np.einsum("ec,ec->e", r_j @ pp.K, r_k)
 
 
 def expected_piecewise_objective(r, scores, pp, redist, g: Graph) -> float:
     """Expected redistributed piecewise log-likelihood under r."""
     log_z, _, _, _ = _piece_stats(g, scores, pp, redist, want_marginals=False)
     alphas = pp.alpha_at(np.arange(g.num_edges))
-    value = float((r * scores).sum() + (alphas * _pair_expectations(r, pp, g)).sum()
-                  - log_z.sum())
+    pair_dots = _pair_expectations(endpoint_rows(r, g), pp)
+    value = float((r * scores).sum() + (alphas * pair_dots).sum() - log_z.sum())
     return value
 
 
-def objective_and_gradients(r, scores, pp, redist, g: Graph):
+def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None):
     """Objective value plus exact gradients in one shared inference pass.
 
     Gradients are w.r.t. scores, the unconstrained K storage, and the
-    alpha parameter vector (None in no-coefficient mode).
+    alpha parameter vector (None in no-coefficient mode). `r_ends` is
+    `endpoint_rows(r, g)`; a caller that holds r fixed over many calls
+    passes it in, and it is gathered here when omitted.
     """
     log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist,
                                                   want_marginals=True)
+    if r_ends is None:
+        r_ends = endpoint_rows(r, g)
+    r_j, r_k = r_ends
     alphas_e = pp.alpha_at(np.arange(g.num_edges))
     alphas_d = pp.alpha_at(g.slot_edge_ids)
-    pair_dots = _pair_expectations(r, pp, g)
+    pair_dots = _pair_expectations(r_ends, pp)
     value = float((r * scores).sum() + (alphas_e * pair_dots).sum() - log_z.sum())
 
-    # leaf contribution: pieces where node i sits on the rim are the
-    # reverses of the slots centered at i
-    leaf_marg_at_leaf = rim[:, g.slot_reverse, 0].T
+    # leaf contribution: the pieces where node i sits on the rim are those
+    # of the slots whose leaf is i
     grad_scores = (r - redist.center_exp[:, None] * mu_center
-                   - redist.leaf_exp[:, None] * _segment_sum(leaf_marg_at_leaf, g.indptr))
+                   - redist.leaf_exp[:, None] * (g.leaf_incidence @ rim[:, :, 0].T))
 
-    j, k = g.edges[:, 0], g.edges[:, 1]
-    g_k = (r[j] * alphas_e[:, None]).T @ r[k]
+    g_k = (r_j * alphas_e[:, None]).T @ r_k
     g_k -= redist.pair_exp * (alphas_d @ t).T              # t is leaf-major
     grad_raw = 0.5 * (g_k + g_k.T)
 

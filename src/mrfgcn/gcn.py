@@ -5,7 +5,8 @@ normalized adjacency (dense array or sparse operator) and dropout is
 active only for a keep probability below 1. The features X are a CSR
 matrix, and the input dropout scales only its stored entries: a zero
 stays zero whether it is dropped or kept, so one mask value per nonzero
-is drawn. The hidden-layer mask is dense. Raw scores serve directly as
+is drawn, and the dropped input reuses the features' index arrays. The
+hidden-layer mask is dense. Raw scores serve directly as
 unary log-factors; no per-node normalization is applied. Backward
 passes are exact for the activations cached by the forward call that
 produced them, including its dropout masks.
@@ -67,8 +68,9 @@ def forward(params: GcnParams, features, norm_adj, dropout_keep=1.0, rng=None):
     if dropout_keep < 1.0:
         if rng is None:
             raise StructuralInputError("dropout requires an rng stream")
-        x0 = sp.csr_array(features, copy=True)
-        x0.data *= dropout_mask(x0.data.shape, dropout_keep, rng)
+        x = sp.csr_array(features)      # shares a CSR input's arrays
+        x0 = sp.csr_array((x.data * dropout_mask(x.data.shape, dropout_keep, rng),
+                           x.indices, x.indptr), shape=x.shape)
         mask1 = dropout_mask((features.shape[0], params.w0.shape[1]), dropout_keep, rng)
     z1 = norm_adj @ (x0 @ params.w0)
     h1 = np.maximum(z1, 0.0)

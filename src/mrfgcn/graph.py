@@ -41,6 +41,23 @@ class Graph:
         centers.flags.writeable = False
         return centers
 
+    @cached_property
+    def center_incidence(self) -> sp.csr_array:
+        """(n, 2E) 0/1 matrix whose row i holds the slots centered at i."""
+        return self._slot_incidence(np.arange(len(self.indices)))
+
+    @cached_property
+    def leaf_incidence(self) -> sp.csr_array:
+        """(n, 2E) 0/1 matrix whose row i holds the slots whose leaf is i.
+
+        Those are the reverses of the slots centered at i, in the same order.
+        """
+        return self._slot_incidence(self.slot_reverse)
+
+    def _slot_incidence(self, slots) -> sp.csr_array:
+        return sp.csr_array((np.ones(len(slots)), slots, self.indptr),
+                            shape=(self.num_nodes, len(slots)))
+
     def neighbors(self, node: int) -> np.ndarray:
         return self.indices[self.indptr[node]:self.indptr[node + 1]]
 

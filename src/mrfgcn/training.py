@@ -36,7 +36,7 @@ from . import gcn
 from .data import Dataset, Split
 from .errors import (ConfigError, DegenerateInputError, NonFiniteObjectiveError,
                      StructuralInputError)
-from .factors import (PairwiseParams, Redistribution, diagnose_non_finite,
+from .factors import (PairwiseParams, Redistribution, diagnose_non_finite, endpoint_rows,
                       objective_and_gradients, COEFFICIENT_MODES, REDISTRIBUTION_SCHEMES)
 from .graph import Graph, normalized_adjacency_operator
 from .numerics import AdamState, adam_step, softmax_rows, stream
@@ -297,10 +297,12 @@ def m_step(params: gcn.GcnParams, pp: PairwiseParams, q: Proposal, features,
            config: TrainConfig, rng_dropout):
     """Full-batch Adam ascent on the expected piecewise objective.
 
-    Returns (params, pp, objective_trace); q stays fixed. Fresh optimizer
-    state is used for each M-step.
+    Returns (params, pp, objective_trace); q stays fixed, so r and its rows
+    at the edge ends are built once. Fresh optimizer state is used for each
+    M-step.
     """
     r = make_r(q, labels, train_ids, pp.num_classes)
+    r_ends = endpoint_rows(r, g)
     st_w0 = AdamState.for_param(params.w0, lr=config.lr, weight_decay=config.weight_decay)
     st_w1 = AdamState.for_param(params.w1, lr=config.lr)
     st_raw = AdamState.for_param(pp.raw, lr=config.lr)
@@ -311,7 +313,7 @@ def m_step(params: gcn.GcnParams, pp: PairwiseParams, q: Proposal, features,
         scores, cache = gcn.forward(params, features, norm_adj,
                                     dropout_keep=config.dropout_keep, rng=rng_dropout)
         value, grad_scores, grad_raw, grad_alpha = objective_and_gradients(
-            r, scores, pp, redist, g)
+            r, scores, pp, redist, g, r_ends)
         if not np.isfinite(value):
             node = diagnose_non_finite(g, scores, pp, redist)
             raise NonFiniteObjectiveError(

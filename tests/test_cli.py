@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -14,6 +16,9 @@ from mrfgcn.errors import ConfigError
 from mrfgcn.graph import homophily_beta
 
 from conftest import write_citation
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
 def _synth_dir(tmp_path, name="ds", target=0.85, nodes=120, seed=0, edges_per_node=3,
@@ -353,6 +358,76 @@ def test_non_finite_split_fraction_exits_one(tmp_path, capsys, key, value):
     assert capsys.readouterr().err.splitlines() == [
         f"config error: {key} must be finite, got {value}"]
     assert not out.exists()
+
+
+_FAST_PLANETOID = ["--warm-epochs", "3", "--em-rounds", "1", "--m-epochs", "2",
+                   "--e-sweeps", "2", "--hidden", "4", "--split", "planetoid"]
+
+
+@pytest.mark.parametrize("counts, key, value", [
+    (["--per-class", "5", "--num-val", "-5", "--num-test", "10"], "num_val", -5),
+    (["--per-class", "-1"], "per_class", -1),
+    (["--per-class", "5", "--num-val", "5", "--num-test", "-2"], "num_test", -2),
+])
+def test_negative_split_count_exits_one(tmp_path, capsys, counts, key, value):
+    ds_dir = _synth_dir(tmp_path)
+    out = tmp_path / "runs"
+    code = main(["train", "--dataset", str(ds_dir), "--out", str(out), *_FAST_PLANETOID,
+                 *counts, "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {key} must be non-negative, got {value}"]
+    assert not out.exists()
+
+
+# 8 features x 10**15 hidden units is 57 PiB, more than any address space
+# holds, so numpy refuses the first weight matrix before allocating it
+_REFUSED_HIDDEN = 10 ** 15
+
+
+def test_allocation_numpy_refuses_is_a_runtime_failure(tmp_path, capsys):
+    ds_dir = _synth_dir(tmp_path)
+    code = main(["train", "--dataset", str(ds_dir), "--out", str(tmp_path / "runs"),
+                 *_FAST_PLANETOID, "--per-class", "5", "--num-val", "5", "--num-test", "5",
+                 "--hidden", str(_REFUSED_HIDDEN), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("runtime failure: Unable to allocate")
+
+
+_INT_SETTINGS = ("per_class", "num_val", "num_test", "hidden", "warm_epochs", "m_epochs",
+                 "e_sweeps", "em_rounds", "patience")
+
+
+# every setting starts small and valid, then one to three are set to zero or
+# below, and hidden may be one that numpy refuses; a huge epoch or round count
+# would only run long, so only hidden is drawn that large
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(values=st.fixed_dictionaries({name: st.integers(1, 4) for name in _INT_SETTINGS}),
+       broken=st.dictionaries(st.sampled_from(_INT_SETTINGS), st.integers(-2, 0),
+                              min_size=1, max_size=3),
+       refused_hidden=st.booleans())
+def test_integer_run_settings_end_in_a_documented_exit_code(tmp_path_factory, values, broken,
+                                                            refused_hidden):
+    # tmp_path_factory is session-scoped, so every example may share it
+    root = tmp_path_factory.getbasetemp() / "int_settings"
+    ds_dir = root / "ds"
+    if not ds_dir.exists():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--out", str(ds_dir), "--nodes", "40", "--classes", "2",
+                         "--edges-per-node", "2", "--feature-dim", "8", "--seed", "0"]) == 0
+    values = {**values, **broken}
+    if refused_hidden:
+        values["hidden"] = _REFUSED_HIDDEN
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in values.items()]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["train", "--dataset", str(ds_dir), "--out", str(root / "runs"),
+                     "--split", "planetoid", *flags, "--quiet"])
+    assert code in (0, 1, 2)
+    assert len(stderr.getvalue().splitlines()) <= 1
+    assert "Traceback" not in stderr.getvalue()
 
 
 @pytest.mark.parametrize("e_sweeps, cap", [(80, 80), (3, 50)])

@@ -92,6 +92,14 @@ def test_planetoid_split_pool_too_small():
         planetoid_split(ds, per_class=5, num_val=40, num_test=40, seed=0)
 
 
+@pytest.mark.parametrize("key", ["per_class", "num_val", "num_test"])
+def test_planetoid_split_rejects_a_negative_count(key):
+    ds = generate_synthetic(60, 2, 2, 0.5, feature_dim=4, feature_noise=0.1, seed=3)
+    counts = {"per_class": 5, "num_val": 5, "num_test": 5, key: -1}
+    with pytest.raises(ConfigError, match=f"{key} must be non-negative, got -1"):
+        planetoid_split(ds, **counts, seed=0)
+
+
 def test_ratio_split_exact_fractions():
     ds = generate_synthetic(100, 2, 2, 0.5, feature_dim=4, feature_noise=0.1, seed=4)
     split = ratio_split(ds, 0.2, 0.2, 0.6, seed=0)

@@ -7,7 +7,7 @@ import pytest
 
 from mrfgcn import selfcheck
 from mrfgcn.errors import ConfigError
-from mrfgcn.factors import (PairwiseParams, Redistribution, _piece_stats,
+from mrfgcn.factors import (PairwiseParams, Redistribution, _piece_stats, endpoint_rows,
                             expected_piecewise_objective, objective_and_gradients)
 from mrfgcn.graph import build_graph
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows
@@ -425,3 +425,105 @@ def test_piece_stats_stable_at_large_scores(scheme, mode):
         assert np.abs(log_z - moved[0] - shift).max() <= 1e-14 * np.abs(moved[0]).max()
         for a, b in zip(stats[1:], moved[1:]):
             assert np.abs(a - b).max(initial=0.0) <= 1e-12
+
+
+# ---- the segment-sum reference: every per-node sum over slots is a
+# reduceat over CSR segments, and the leaf marginals reach their node
+# through a slot_reverse gather
+
+def _segment_sum(values, indptr):
+    """Sum `values` rows over CSR-style segments, tolerating empty segments."""
+    n = len(indptr) - 1
+    out = np.zeros((n,) + values.shape[1:], dtype=np.float64)
+    if values.shape[0] == 0 or n == 0:
+        return out
+    nonempty = np.flatnonzero(indptr[1:] > indptr[:-1])
+    if len(nonempty) == 0:
+        return out
+    out[nonempty] = np.add.reduceat(values, indptr[:-1][nonempty], axis=0)
+    return out
+
+
+def _reference_objective_and_gradients(r, scores, pp, redist, g):
+    c, k = pp.num_classes, pp.K
+    leaves = g.indices
+    unary = (redist.leaf_exp[leaves][:, None] * scores[leaves]).T
+    pair = np.broadcast_to(redist.pair_exp * pp.alpha_at(g.slot_edge_ids), unary.shape)
+    t = np.stack([unary, pair], axis=2) @ np.stack([np.ones((c, c)), k], axis=1)
+    hi = t.max(axis=0)
+    t = np.exp(t - hi)
+    mass = t.sum(axis=0)
+    b = redist.center_exp[:, None] * scores + _segment_sum(hi + np.log(mass), g.indptr)
+    b_hi = b.max(axis=1)
+    log_z = b_hi + np.log(np.exp(b - b_hi[:, None]).sum(axis=1))
+    mu_center = np.exp(b - log_z[:, None])
+    t *= mu_center[g.slot_centers] / mass
+    rim = t @ np.stack([np.ones((c, c)), k], axis=2)
+
+    alphas_e = pp.alpha_at(np.arange(g.num_edges))
+    alphas_d = pp.alpha_at(g.slot_edge_ids)
+    j, kk = g.edges[:, 0], g.edges[:, 1]
+    pair_dots = np.einsum("ec,ec->e", (r @ k)[j], r[kk])
+    value = float((r * scores).sum() + (alphas_e * pair_dots).sum() - log_z.sum())
+    leaf_marg_at_leaf = rim[:, g.slot_reverse, 0].T
+    grad_scores = (r - redist.center_exp[:, None] * mu_center
+                   - redist.leaf_exp[:, None] * _segment_sum(leaf_marg_at_leaf, g.indptr))
+    g_k = (r[j] * alphas_e[:, None]).T @ r[kk] - redist.pair_exp * (alphas_d @ t).T
+    grad_alpha = None
+    if pp.mode != "none":
+        per_edge = pair_dots - redist.pair_exp * np.bincount(
+            g.slot_edge_ids, weights=rim[:, :, 1].sum(axis=0), minlength=g.num_edges)
+        grad_alpha = per_edge if pp.mode == "edge" else np.array([per_edge.sum()])
+    return value, grad_scores, 0.5 * (g_k + g_k.T), grad_alpha
+
+
+def _assert_matches_reference(r, scores, pp, redist, g):
+    got = objective_and_gradients(r, scores, pp, redist, g)
+    ref = _reference_objective_and_gradients(r, scores, pp, redist, g)
+    assert abs(got[0] - ref[0]) <= 1e-12 * max(abs(ref[0]), 1.0)
+    for a, b in zip(got[1:3], ref[1:3]):
+        assert _rel(a, b) <= 1e-12
+    if pp.mode == "none":
+        assert got[3] is None and ref[3] is None
+    else:
+        assert _rel(got[3], ref[3]) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["average", "center"])
+@pytest.mark.parametrize("mode", ["edge", "layer", "none"])
+def test_objective_matches_the_segment_sum_reference(scheme, mode):
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        n, c = int(rng.integers(2, 60)), int(rng.integers(2, 11))
+        g, redist, scores, pp, labels, train = random_instance(
+            rng, n, c, mode=mode, scheme=scheme, edge_prob=float(rng.uniform(0.02, 0.5)))
+        _assert_matches_reference(random_r(rng, n, c, labels, train), scores, pp, redist, g)
+
+
+@pytest.mark.parametrize("scheme", ["average", "center"])
+@pytest.mark.parametrize("mode", ["edge", "layer", "none"])
+@pytest.mark.parametrize("edges", [[(1, 3), (3, 4), (1, 4), (4, 6)], []],
+                         ids=["isolated_nodes", "no_edges"])
+def test_objective_matches_the_reference_with_empty_pieces(scheme, mode, edges):
+    # nodes 0, 2, 5 and 7 have no neighbours: their slot segments are empty
+    rng = np.random.default_rng(18)
+    g = build_graph(8, edges)
+    redist = Redistribution.for_graph(g, scheme)
+    alpha = {"edge": rng.normal(1.0, 0.5, g.num_edges), "layer": np.array([0.7]),
+             "none": np.zeros(0)}[mode]
+    pp = PairwiseParams(raw=rng.normal(size=(3, 3)), alpha=alpha, mode=mode)
+    r = softmax_rows(rng.normal(size=(8, 3)))
+    _assert_matches_reference(r, rng.normal(size=(8, 3)), pp, redist, g)
+
+
+@pytest.mark.parametrize("mode", ["edge", "layer", "none"])
+def test_objective_with_gathered_endpoint_rows_matches_r_alone(mode):
+    rng = np.random.default_rng(19)
+    g, redist, scores, pp, labels, train = random_instance(rng, 30, 5, mode=mode,
+                                                           edge_prob=0.2)
+    r = random_r(rng, 30, 5, labels, train)
+    alone = objective_and_gradients(r, scores, pp, redist, g)
+    gathered = objective_and_gradients(r, scores, pp, redist, g, endpoint_rows(r, g))
+    assert alone[0] == gathered[0]
+    for a, b in zip(alone[1:], gathered[1:]):
+        assert (a is None and b is None) or np.array_equal(a, b)

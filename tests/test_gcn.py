@@ -226,6 +226,27 @@ def test_input_dropout_keeps_zeros_and_scales_kept_entries():
     assert np.array_equal(x.data, before.data)
 
 
+@pytest.mark.parametrize("layout", ["csr", "dense"])
+def test_input_dropout_scales_a_copy_of_the_values_on_the_shared_structure(layout):
+    rng = np.random.default_rng(12)
+    g = random_graph(rng, 30)
+    x = _sparse_features(rng, 30, 12)
+    params = init_params(12, 4, 3, seed=1)
+    features = x if layout == "csr" else x.toarray()
+    scores, cache = forward(params, features, normalized_adjacency(g), dropout_keep=0.6,
+                            rng=stream(3, "d"))
+    # the values of a whole-matrix copy scaled in place, bit for bit
+    copied = sp.csr_array(x, copy=True)
+    copied.data *= dropout_mask(copied.data.shape, 0.6, stream(3, "d"))
+    assert np.array_equal(cache.x0.data, copied.data)
+    assert np.array_equal(cache.x0.indices, x.indices)
+    assert np.array_equal(cache.x0.indptr, x.indptr)
+    if layout == "csr":
+        assert np.shares_memory(cache.x0.indices, x.indices)
+        assert np.shares_memory(cache.x0.indptr, x.indptr)
+        assert not np.shares_memory(cache.x0.data, x.data)
+
+
 def _dense_reference(params, x, adj, mask0, mask1, upstream):
     """The GCN on a dense feature matrix with the given masks, and its gradients."""
     x0 = x * mask0

@@ -123,6 +123,22 @@ def test_slot_reverse_pairs_orientations():
         assert g.slot_edge_ids[r] == g.slot_edge_ids[d]
 
 
+@pytest.mark.parametrize("num_nodes, edges", [(7, [(0, 3), (3, 5), (0, 5), (5, 6)]),
+                                             (3, [])])
+def test_slot_incidence_rows_hold_the_slots_at_each_node(num_nodes, edges):
+    g = build_graph(num_nodes, edges)
+    slots = np.arange(2 * g.num_edges)
+    for name, node_of_slot in (("center_incidence", g.slot_centers),
+                               ("leaf_incidence", g.indices)):
+        inc = getattr(g, name)
+        assert inc.shape == (num_nodes, 2 * g.num_edges)
+        assert (inc.data == 1.0).all()
+        expected = np.zeros(inc.shape)
+        expected[node_of_slot, slots] = 1.0
+        assert np.array_equal(inc.toarray(), expected)
+        assert getattr(g, name) is inc          # built once per graph
+
+
 def test_normalized_adjacency_isolated_node():
     assert normalized_adjacency(build_graph(1, [])).tolist() == [[1.0]]
 
