@@ -9,8 +9,7 @@ star-shaped subgraphs.
 from .data import (Dataset, Split, generate_synthetic, load_citation,
                    load_dataset, load_generic, planetoid_split, ratio_split,
                    row_normalize_features, save_generic)
-from .factors import (PairwiseParams, Redistribution, expected_piecewise_objective,
-                      objective_and_gradients)
+from .factors import PairwiseParams, Redistribution, objective_and_gradients
 from .gcn import GcnParams, backward, init_params, supervised_loss_and_grad
 from .graph import Graph, build_graph, homophily_beta, normalized_adjacency
 from .oracle import (OracleLimit, exact_elbo, exact_log_partition,

@@ -64,7 +64,12 @@ def save_checkpoint(path, params: GcnParams, pairwise: PairwiseParams | None = N
 
 
 def load_checkpoint(path):
-    """Returns (GcnParams, PairwiseParams or None)."""
+    """Returns (GcnParams, PairwiseParams).
+
+    A backbone-only (2-record) file gets no-coefficient pairwise
+    parameters with K = 0, so its E-step leaves the softmax of the scores
+    as it is and predictions are the backbone's argmax.
+    """
     fh = io.BytesIO(Path(path).read_bytes())
     magic = fh.read(len(_MAGIC))
     if magic != _MAGIC:
@@ -80,11 +85,14 @@ def load_checkpoint(path):
         # a nan or inf weight would evaluate to a plausible but wrong accuracy
         if not np.isfinite(arr).all():
             raise StructuralInputError(f"{path}: non-finite value in checkpoint record {number}")
+    if count not in (2, 5):
+        raise StructuralInputError(f"{path}: unexpected record count {count}")
+    w0, w1 = arrays[:2]
+    if w0.ndim != 2 or w1.ndim != 2:
+        raise StructuralInputError(f"{path}: backbone weights must be matrices")
     if count == 2:
-        return GcnParams(*arrays), None
-    if count == 5:
-        mode = _CODE_MODES.get(float(arrays[4][0]))
-        if mode is None:
-            raise StructuralInputError(f"{path}: unknown coefficient mode code")
-        return GcnParams(arrays[0], arrays[1]), PairwiseParams(arrays[2], arrays[3], mode)
-    raise StructuralInputError(f"{path}: unexpected record count {count}")
+        return GcnParams(w0, w1), PairwiseParams.init(w1.shape[1], 0, mode="none")
+    mode = _CODE_MODES.get(float(arrays[4][0])) if arrays[4].shape == (1,) else None
+    if mode is None:
+        raise StructuralInputError(f"{path}: unknown coefficient mode code")
+    return GcnParams(w0, w1), PairwiseParams(arrays[2], arrays[3], mode)

@@ -20,7 +20,6 @@ from .data import (Dataset, Split, generate_synthetic, load_dataset,
                    load_split_file, planetoid_split, ratio_split,
                    row_normalize_features, save_generic)
 from .errors import ConfigError, EnumerationLimitError
-from .factors import PairwiseParams
 from .gcn import forward
 from .graph import homophily_beta, normalized_adjacency_operator
 from .oracle import OracleLimit
@@ -161,6 +160,18 @@ def _make_split(ds: Dataset, cfg: RunConfig, seed) -> Split:
     return load_split_file(path, num_nodes=ds.graph.num_nodes)
 
 
+def _checked_splits(ds: Dataset, cfg: RunConfig):
+    """(seed, split) for every run seed; each split must hold train and test nodes."""
+    splits = []
+    for seed in cfg.seeds:
+        split = _make_split(ds, cfg, seed)
+        for name in ("train", "test"):
+            if not len(getattr(split, name)):
+                raise ConfigError(f"seed {seed}: the split has no {name} nodes")
+        splits.append((seed, split))
+    return splits
+
+
 def _load_prepared(cfg: RunConfig) -> Dataset:
     if not cfg.dataset:
         raise ConfigError("missing required setting: dataset")
@@ -184,12 +195,12 @@ def _aggregate_lines(rows):
 
 def cmd_train(cfg: RunConfig) -> int:
     ds = _load_prepared(cfg)
+    splits = _checked_splits(ds, cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "effective_config.txt").write_text(cfg.to_text(), encoding="utf-8")
     rows = []
-    for seed in cfg.seeds:
-        split = _make_split(ds, cfg, seed)
+    for seed, split in splits:
         result = train(ds, split, cfg.train_config(seed))
         result.report.write(out / f"report_seed{seed}.txt")
         save_checkpoint(out / f"checkpoint_seed{seed}.bin",
@@ -207,9 +218,9 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_evaluate(cfg: RunConfig, checkpoint_path) -> int:
     ds = _load_prepared(cfg)
     split = _make_split(ds, cfg, cfg.seeds[0])
+    if not len(split.val) and not len(split.test):
+        raise ConfigError(f"seed {cfg.seeds[0]}: the split has no validation or test nodes")
     params, pp = load_checkpoint(checkpoint_path)
-    if pp is None:
-        pp = PairwiseParams.init(ds.num_classes, ds.graph.num_edges, mode="none")
     scores, _ = forward(params, ds.features, normalized_adjacency_operator(ds.graph))
     unlabeled = np.setdiff1d(np.arange(ds.graph.num_nodes), split.train)
     q = Proposal.from_scores(scores, unlabeled, ds.graph.num_nodes)
@@ -233,8 +244,7 @@ def cmd_homophily(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_oracle_check(sizes, trials, seed, num_classes, max_configs,
-                     inject_gradient_bug=False) -> int:
+def cmd_oracle_check(sizes, trials, seed, num_classes, max_configs) -> int:
     if not sizes:
         raise ConfigError("--sizes needs at least one instance size")
     _require_at_least(1, sizes=min(sizes), trials=trials)
@@ -242,8 +252,7 @@ def cmd_oracle_check(sizes, trials, seed, num_classes, max_configs,
     _require_at_least(2, classes=num_classes)
     try:
         results = run_selfchecks(sizes, trials, seed, num_classes=num_classes,
-                                 limit=OracleLimit(max_configs),
-                                 inject_gradient_bug=inject_gradient_bug)
+                                 limit=OracleLimit(max_configs))
     except EnumerationLimitError as exc:
         print(f"refused: {exc}")
         return 1
@@ -258,21 +267,21 @@ def cmd_oracle_check(sizes, trials, seed, num_classes, max_configs,
 
 def cmd_ablate(cfg: RunConfig) -> int:
     ds = _load_prepared(cfg)
+    splits = _checked_splits(ds, cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["coefficient\tredistribution\tmean\tstddev\tper_seed"]
     for mode in ("none", "layer", "edge"):
         for scheme in ("average", "center"):
             accs = []
-            for seed in cfg.seeds:
-                split = _make_split(ds, cfg, seed)
+            for seed, split in splits:
                 tc = dataclasses.replace(cfg.train_config(seed),
                                          coefficient_mode=mode, redistribution=scheme)
                 accs.append(train(ds, split, tc).report.test_accuracy)
             accs = np.array(accs)
             per_seed = ",".join(repr(a) for a in accs.tolist())
-            lines.append(f"{mode}\t{scheme}\t{accs.mean()!r}\t{accs.std(ddof=0)!r}"
-                         f"\t{per_seed}")
+            lines.append(f"{mode}\t{scheme}\t{float(accs.mean())!r}"
+                         f"\t{float(accs.std(ddof=0))!r}\t{per_seed}")
             _say(cfg, f"{mode:<6} {scheme:<8} mean {accs.mean():.4f} "
                       f"+/- {accs.std(ddof=0):.4f}")
     (out / "ablation.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -359,8 +368,6 @@ def main(argv=None) -> int:
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--classes", type=int, default=3)
     p_oracle.add_argument("--max-configs", type=int, default=OracleLimit().max_configurations)
-    p_oracle.add_argument("--inject-gradient-bug", action="store_true",
-                          help=argparse.SUPPRESS)
 
     p_synth = sub.add_parser("synth")
     p_synth.add_argument("--out", required=True)
@@ -375,26 +382,28 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        if args.command == "train":
-            return cmd_train(_build_config(args))
-        if args.command == "ablate":
-            return cmd_ablate(_build_config(args))
-        if args.command == "evaluate":
-            return cmd_evaluate(_build_config(args), args.checkpoint)
-        if args.command == "homophily":
-            return cmd_homophily(_build_config(args))
-        if args.command == "oracle-check":
-            return cmd_oracle_check(_int_list(args.sizes, "--sizes"), args.trials,
-                                    args.seed, args.classes, args.max_configs,
-                                    args.inject_gradient_bug)
-        if args.command == "synth":
-            return cmd_synth(args.out, args.nodes, args.classes, args.edges_per_node,
-                             args.target, args.feature_dim, args.noise, args.seed)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # an overflow, nan or division by zero stops the command at once, with
+        # one message, instead of warning and running on with inf or nan
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.command == "train":
+                return cmd_train(_build_config(args))
+            if args.command == "ablate":
+                return cmd_ablate(_build_config(args))
+            if args.command == "evaluate":
+                return cmd_evaluate(_build_config(args), args.checkpoint)
+            if args.command == "homophily":
+                return cmd_homophily(_build_config(args))
+            if args.command == "oracle-check":
+                return cmd_oracle_check(_int_list(args.sizes, "--sizes"), args.trials,
+                                        args.seed, args.classes, args.max_configs)
+            if args.command == "synth":
+                return cmd_synth(args.out, args.nodes, args.classes, args.edges_per_node,
+                                 args.target, args.feature_dim, args.noise, args.seed)
+            raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError, FloatingPointError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

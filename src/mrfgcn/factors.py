@@ -35,6 +35,10 @@ matrices: `center_incidence` sums each piece's leaf messages, and
 on the rim of. The pair terms read r only at the edge ends, so
 `objective_and_gradients` takes them pre-gathered (`endpoint_rows`) from
 a caller that holds r fixed.
+
+`objective_and_gradients` is the one implementation of this objective:
+training, the self-checks and the tests all read its value and
+gradients from it.
 """
 
 from dataclasses import dataclass
@@ -162,39 +166,22 @@ def _leaf_major_pieces(g: Graph, scores, pp, redist, want_marginals):
     return log_z, mu_center, t, rim
 
 
-def _piece_stats(g: Graph, scores, pp, redist, want_marginals):
+def _piece_stats(g: Graph, scores, pp, redist):
     """Batched star inference over all pieces.
 
-    Returns (log_z, mu_center, pair_marg, leaf_marg); the latter two are
-    None unless marginals were requested. pair_marg[d] is the joint
-    (center label, leaf label) marginal of directed slot d's piece edge and
-    leaf_marg[d] the corresponding leaf marginal, both under the piece of
-    center(d). Both are views of `_leaf_major_pieces`' buffers.
+    Returns (log_z, mu_center, pair_marg, leaf_marg). pair_marg[d] is the
+    joint (center label, leaf label) marginal of directed slot d's piece
+    edge and leaf_marg[d] the corresponding leaf marginal, both under the
+    piece of center(d). Both are views of `_leaf_major_pieces`' buffers.
     """
-    log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist, want_marginals)
-    if t is None:
-        return log_z, mu_center, None, None
+    log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist,
+                                                  want_marginals=True)
     return log_z, mu_center, t.transpose(1, 2, 0), rim[:, :, 0].T
 
 
 def endpoint_rows(r, g: Graph):
     """(r[j], r[k]): the rows of r at both ends of every stored edge (j, k)."""
     return r[g.edges[:, 0]], r[g.edges[:, 1]]
-
-
-def _pair_expectations(r_ends, pp):
-    """<r_j, K r_k> for every edge, in stored (j, k) order."""
-    r_j, r_k = r_ends
-    return np.einsum("ec,ec->e", r_j @ pp.K, r_k)
-
-
-def expected_piecewise_objective(r, scores, pp, redist, g: Graph) -> float:
-    """Expected redistributed piecewise log-likelihood under r."""
-    log_z, _, _, _ = _piece_stats(g, scores, pp, redist, want_marginals=False)
-    alphas = pp.alpha_at(np.arange(g.num_edges))
-    pair_dots = _pair_expectations(endpoint_rows(r, g), pp)
-    value = float((r * scores).sum() + (alphas * pair_dots).sum() - log_z.sum())
-    return value
 
 
 def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None):
@@ -212,7 +199,7 @@ def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None):
     r_j, r_k = r_ends
     alphas_e = pp.alpha_at(np.arange(g.num_edges))
     alphas_d = pp.alpha_at(g.slot_edge_ids)
-    pair_dots = _pair_expectations(r_ends, pp)
+    pair_dots = np.einsum("ec,ec->e", r_j @ pp.K, r_k)     # <r_j, K r_k>
     value = float((r * scores).sum() + (alphas_e * pair_dots).sum() - log_z.sum())
 
     # leaf contribution: the pieces where node i sits on the rim are those
@@ -238,6 +225,6 @@ def diagnose_non_finite(g: Graph, scores, pp, redist):
     """Return the first node whose piece partition is non-finite, or None."""
     if not np.isfinite(scores).all():
         return int(np.flatnonzero(~np.isfinite(scores).all(axis=1))[0])
-    log_z, _, _, _ = _piece_stats(g, scores, pp, redist, want_marginals=False)
+    log_z, _, _, _ = _leaf_major_pieces(g, scores, pp, redist, want_marginals=False)
     bad = np.flatnonzero(~np.isfinite(log_z))
     return int(bad[0]) if len(bad) else None

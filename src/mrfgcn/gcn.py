@@ -102,7 +102,10 @@ def supervised_loss_and_grad(params, features, norm_adj, labels, train_ids,
     train_ids = np.asarray(train_ids)
     probs = softmax_rows(scores[train_ids])
     picked = probs[np.arange(len(train_ids)), labels[train_ids]]
-    loss = float(-np.mean(np.log(picked)))
+    # a label probability that underflows to 0 makes the reported loss inf;
+    # the loss is only reported, and the gradient below stays finite
+    with np.errstate(divide="ignore"):
+        loss = float(-np.mean(np.log(picked)))
     grad_scores = np.zeros_like(scores)
     grad_scores[train_ids] = probs / len(train_ids)
     grad_scores[train_ids, labels[train_ids]] -= 1.0 / len(train_ids)

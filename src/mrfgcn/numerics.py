@@ -45,9 +45,15 @@ def dropout_mask(shape, keep_prob, rng):
     return (rng.random(shape) < keep_prob) / keep_prob
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Per-parameter Adam accumulators plus hyperparameters.
+    """Per-parameter Adam accumulators plus the step size and weight decay.
 
     weight_decay is decoupled: it shrinks the parameter directly and never
     enters the moment estimates.
@@ -57,16 +63,12 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
     @classmethod
-    def for_param(cls, param, lr=0.01, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+    def for_param(cls, param, lr=0.01, weight_decay=0.0):
         z = np.zeros_like(np.asarray(param, dtype=np.float64))
-        return cls(m=z.copy(), v=z.copy(), lr=lr, weight_decay=weight_decay,
-                   beta1=beta1, beta2=beta2, eps=eps)
+        return cls(m=z.copy(), v=z.copy(), lr=lr, weight_decay=weight_decay)
 
 
 def adam_step(param, grad, state: AdamState):
@@ -80,10 +82,10 @@ def adam_step(param, grad, state: AdamState):
         raise ValueError(f"adam_step shape mismatch: param {param.shape}, grad {grad.shape}, "
                          f"state {state.m.shape}")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
     new = param * (1.0 - state.lr * state.weight_decay)
-    new = new - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    new = new - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new

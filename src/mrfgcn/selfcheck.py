@@ -3,7 +3,9 @@
 Each check pits the code that training runs against direct enumeration
 or central finite differences on small random instances and reports the
 worst discrepancy seen. Star-piece inference is checked on the rows of
-the batched `_piece_stats`; the backbone chain runs on the sparse
+the batched `_piece_stats`. The finite differences are taken of the
+value that `objective_and_gradients` returns, the same call that
+supplies the analytic gradients; the backbone chain runs on the sparse
 adjacency operator and CSR features, as `train` does.
 """
 
@@ -14,8 +16,7 @@ import scipy.sparse as sp
 
 from . import gcn
 from .errors import EnumerationLimitError
-from .factors import (PairwiseParams, Redistribution, _piece_stats,
-                      expected_piecewise_objective, objective_and_gradients)
+from .factors import PairwiseParams, Redistribution, _piece_stats, objective_and_gradients
 from .graph import build_graph, normalized_adjacency_operator
 from .numerics import stream
 from .oracle import OracleLimit, exact_elbo, exact_observed_ll
@@ -140,8 +141,7 @@ def check_piece_inference(sizes, trials, seed, num_classes=3):
             rng, n, num_classes, mode=mode, scheme=scheme)
         node = int(rng.integers(n))
         ref_z, ref_c, ref_l, ref_p = enumerate_piece(g, node, scores, pp, redist)
-        log_z, mu_center, pair_marg, leaf_marg = _piece_stats(
-            g, scores, pp, redist, want_marginals=True)
+        log_z, mu_center, pair_marg, leaf_marg = _piece_stats(g, scores, pp, redist)
         slots = slice(g.indptr[node], g.indptr[node + 1])
         worst_z = max(worst_z, abs(log_z[node] - ref_z))
         worst_m = max(worst_m,
@@ -152,8 +152,7 @@ def check_piece_inference(sizes, trials, seed, num_classes=3):
             CheckResult("piece marginals vs enumeration", worst_m, ENUM_TOL)]
 
 
-def check_gradients(sizes, trials, seed, num_classes=3, hidden=6,
-                    inject_bug=False):
+def check_gradients(sizes, trials, seed, num_classes=3, hidden=6):
     rng = stream(seed, "selfcheck_grads")
     worst = {"scores": 0.0, "K": 0.0, "alpha": 0.0, "w0": 0.0, "w1": 0.0}
     for t in range(trials):
@@ -165,23 +164,20 @@ def check_gradients(sizes, trials, seed, num_classes=3, hidden=6,
         r = random_r(rng, n, num_classes, labels, train_ids)
 
         _, g_scores, g_raw, g_alpha = objective_and_gradients(r, scores, pp, redist, g)
-        if inject_bug:
-            g_scores = g_scores.copy()
-            g_scores[0, 0] += 1e-3
-        fd = fd_gradient(lambda s: expected_piecewise_objective(r, s, pp, redist, g),
+        fd = fd_gradient(lambda s: objective_and_gradients(r, s, pp, redist, g)[0],
                          scores.copy())
         worst["scores"] = max(worst["scores"], rel_error(g_scores, fd))
 
         fd = fd_gradient(
-            lambda raw: expected_piecewise_objective(
-                r, scores, PairwiseParams(raw, pp.alpha, pp.mode), redist, g),
+            lambda raw: objective_and_gradients(
+                r, scores, PairwiseParams(raw, pp.alpha, pp.mode), redist, g)[0],
             pp.raw.copy())
         worst["K"] = max(worst["K"], rel_error(g_raw, fd))
 
         if pp.mode != "none":
             fd = fd_gradient(
-                lambda al: expected_piecewise_objective(
-                    r, scores, PairwiseParams(pp.raw, al, pp.mode), redist, g),
+                lambda al: objective_and_gradients(
+                    r, scores, PairwiseParams(pp.raw, al, pp.mode), redist, g)[0],
                 pp.alpha.copy())
             worst["alpha"] = max(worst["alpha"], rel_error(g_alpha, fd))
 
@@ -194,7 +190,7 @@ def check_gradients(sizes, trials, seed, num_classes=3, hidden=6,
 
         def through_backbone(p):
             s, _ = gcn.forward(p, features, adj)
-            return expected_piecewise_objective(r, s, pp, redist, g)
+            return objective_and_gradients(r, s, pp, redist, g)[0]
 
         s, cache = gcn.forward(params, features, adj)
         _, gs, _, _ = objective_and_gradients(r, s, pp, redist, g)
@@ -276,8 +272,7 @@ def _direct_kl(g, scores, pp, labels, train_ids, q):
     return kl
 
 
-def run_selfchecks(sizes, trials, seed, num_classes=3, limit=None,
-                   inject_gradient_bug=False):
+def run_selfchecks(sizes, trials, seed, num_classes=3, limit=None):
     """Run every suite; raises EnumerationLimitError for oversized requests."""
     limit = limit or OracleLimit()
     if num_classes ** max(sizes) > limit.max_configurations:
@@ -286,8 +281,7 @@ def run_selfchecks(sizes, trials, seed, num_classes=3, limit=None,
             f"limit {limit.max_configurations}")
     results = []
     results += check_piece_inference(sizes, trials, seed, num_classes)
-    results += check_gradients(sizes, trials, seed, num_classes,
-                               inject_bug=inject_gradient_bug)
+    results += check_gradients(sizes, trials, seed, num_classes)
     results += check_redistribution_identity(sizes, trials, seed, num_classes)
     results += check_elbo_identity(sizes, trials, seed, num_classes, limit)
     return results

@@ -20,14 +20,14 @@ import scipy.sparse as sp
 from mrfgcn.data import (generate_synthetic, load_dataset, planetoid_split,
                          ratio_split, row_normalize_features)
 from mrfgcn.factors import (PairwiseParams, Redistribution, _piece_stats,
-                            expected_piecewise_objective, objective_and_gradients)
+                            objective_and_gradients)
 from mrfgcn.gcn import GcnParams, backward, forward, init_params
 from mrfgcn.graph import (build_graph, homophily_beta, normalized_adjacency,
                           normalized_adjacency_operator)
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows, stream
 from mrfgcn.oracle import exact_elbo, exact_observed_ll
 from mrfgcn.selfcheck import random_instance, random_r
-from mrfgcn.training import (Proposal, TrainConfig, m_step, make_r,
+from mrfgcn.training import (Proposal, TrainConfig, _e_step_stats, m_step, make_r,
                              mean_field_site_update, predict, train)
 
 from conftest import dataset_dir, enum_piece, require_dataset
@@ -200,8 +200,7 @@ def test_c05_oracle_equivalence_on_random_pieces():
             continue
         node = int(eligible[int(rng.integers(len(eligible)))])
         ref_z, ref_center, ref_pair = enum_piece(g, node, scores, pp, redist)
-        log_z, mu_center, pair_marg, _ = _piece_stats(g, scores, pp, redist,
-                                                      want_marginals=True)
+        log_z, mu_center, pair_marg, _ = _piece_stats(g, scores, pp, redist)
         slots = slice(g.indptr[node], g.indptr[node + 1])
         worst_z = max(worst_z, abs(log_z[node] - ref_z))
         worst_m = max(worst_m, np.abs(mu_center[node] - ref_center).max(initial=0.0),
@@ -251,16 +250,16 @@ def test_c06_gradient_exactness():
 
         _, g_scores, g_raw, g_alpha = objective_and_gradients(r, scores, pp, redist, g)
         worst["scores"] = max(worst["scores"], _rel(g_scores, _fd(
-            lambda s: expected_piecewise_objective(r, s, pp, redist, g),
+            lambda s: objective_and_gradients(r, s, pp, redist, g)[0],
             scores.copy())))
         worst["K"] = max(worst["K"], _rel(g_raw, _fd(
-            lambda raw: expected_piecewise_objective(
-                r, scores, PairwiseParams(raw, pp.alpha, pp.mode), redist, g),
+            lambda raw: objective_and_gradients(
+                r, scores, PairwiseParams(raw, pp.alpha, pp.mode), redist, g)[0],
             pp.raw.copy())))
         if mode != "none":
             worst["alpha"] = max(worst["alpha"], _rel(g_alpha, _fd(
-                lambda al: expected_piecewise_objective(
-                    r, scores, PairwiseParams(pp.raw, al, pp.mode), redist, g),
+                lambda al: objective_and_gradients(
+                    r, scores, PairwiseParams(pp.raw, al, pp.mode), redist, g)[0],
                 pp.alpha.copy())))
 
         # the backbone chain on the operator and CSR features train uses
@@ -274,7 +273,7 @@ def test_c06_gradient_exactness():
 
         def through(p):
             out, _ = forward(p, feats, adj)
-            return expected_piecewise_objective(r, out, pp, redist, g)
+            return objective_and_gradients(r, out, pp, redist, g)[0]
 
         worst["w0"] = max(worst["w0"], _rel(gw0, _fd(
             lambda w: through(GcnParams(w, params.w1)), params.w0.copy())))
@@ -328,10 +327,10 @@ def test_c08_shift_invariance():
         g, redist, scores, pp, labels, train_ids = random_instance(
             rng, n, c, scheme=scheme)
         r = random_r(rng, n, c, labels, train_ids)
-        base = expected_piecewise_objective(r, scores, pp, redist, g)
+        base = objective_and_gradients(r, scores, pp, redist, g)[0]
         shifted = scores + rng.normal(scale=6.0, size=(n, 1))
         worst = max(worst, abs(
-            expected_piecewise_objective(r, shifted, pp, redist, g) - base))
+            objective_and_gradients(r, shifted, pp, redist, g)[0] - base))
     ok = worst <= 1e-9
     _line(8, "PASS" if ok else "FAIL",
           f"20 random per-node shifts: worst objective change {worst:.2e} (tol 1e-9)")
@@ -362,7 +361,7 @@ def _direct_kl(g, scores, pp, labels, train_ids, q):
 
 def test_c09_elbo_coordinate_ascent_and_kl_identity():
     rng = stream(909, "acceptance")
-    worst_drop, worst_gap = 0.0, 0.0
+    worst_drop, worst_gap, worst_sweep_drop = 0.0, 0.0, 0.0
     for _ in range(20):
         n, c = int(rng.integers(4, 11)), 3
         g, _, scores, pp, labels, train_ids = random_instance(
@@ -371,7 +370,17 @@ def test_c09_elbo_coordinate_ascent_and_kl_identity():
         rows = rng.random((len(free), c)) + 0.05
         rows /= rows.sum(axis=1, keepdims=True)
         q = Proposal(free, rows, n)
-        prev = exact_elbo(g, scores, pp, labels, train_ids, q)
+        start = exact_elbo(g, scores, pp, labels, train_ids, q)
+        # the production E-step, one full sweep at a time from the same q
+        swept, prev = q, start
+        for _ in range(3):
+            swept, _, _ = _e_step_stats(swept, scores, pp, g, labels, train_ids,
+                                        sweeps=1, tolerance=0.0)
+            cur = exact_elbo(g, scores, pp, labels, train_ids, swept)
+            worst_sweep_drop = max(worst_sweep_drop, prev - cur)
+            prev = cur
+        # the per-site reference, one node at a time
+        prev = start
         for node in free:
             q = mean_field_site_update(q, node, scores, pp, g, labels, train_ids)
             cur = exact_elbo(g, scores, pp, labels, train_ids, q)
@@ -381,10 +390,11 @@ def test_c09_elbo_coordinate_ascent_and_kl_identity():
             - exact_elbo(g, scores, pp, labels, train_ids, q)
         worst_gap = max(worst_gap, abs(gap - _direct_kl(g, scores, pp, labels,
                                                         train_ids, q)))
-    ok = worst_drop <= 1e-9 and worst_gap <= 1e-10
+    ok = worst_drop <= 1e-9 and worst_gap <= 1e-10 and worst_sweep_drop <= 1e-9
     _line(9, "PASS" if ok else "FAIL",
           f"20 instances: worst per-site ELBO drop {worst_drop:.2e} (tol 1e-9), "
-          f"worst KL-identity gap {worst_gap:.2e} (tol 1e-10)")
+          f"worst KL-identity gap {worst_gap:.2e} (tol 1e-10), "
+          f"worst per-sweep ELBO drop of the E-step {worst_sweep_drop:.2e} (tol 1e-9)")
     assert ok
 
 
@@ -419,7 +429,7 @@ def test_c10_degenerate_reductions():
     gap_edgeless = 0.0
     for scheme in ("average", "center"):
         redist = Redistribution.for_graph(g, scheme)
-        value = expected_piecewise_objective(r, scores, pp, redist, g)
+        value = objective_and_gradients(r, scores, pp, redist, g)[0]
         exact = exact_observed_ll(g, scores, pp, labels, np.arange(6))
         gap_edgeless = max(gap_edgeless, abs(value - exact))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrfgcn.checkpoint import load_checkpoint, save_checkpoint
+from mrfgcn.checkpoint import _write_array, load_checkpoint, save_checkpoint
 from mrfgcn.errors import StructuralInputError
 from mrfgcn.factors import PairwiseParams
 from mrfgcn.gcn import GcnParams
@@ -13,7 +13,10 @@ def test_backbone_round_trip(tmp_path):
     path = tmp_path / "ck.bin"
     save_checkpoint(path, params)
     loaded, pairwise = load_checkpoint(path)
-    assert pairwise is None
+    # a backbone-only file loads as a model with K = 0 and no coefficients
+    assert pairwise.mode == "none"
+    assert np.array_equal(pairwise.raw, np.zeros((3, 3)))
+    assert pairwise.alpha.shape == (0,)
     assert np.array_equal(loaded.w0, params.w0)
     assert np.array_equal(loaded.w1, params.w1)
 
@@ -64,3 +67,32 @@ def test_checkpoint_cut_at_every_offset_rejected(tmp_path):
         cut.write_bytes(data[:size])
         with pytest.raises(StructuralInputError, match=r"cut\.bin: checkpoint truncated$"):
             load_checkpoint(cut)
+
+
+@pytest.mark.parametrize("with_pairwise", [False, True], ids=["backbone_only", "extended"])
+def test_backbone_record_that_is_not_a_matrix_rejected(tmp_path, with_pairwise):
+    rng = np.random.default_rng(4)
+    params = GcnParams(rng.normal(size=(3, 4)), rng.normal(size=4))
+    pp = PairwiseParams(raw=rng.normal(size=(2, 2)), alpha=np.zeros(0), mode="none")
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, params, pp if with_pairwise else None)
+    with pytest.raises(StructuralInputError, match="backbone weights must be matrices"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("code", [np.zeros(0), np.zeros((1, 1)), np.array([7.0])],
+                         ids=["empty", "matrix", "unknown"])
+def test_mode_record_that_is_not_one_known_code_rejected(tmp_path, code):
+    rng = np.random.default_rng(5)
+    params = GcnParams(rng.normal(size=(3, 4)), rng.normal(size=(4, 2)))
+    pp = PairwiseParams(raw=rng.normal(size=(2, 2)), alpha=np.zeros(0), mode="none")
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, params, pp)
+    data = path.read_bytes()
+    # the mode record is last: uint32 ndim 1, uint64 dim 1, one float64
+    head = data[:-(4 + 8 + 8)]
+    with open(path, "wb") as fh:
+        fh.write(head)
+        _write_array(fh, code)
+    with pytest.raises(StructuralInputError, match="unknown coefficient mode code"):
+        load_checkpoint(path)

@@ -3,17 +3,20 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mrfgcn
-from mrfgcn import training
+from mrfgcn import cli, selfcheck, training
 from mrfgcn.checkpoint import load_checkpoint, save_checkpoint
 from mrfgcn.cli import RunConfig, main
-from mrfgcn.data import load_generic
+from mrfgcn.data import load_generic, ratio_split, row_normalize_features
 from mrfgcn.errors import ConfigError
-from mrfgcn.graph import homophily_beta
+from mrfgcn.gcn import GcnParams, forward
+from mrfgcn.graph import homophily_beta, normalized_adjacency_operator
 
 from conftest import write_citation
 
@@ -298,11 +301,9 @@ def test_evaluate_non_finite_checkpoint_value_exits_two(tmp_path, capsys, recwar
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_evaluate_checkpoint_whose_scores_overflow_exits_two(tmp_path, capsys):
-    # every stored value is finite, but the scores overflow to inf and the
-    # proposal's softmax rows to nan
+def test_evaluate_checkpoint_whose_scores_overflow_exits_two(tmp_path, capsys, recwarn):
+    # every stored value is finite, but computing the scores overflows; that
+    # stops the command at once, before the inf scores reach the proposal
     ds_dir = _synth_dir(tmp_path)
     out = tmp_path / "runs"
     assert main(["train", "--dataset", str(ds_dir), "--out", str(out),
@@ -318,7 +319,22 @@ def test_evaluate_checkpoint_whose_scores_overflow_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == "runtime failure: proposal rows must be finite"
+    assert captured.err.splitlines() == ["runtime failure: overflow encountered in matmul"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--alpha-init"])
+def test_floating_point_overflow_in_train_is_one_runtime_failure_line(tmp_path, capsys,
+                                                                     recwarn, flag):
+    # both values are finite settings, but training overflows with them
+    ds_dir = _synth_dir(tmp_path)
+    code = main(["train", "--dataset", str(ds_dir), "--out", str(tmp_path / "runs"),
+                 "--seeds", "0", *_FAST, flag, "1e300", "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("runtime failure: overflow encountered in ")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("flag, value, name", [("--lr", "nan", "lr"),
@@ -380,6 +396,60 @@ def test_negative_split_count_exits_one(tmp_path, capsys, counts, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("counts, name", [
+    (["--per-class", "0", "--num-val", "5", "--num-test", "5"], "train"),
+    (["--per-class", "5", "--num-val", "5", "--num-test", "0"], "test"),
+], ids=["per_class_0", "num_test_0"])
+def test_split_without_train_or_test_nodes_exits_one_before_writing(tmp_path, capsys,
+                                                                    counts, name, command):
+    ds_dir = _synth_dir(tmp_path)
+    out = tmp_path / "runs"
+    code = main([command, "--dataset", str(ds_dir), "--out", str(out), *_FAST_PLANETOID,
+                 *counts, "--seeds", "2,3", "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: seed 2: the split has no {name} nodes"]
+    assert not out.exists()
+
+
+def _random_backbone_checkpoint(path):
+    """A backbone-only checkpoint for `_synth_dir`'s 8 features and 3 classes."""
+    rng = np.random.default_rng(0)
+    params = GcnParams(rng.normal(size=(8, 4)), rng.normal(size=(4, 3)))
+    save_checkpoint(path, params)
+    return params
+
+
+def test_evaluate_split_without_validation_or_test_nodes_exits_one(tmp_path, capsys):
+    ds_dir = _synth_dir(tmp_path)
+    checkpoint = tmp_path / "backbone.bin"
+    _random_backbone_checkpoint(checkpoint)
+    capsys.readouterr()
+    code = main(["evaluate", "--dataset", str(ds_dir), "--split", "planetoid",
+                 "--per-class", "5", "--num-val", "0", "--num-test", "0",
+                 "--checkpoint", str(checkpoint)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "config error: seed 0: the split has no validation or test nodes"]
+
+
+def test_evaluate_backbone_only_checkpoint_reports_the_backbone_argmax(tmp_path, capsys):
+    # a 2-record checkpoint has K = 0, so the E-step keeps softmax(scores)
+    ds_dir = _synth_dir(tmp_path)
+    checkpoint = tmp_path / "backbone.bin"
+    params = _random_backbone_checkpoint(checkpoint)
+    assert main(["evaluate", "--dataset", str(ds_dir), "--split", "ratio", "--seeds", "0",
+                 "--checkpoint", str(checkpoint)]) == 0
+    ds = row_normalize_features(load_generic(ds_dir))
+    scores, _ = forward(params, ds.features, normalized_adjacency_operator(ds.graph))
+    test = ratio_split(ds, 0.2, 0.2, 0.6, seed=0).test
+    accuracy = np.mean(np.argmax(scores[test], axis=1) == ds.labels[test])
+    assert f"test accuracy: {accuracy:.4f}" in capsys.readouterr().out.splitlines()
+
+
 # 8 features x 10**15 hidden units is 57 PiB, more than any address space
 # holds, so numpy refuses the first weight matrix before allocating it
 _REFUSED_HIDDEN = 10 ** 15
@@ -430,6 +500,51 @@ def test_integer_run_settings_end_in_a_documented_exit_code(tmp_path_factory, va
     assert "Traceback" not in stderr.getvalue()
 
 
+_FLOAT_SETTINGS = ("lr", "weight_decay", "e_tolerance", "alpha_init", "dropout_keep",
+                   "train_frac", "val_frac", "test_frac")
+_BAD_FLOATS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "abc")
+_STRING_SETTINGS = {"split": ("planetoid", "ratio", "file"),
+                    "coefficient_mode": ("edge", "layer", "none"),
+                    "redistribution": ("average", "center")}
+
+
+# a short valid run, then one or two settings changed: a float setting to an
+# extreme or malformed value, or a string setting to a valid, empty or unknown
+# one; all through a config file, so every setting is reachable. More than two
+# changes at once would mostly stop at the first config error
+_SETTING_CHANGES = ([(name, value) for name in _FLOAT_SETTINGS for value in _BAD_FLOATS]
+                    + [(name, value) for name, valid in _STRING_SETTINGS.items()
+                       for value in (*valid, "", "bogus")])
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(changes=st.lists(st.sampled_from(_SETTING_CHANGES), min_size=1, max_size=2))
+def test_float_and_string_settings_end_in_a_documented_exit_code(tmp_path_factory, changes):
+    root = tmp_path_factory.getbasetemp() / "float_settings"
+    ds_dir = root / "ds"
+    if not ds_dir.exists():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--out", str(ds_dir), "--nodes", "40", "--classes", "2",
+                         "--edges-per-node", "2", "--feature-dim", "8", "--seed", "0"]) == 0
+    settings_text = {"warm_epochs": "3", "em_rounds": "1", "m_epochs": "2", "e_sweeps": "2",
+                     "hidden": "4", "per_class": "5", "num_val": "5", "num_test": "5",
+                     **dict(changes)}
+    config = root / "conf.txt"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in settings_text.items()),
+                      encoding="utf-8")
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(["train", "--config", str(config), "--dataset", str(ds_dir),
+                     "--out", str(root / "runs"), "--quiet"])
+    assert code in (0, 1, 2)
+    assert len(stderr.getvalue().splitlines()) <= 1
+    assert "Traceback" not in stderr.getvalue()
+    assert "Warning" not in stderr.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+
+
 @pytest.mark.parametrize("e_sweeps, cap", [(80, 80), (3, 50)])
 def test_evaluate_runs_the_e_step_with_the_run_settings(tmp_path, monkeypatch, e_sweeps, cap):
     # the cap is the one train's final E-step uses: max(50, e_sweeps)
@@ -452,19 +567,31 @@ def test_evaluate_runs_the_e_step_with_the_run_settings(tmp_path, monkeypatch, e
     assert received == [(cap, 1e-6)]
 
 
-def test_ablate_grid_shape(tmp_path):
+def test_ablate_grid_shape(tmp_path, monkeypatch):
     ds_dir = _synth_dir(tmp_path, nodes=90)
     out = tmp_path / "ablation"
+    drawn, real = [], cli._make_split
+
+    def recording(ds, cfg, seed):
+        drawn.append(seed)
+        return real(ds, cfg, seed)
+
+    monkeypatch.setattr(cli, "_make_split", recording)
     code = main(["ablate", "--dataset", str(ds_dir), "--out", str(out),
-                 "--seeds", "0", "--warm-epochs", "10", "--em-rounds", "1",
+                 "--seeds", "0,1", "--warm-epochs", "10", "--em-rounds", "1",
                  "--m-epochs", "3", "--e-sweeps", "2", "--hidden", "6",
                  "--split", "ratio", "--quiet"])
     assert code == 0
+    assert drawn == [0, 1]          # each seed's split serves all six cells
     lines = (out / "ablation.tsv").read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 1 + 6      # header + {none,layer,edge} x {average,center}
     combos = {tuple(l.split("\t")[:2]) for l in lines[1:]}
     assert combos == {(m, s) for m in ("none", "layer", "edge")
                       for s in ("average", "center")}
+    for line in lines[1:]:
+        _, _, mean, stddev, per_seed = line.split("\t")
+        float(mean), float(stddev)  # plain numbers, not numpy reprs
+        assert len(per_seed.split(",")) == 2
 
 
 def test_oracle_check_passes(capsys):
@@ -473,10 +600,20 @@ def test_oracle_check_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_oracle_check_detects_injected_bug(capsys):
-    assert main(["oracle-check", "--sizes", "4,5", "--trials", "2",
-                 "--inject-gradient-bug"]) == 3
-    assert "FAIL" in capsys.readouterr().out
+def test_oracle_check_detects_injected_bug(capsys, monkeypatch):
+    real = selfcheck.objective_and_gradients
+
+    def wrong_score_gradient(*args, **kwargs):
+        value, g_scores, g_raw, g_alpha = real(*args, **kwargs)
+        g_scores = g_scores.copy()
+        g_scores[0, 0] += 1e-3
+        return value, g_scores, g_raw, g_alpha
+
+    monkeypatch.setattr(selfcheck, "objective_and_gradients", wrong_score_gradient)
+    assert main(["oracle-check", "--sizes", "4,5", "--trials", "2"]) == 3
+    scores_line, = [l for l in capsys.readouterr().out.splitlines()
+                    if "finite differences (scores)" in l]
+    assert scores_line.endswith("FAIL")
 
 
 def test_oracle_check_refuses_oversized(capsys):

@@ -8,7 +8,7 @@ import pytest
 from mrfgcn import selfcheck
 from mrfgcn.errors import ConfigError
 from mrfgcn.factors import (PairwiseParams, Redistribution, _piece_stats, endpoint_rows,
-                            expected_piecewise_objective, objective_and_gradients)
+                            objective_and_gradients)
 from mrfgcn.graph import build_graph
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows
 from mrfgcn.selfcheck import random_instance, random_r
@@ -18,8 +18,7 @@ from conftest import enum_piece
 
 def _piece(g, node, scores, pp, redist):
     """The piece at `node`: (log_z, center, leaf and pairwise marginals) rows."""
-    log_z, mu_center, pair_marg, leaf_marg = _piece_stats(g, scores, pp, redist,
-                                                          want_marginals=True)
+    log_z, mu_center, pair_marg, leaf_marg = _piece_stats(g, scores, pp, redist)
     slots = slice(g.indptr[node], g.indptr[node + 1])
     return log_z[node], mu_center[node], leaf_marg[slots], pair_marg[slots]
 
@@ -186,7 +185,7 @@ def test_objective_edgeless_is_log_softmax_likelihood():
     r = np.zeros((5, 3))
     r[np.arange(5), labels] = 1.0
     pp = PairwiseParams.init(3, 0, mode="edge")
-    value = expected_piecewise_objective(r, scores, pp, redist, g)
+    value = objective_and_gradients(r, scores, pp, redist, g)[0]
     ref = float(np.sum(np.log(softmax_rows(scores)[np.arange(5), labels])))
     assert value == pytest.approx(ref, abs=1e-12)
 
@@ -199,7 +198,7 @@ def test_objective_ignores_alpha_when_k_zero():
     for mode, alpha in (("edge", np.full(g.num_edges, 3.3)),
                         ("layer", np.array([-1.7])), ("none", np.zeros(0))):
         pp = PairwiseParams(raw=np.zeros((3, 3)), alpha=alpha, mode=mode)
-        values.append(expected_piecewise_objective(r, scores, pp, redist, g))
+        values.append(objective_and_gradients(r, scores, pp, redist, g)[0])
     assert values[0] == pytest.approx(values[1], abs=1e-12)
     assert values[0] == pytest.approx(values[2], abs=1e-12)
 
@@ -220,7 +219,7 @@ def test_objective_two_node_hand_enumeration():
         z = sum(math.exp(0.5 * scores[0, a] + 0.5 * scores[1, b] + 0.5 * 0.8 * k[a, b])
                 for a in range(2) for b in range(2))
         expected -= math.log(z)
-    value = expected_piecewise_objective(r, scores, pp, redist, g)
+    value = objective_and_gradients(r, scores, pp, redist, g)[0]
     assert value == pytest.approx(expected, abs=1e-12)
 
 
@@ -276,18 +275,18 @@ def test_gradients_match_finite_differences(scheme, mode):
         r = random_r(rng, n, c, labels, train)
         _, grad_scores, grad_raw, grad_alpha = objective_and_gradients(
             r, scores, pp, redist, g)
-        fd_scores = _fd(lambda s: expected_piecewise_objective(r, s, pp, redist, g),
+        fd_scores = _fd(lambda s: objective_and_gradients(r, s, pp, redist, g)[0],
                         scores.copy())
         assert _rel(grad_scores, fd_scores) <= 1e-6
-        fd_raw = _fd(lambda raw: expected_piecewise_objective(
-            r, scores, PairwiseParams(raw, pp.alpha, pp.mode), redist, g),
+        fd_raw = _fd(lambda raw: objective_and_gradients(
+            r, scores, PairwiseParams(raw, pp.alpha, pp.mode), redist, g)[0],
             pp.raw.copy())
         assert _rel(grad_raw, fd_raw) <= 1e-6
         if mode == "none":
             assert grad_alpha is None
         else:
-            fd_alpha = _fd(lambda al: expected_piecewise_objective(
-                r, scores, PairwiseParams(pp.raw, al, pp.mode), redist, g),
+            fd_alpha = _fd(lambda al: objective_and_gradients(
+                r, scores, PairwiseParams(pp.raw, al, pp.mode), redist, g)[0],
                 pp.alpha.copy())
             assert _rel(grad_alpha, fd_alpha) <= 1e-6
 
@@ -321,9 +320,9 @@ def test_shift_invariance_of_objective():
         g, redist, scores, pp, labels, train = random_instance(
             rng, 8, 3, scheme=scheme)
         r = random_r(rng, 8, 3, labels, train)
-        base = expected_piecewise_objective(r, scores, pp, redist, g)
+        base = objective_and_gradients(r, scores, pp, redist, g)[0]
         shifted = scores + rng.normal(scale=5.0, size=(8, 1))
-        assert expected_piecewise_objective(r, shifted, pp, redist, g) == \
+        assert objective_and_gradients(r, shifted, pp, redist, g)[0] == \
             pytest.approx(base, abs=1e-9)
 
 
@@ -334,11 +333,11 @@ def test_mode_consistency_none_equals_edge_at_unit_alpha():
     raw = rng.normal(size=(3, 3))
     pp_none = PairwiseParams(raw=raw, alpha=np.zeros(0), mode="none")
     pp_edge = PairwiseParams(raw=raw, alpha=np.ones(g.num_edges), mode="edge")
-    assert expected_piecewise_objective(r, scores, pp_none, redist, g) == \
-        pytest.approx(expected_piecewise_objective(r, scores, pp_edge, redist, g),
+    assert objective_and_gradients(r, scores, pp_none, redist, g)[0] == \
+        pytest.approx(objective_and_gradients(r, scores, pp_edge, redist, g)[0],
                       abs=1e-12)
-    stats_none = _piece_stats(g, scores, pp_none, redist, want_marginals=True)
-    stats_edge = _piece_stats(g, scores, pp_edge, redist, want_marginals=True)
+    stats_none = _piece_stats(g, scores, pp_none, redist)
+    stats_edge = _piece_stats(g, scores, pp_edge, redist)
     for a, b in zip(stats_none, stats_edge):
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
@@ -367,7 +366,7 @@ def test_gradients_with_trailing_isolated_node():
     r = rng.random((4, 2))
     r /= r.sum(axis=1, keepdims=True)
     _, grad_scores, _, _ = objective_and_gradients(r, scores, pp, redist, g)
-    fd = _fd(lambda s: expected_piecewise_objective(r, s, pp, redist, g),
+    fd = _fd(lambda s: objective_and_gradients(r, s, pp, redist, g)[0],
              scores.copy())
     assert _rel(grad_scores, fd) <= 1e-6
 
@@ -408,7 +407,7 @@ def test_piece_stats_stable_at_large_scores(scheme, mode):
         scores = scores * 200.0                                  # std 300
         pp = PairwiseParams(raw=5.0 * pp.raw, alpha=rng.normal(0.0, 2.0, pp.alpha.shape),
                             mode=mode)
-        stats = _piece_stats(g, scores, pp, redist, want_marginals=True)
+        stats = _piece_stats(g, scores, pp, redist)
         log_z, mu_center, pair_marg, leaf_marg = stats
         assert all(np.isfinite(x).all() for x in stats)
         assert np.abs(pair_marg.sum(axis=2) - mu_center[g.slot_centers]).max(initial=0.0) \
@@ -419,7 +418,7 @@ def test_piece_stats_stable_at_large_scores(scheme, mode):
         # sum of m and leaves every marginal alone; shifted by thousands, the
         # unnormalized leaf and center terms are far outside exp's range
         m = rng.normal(0.0, 3000.0, size=n)
-        moved = _piece_stats(g, scores - m[:, None], pp, redist, want_marginals=True)
+        moved = _piece_stats(g, scores - m[:, None], pp, redist)
         shift = redist.center_exp * m + np.bincount(
             g.slot_centers, weights=(redist.leaf_exp * m)[g.indices], minlength=n)
         assert np.abs(log_z - moved[0] - shift).max() <= 1e-14 * np.abs(moved[0]).max()

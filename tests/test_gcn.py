@@ -339,6 +339,19 @@ def test_supervised_loss_vanishes_with_margin():
     assert prev < 1e-10
 
 
+def test_supervised_loss_is_inf_when_a_label_probability_underflows():
+    # commands run with numpy raising on division by zero; a train node
+    # scored 2000 nats against its label must not stop training
+    g = build_graph(2, [])
+    params = GcnParams(np.eye(2), np.array([[0.0, 2000.0], [0.0, 2000.0]]))
+    labels = np.array([0, 1])
+    with np.errstate(divide="raise"):
+        loss, gw0, gw1 = supervised_loss_and_grad(params, np.eye(2), normalized_adjacency(g),
+                                                  labels, np.array([0, 1]))
+    assert loss == np.inf
+    assert np.isfinite(gw0).all() and np.isfinite(gw1).all()
+
+
 def test_supervised_grads_match_finite_differences():
     rng = np.random.default_rng(9)
     g = random_graph(rng, 7)

@@ -120,7 +120,7 @@ def test_adam_matches_scalar_reference_trace():
         v = b2 * v + (1 - b2) * g * g
         p_ref = p_ref - lr * (m / (1 - b1 ** t)) / (math.sqrt(v / (1 - b2 ** t)) + eps)
     p = np.array([1.5])
-    st = AdamState.for_param(p, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    st = AdamState.for_param(p, lr=lr)
     for g in grads:
         p = adam_step(p, np.array([g]), st)
     assert p[0] == pytest.approx(p_ref, abs=1e-15)

@@ -204,5 +204,5 @@ def test_lone_star_piece_with_unit_exponents_matches_exact():
                         mode="edge")
     unit = Redistribution(scheme="manual", center_exp=np.ones(5),
                           leaf_exp=np.ones(5), pair_exp=1.0)
-    log_z, _, _, _ = _piece_stats(g, scores, pp, unit, want_marginals=False)
+    log_z, _, _, _ = _piece_stats(g, scores, pp, unit)
     assert log_z[0] == pytest.approx(exact_log_partition(g, scores, pp), abs=1e-10)
