@@ -2,10 +2,11 @@
 
 Layout: a 16-byte header (12-byte magic, uint32 version), a uint32
 record count, then one record per array: uint32 ndim, uint64 dims,
-float64 row-major data. Backbone-only files hold W0 and W1; extended
-files append the K storage, the alpha vector, and a one-element
-coefficient-mode code. Every stored value must be finite; records are
-numbered from 1 in error messages.
+float64 row-major data. The program writes W0, W1, the K storage, the
+alpha vector and a one-element coefficient-mode code; backbone-only
+files of W0 and W1 alone are read too. Every stored value must be
+finite and the shapes must fit together; records are numbered from 1
+in error messages.
 """
 
 import io
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import StructuralInputError
+from .errors import ConfigError, StructuralInputError
 from .factors import PairwiseParams
 from .gcn import GcnParams
 
@@ -50,11 +51,9 @@ def _read_array(fh, path):
     return data.reshape(shape).copy()
 
 
-def save_checkpoint(path, params: GcnParams, pairwise: PairwiseParams | None = None):
-    arrays = [params.w0, params.w1]
-    if pairwise is not None:
-        arrays += [pairwise.raw, pairwise.alpha,
-                   np.array([_MODE_CODES[pairwise.mode]])]
+def save_checkpoint(path, params: GcnParams, pairwise: PairwiseParams):
+    arrays = [params.w0, params.w1, pairwise.raw, pairwise.alpha,
+              np.array([_MODE_CODES[pairwise.mode]])]
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
@@ -90,9 +89,22 @@ def load_checkpoint(path):
     w0, w1 = arrays[:2]
     if w0.ndim != 2 or w1.ndim != 2:
         raise StructuralInputError(f"{path}: backbone weights must be matrices")
+    if w1.shape[0] != w0.shape[1]:
+        raise StructuralInputError(
+            f"{path}: W1 has {w1.shape[0]} rows but W0 has {w0.shape[1]} columns")
+    c = w1.shape[1]
     if count == 2:
-        return GcnParams(w0, w1), PairwiseParams.init(w1.shape[1], 0, mode="none")
-    mode = _CODE_MODES.get(float(arrays[4][0])) if arrays[4].shape == (1,) else None
+        return GcnParams(w0, w1), PairwiseParams.init(c, 0, mode="none")
+    raw, alpha, code = arrays[2:]
+    mode = _CODE_MODES.get(float(code[0])) if code.shape == (1,) else None
     if mode is None:
         raise StructuralInputError(f"{path}: unknown coefficient mode code")
-    return GcnParams(w0, w1), PairwiseParams(arrays[2], arrays[3], mode)
+    if raw.shape != (c, c):
+        raise StructuralInputError(
+            f"{path}: K storage has shape {raw.shape} but W1 has {c} classes")
+    if alpha.ndim != 1:
+        raise StructuralInputError(f"{path}: alpha has shape {alpha.shape}, not a vector")
+    try:
+        return GcnParams(w0, w1), PairwiseParams(raw, alpha, mode)
+    except ConfigError as exc:      # an alpha count that does not fit the mode
+        raise StructuralInputError(f"{path}: {exc}") from None

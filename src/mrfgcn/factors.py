@@ -109,7 +109,6 @@ class Redistribution:
     center_exp[i] + d(i) * leaf_exp[i] == 1.
     """
 
-    scheme: str
     center_exp: np.ndarray
     leaf_exp: np.ndarray
     pair_exp: float = 0.5
@@ -118,10 +117,9 @@ class Redistribution:
     def for_graph(cls, g: Graph, scheme: str):
         if scheme == "average":
             u = 1.0 / (g.degrees + 1.0)
-            redist = cls(scheme=scheme, center_exp=u, leaf_exp=u.copy())
+            redist = cls(center_exp=u, leaf_exp=u.copy())
         elif scheme == "center":
-            redist = cls(scheme=scheme, center_exp=np.ones(g.num_nodes),
-                         leaf_exp=np.zeros(g.num_nodes))
+            redist = cls(center_exp=np.ones(g.num_nodes), leaf_exp=np.zeros(g.num_nodes))
         else:
             raise ConfigError(f"unknown redistribution scheme {scheme!r}")
         unity = redist.center_exp + g.degrees * redist.leaf_exp
@@ -129,13 +127,12 @@ class Redistribution:
         return redist
 
 
-def _leaf_major_pieces(g: Graph, scores, pp, redist, want_marginals):
+def _leaf_major_pieces(g: Graph, scores, pp, redist):
     """Batched star inference over all pieces, in the leaf-major layout.
 
-    Returns (log_z, mu_center, t, rim); the latter two are None unless
-    marginals were requested. t[b, d, a] is the joint marginal of leaf
-    label b and center label a on slot d under the piece of center(d),
-    and rim[b, d] holds (sum_a t[b, d, a], sum_a t[b, d, a] * K[b, a]).
+    Returns (log_z, mu_center, t, rim). t[b, d, a] is the joint marginal
+    of leaf label b and center label a on slot d under the piece of
+    center(d), and rim[b, d] = (sum_a t[b, d, a], sum_a t[b, d, a] K[b, a]).
     """
     centers = g.slot_centers
     leaves = g.indices
@@ -158,8 +155,6 @@ def _leaf_major_pieces(g: Graph, scores, pp, redist, want_marginals):
     log_z = b_hi + np.log(np.exp(b - b_hi[:, None]).sum(axis=1))
     mu_center = np.exp(b - log_z[:, None])
 
-    if not want_marginals:
-        return log_z, mu_center, None, None
     # exp(b[centers] - msgs + hi - log_z[centers]) == mu_center[centers] / mass <= 1
     t *= np.take(mu_center, centers, axis=0) / mass
     rim = t @ np.stack([np.ones((c, c)), k], axis=2)
@@ -174,8 +169,7 @@ def _piece_stats(g: Graph, scores, pp, redist):
     edge and leaf_marg[d] the corresponding leaf marginal, both under the
     piece of center(d). Both are views of `_leaf_major_pieces`' buffers.
     """
-    log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist,
-                                                  want_marginals=True)
+    log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist)
     return log_z, mu_center, t.transpose(1, 2, 0), rim[:, :, 0].T
 
 
@@ -192,8 +186,7 @@ def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None):
     `endpoint_rows(r, g)`; a caller that holds r fixed over many calls
     passes it in, and it is gathered here when omitted.
     """
-    log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist,
-                                                  want_marginals=True)
+    log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist)
     if r_ends is None:
         r_ends = endpoint_rows(r, g)
     r_j, r_k = r_ends
@@ -225,6 +218,6 @@ def diagnose_non_finite(g: Graph, scores, pp, redist):
     """Return the first node whose piece partition is non-finite, or None."""
     if not np.isfinite(scores).all():
         return int(np.flatnonzero(~np.isfinite(scores).all(axis=1))[0])
-    log_z, _, _, _ = _leaf_major_pieces(g, scores, pp, redist, want_marginals=False)
+    log_z, _, _, _ = _leaf_major_pieces(g, scores, pp, redist)
     bad = np.flatnonzero(~np.isfinite(log_z))
     return int(bad[0]) if len(bad) else None

@@ -47,9 +47,9 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def init_params(num_features, hidden, num_classes, seed) -> GcnParams:
-    """Glorot-uniform weights; `seed` may be an int or a Generator."""
-    rng = seed if isinstance(seed, np.random.Generator) else stream(seed, "gcn_init")
+def init_params(num_features, hidden, num_classes, seed: int) -> GcnParams:
+    """Glorot-uniform weights drawn from the run seed's "gcn_init" stream."""
+    rng = stream(seed, "gcn_init")
     return GcnParams(w0=_glorot(rng, num_features, hidden),
                      w1=_glorot(rng, hidden, num_classes))
 

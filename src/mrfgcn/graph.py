@@ -4,8 +4,8 @@ Edges are stored once as (j, k) with j < k, deduplicated and free of
 self-loops; edge ids are their position in lexicographic order. A CSR
 neighbor layout is kept alongside, in which every undirected edge
 appears twice (once per orientation). The CSR view also records, for
-each directed slot, the undirected edge id and the position of the
-reverse slot, which the factor code uses for per-piece bookkeeping.
+each directed slot, the undirected edge id, which the factor code uses
+for per-piece bookkeeping.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,6 @@ class Graph:
     indptr: np.ndarray       # (n+1,) CSR row pointers over directed slots
     indices: np.ndarray      # (2E,) neighbor of the slot's center node
     slot_edge_ids: np.ndarray  # (2E,) undirected edge id of each slot
-    slot_reverse: np.ndarray   # (2E,) position of the opposite orientation
 
     @property
     def num_edges(self) -> int:
@@ -50,9 +49,11 @@ class Graph:
     def leaf_incidence(self) -> sp.csr_array:
         """(n, 2E) 0/1 matrix whose row i holds the slots whose leaf is i.
 
-        Those are the reverses of the slots centered at i, in the same order.
+        A stable sort by leaf lists each row's slots in ascending order, which
+        is also the order of their reverses among the slots centered at i:
+        both follow the id of the slot's other end.
         """
-        return self._slot_incidence(self.slot_reverse)
+        return self._slot_incidence(np.argsort(self.indices, kind="stable"))
 
     def _slot_incidence(self, slots) -> sp.csr_array:
         return sp.csr_array((np.ones(len(slots)), slots, self.indptr),
@@ -114,18 +115,10 @@ def build_graph(num_nodes, raw_edges) -> Graph:
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
 
-    # unsorted slot s (edge s's forward orientation for s < E, edge s - E's
-    # backward one after) lands at CSR position[s]; the two orientations of
-    # an edge are each other's reverse
-    position = np.empty(2 * num_edges, dtype=np.int64)
-    position[order] = np.arange(2 * num_edges)
-    reverse = np.empty(2 * num_edges, dtype=np.int64)
-    reverse[position] = np.roll(position, num_edges)
-
-    for arr in (edges, indptr, slots_leaf, slots_eid, reverse):
+    for arr in (edges, indptr, slots_leaf, slots_eid):
         arr.flags.writeable = False
     return Graph(num_nodes=int(num_nodes), edges=edges, indptr=indptr,
-                 indices=slots_leaf, slot_edge_ids=slots_eid, slot_reverse=reverse)
+                 indices=slots_leaf, slot_edge_ids=slots_eid)
 
 
 def normalized_adjacency(g: Graph) -> np.ndarray:

@@ -40,8 +40,6 @@ def dropout_mask(shape, keep_prob, rng):
     """Binary mask scaled by 1/keep_prob, so kept activations are unbiased."""
     if not 0.0 < keep_prob <= 1.0:
         raise ConfigError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    if keep_prob == 1.0:
-        return np.ones(shape, dtype=np.float64)
     return (rng.random(shape) < keep_prob) / keep_prob
 
 

@@ -241,7 +241,7 @@ def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
             f"labeled node has class {train_labels.max()} but the scores have {c} classes")
     if k.shape != (c, c):
         raise StructuralInputError(
-            f"pairwise K is {k.shape[0]}x{k.shape[1]} but the scores have {c} classes")
+            f"pairwise K has shape {k.shape} but the scores have {c} classes")
     if pp.mode == "edge" and len(pp.alpha) != g.num_edges:
         raise StructuralInputError(
             f"pairwise parameters hold {len(pp.alpha)} edge coefficients "
@@ -373,8 +373,7 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
     unlabeled = np.setdiff1d(np.arange(g.num_nodes), train_ids)
 
     rng_drop = stream(config.seed, "dropout")
-    params = gcn.init_params(ds.num_features, config.hidden, ds.num_classes,
-                             stream(config.seed, "gcn_init"))
+    params = gcn.init_params(ds.num_features, config.hidden, ds.num_classes, config.seed)
     pp = PairwiseParams.init(ds.num_classes, g.num_edges,
                              mode=config.coefficient_mode, alpha_init=config.alpha_init)
     redist = Redistribution.for_graph(g, config.redistribution)

@@ -1,10 +1,13 @@
 import itertools
 import math
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from mrfgcn.checkpoint import _MAGIC, _VERSION
 
 
 def enum_piece(g, node, scores, pp, redist):
@@ -33,6 +36,23 @@ def enum_piece(g, node, scores, pp, redist):
         for pos in range(len(leaves)):
             pair[pos, assign[0], assign[pos + 1]] += w / z
     return math.log(z), center, pair
+
+
+def write_checkpoint_records(path, arrays):
+    """A checkpoint holding `arrays` as its records, in the file layout.
+
+    For files the program does not write itself: backbone-only ones, and
+    ones whose records do not fit together. Unlike the program's writer it
+    keeps a 0-d array as a rank-0 record.
+    """
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<I", _VERSION))
+        fh.write(struct.pack("<I", len(arrays)))
+        for arr in arrays:
+            arr = np.asarray(arr, dtype="<f8")
+            fh.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+            fh.write(arr.tobytes())
 
 
 def write_citation(directory, name, content_rows, cite_rows):

@@ -26,7 +26,7 @@ from mrfgcn.graph import (build_graph, homophily_beta, normalized_adjacency,
                           normalized_adjacency_operator)
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows, stream
 from mrfgcn.oracle import exact_elbo, exact_observed_ll
-from mrfgcn.selfcheck import random_instance, random_r
+from mrfgcn.selfcheck import fd_gradient, random_instance, random_r, rel_error
 from mrfgcn.training import (Proposal, TrainConfig, _e_step_stats, m_step, make_r,
                              mean_field_site_update, predict, train)
 
@@ -215,26 +215,6 @@ def test_c05_oracle_equivalence_on_random_pieces():
 
 # ---------------------------------------------------------------- criterion 6
 
-def _fd(func, x, step=1e-5):
-    grad = np.zeros_like(x)
-    flat, xf = grad.reshape(-1), x.reshape(-1)
-    for i in range(xf.size):
-        saved = xf[i]
-        xf[i] = saved + step
-        hi = func(x)
-        xf[i] = saved - step
-        lo = func(x)
-        xf[i] = saved
-        flat[i] = (hi - lo) / (2 * step)
-    return grad
-
-
-def _rel(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    scale = max(np.linalg.norm(a.ravel()), np.linalg.norm(b.ravel()), 1e-10)
-    return float(np.linalg.norm((a - b).ravel()) / scale)
-
-
 def test_c06_gradient_exactness():
     rng = stream(606, "acceptance")
     worst = {"scores": 0.0, "K": 0.0, "alpha": 0.0, "w0": 0.0, "w1": 0.0}
@@ -249,15 +229,15 @@ def test_c06_gradient_exactness():
         r = random_r(rng, n, c, labels, train_ids)
 
         _, g_scores, g_raw, g_alpha = objective_and_gradients(r, scores, pp, redist, g)
-        worst["scores"] = max(worst["scores"], _rel(g_scores, _fd(
+        worst["scores"] = max(worst["scores"], rel_error(g_scores, fd_gradient(
             lambda s: objective_and_gradients(r, s, pp, redist, g)[0],
             scores.copy())))
-        worst["K"] = max(worst["K"], _rel(g_raw, _fd(
+        worst["K"] = max(worst["K"], rel_error(g_raw, fd_gradient(
             lambda raw: objective_and_gradients(
                 r, scores, PairwiseParams(raw, pp.alpha, pp.mode), redist, g)[0],
             pp.raw.copy())))
         if mode != "none":
-            worst["alpha"] = max(worst["alpha"], _rel(g_alpha, _fd(
+            worst["alpha"] = max(worst["alpha"], rel_error(g_alpha, fd_gradient(
                 lambda al: objective_and_gradients(
                     r, scores, PairwiseParams(pp.raw, al, pp.mode), redist, g)[0],
                 pp.alpha.copy())))
@@ -275,9 +255,9 @@ def test_c06_gradient_exactness():
             out, _ = forward(p, feats, adj)
             return objective_and_gradients(r, out, pp, redist, g)[0]
 
-        worst["w0"] = max(worst["w0"], _rel(gw0, _fd(
+        worst["w0"] = max(worst["w0"], rel_error(gw0, fd_gradient(
             lambda w: through(GcnParams(w, params.w1)), params.w0.copy())))
-        worst["w1"] = max(worst["w1"], _rel(gw1, _fd(
+        worst["w1"] = max(worst["w1"], rel_error(gw1, fd_gradient(
             lambda w: through(GcnParams(params.w0, w)), params.w1.copy())))
     ok = max(worst.values()) <= 1e-6
     _line(6, "PASS" if ok else "FAIL",
@@ -441,7 +421,7 @@ def test_c10_degenerate_reductions():
     feats = rng.normal(size=(7, 3))
     labels2 = rng.integers(0, 3, size=7).astype(np.int64)
     train_ids = np.array([0, 3, 5])
-    params = init_params(3, 5, 3, stream(4, "init"))
+    params = init_params(3, 5, 3, seed=4)
     pp2 = PairwiseParams.init(3, g2.num_edges, mode="edge", alpha_init=0.0)
     redist2 = Redistribution.for_graph(g2, "center")
     adj = normalized_adjacency(g2)

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from mrfgcn.checkpoint import _write_array, load_checkpoint, save_checkpoint
+from mrfgcn.checkpoint import _MODE_CODES, _write_array, load_checkpoint, save_checkpoint
 from mrfgcn.errors import StructuralInputError
 from mrfgcn.factors import PairwiseParams
 from mrfgcn.gcn import GcnParams
+
+from conftest import write_checkpoint_records
 
 
 def test_backbone_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     params = GcnParams(rng.normal(size=(7, 4)), rng.normal(size=(4, 3)))
     path = tmp_path / "ck.bin"
-    save_checkpoint(path, params)
+    write_checkpoint_records(path, [params.w0, params.w1])
     loaded, pairwise = load_checkpoint(path)
     # a backbone-only file loads as a model with K = 0 and no coefficients
     assert pairwise.mode == "none"
@@ -48,7 +50,7 @@ def test_truncated_file_rejected(tmp_path):
     rng = np.random.default_rng(2)
     params = GcnParams(rng.normal(size=(6, 4)), rng.normal(size=(4, 2)))
     path = tmp_path / "ck.bin"
-    save_checkpoint(path, params)
+    write_checkpoint_records(path, [params.w0, params.w1])
     data = path.read_bytes()
     path.write_bytes(data[:-16])
     with pytest.raises(StructuralInputError):
@@ -75,7 +77,10 @@ def test_backbone_record_that_is_not_a_matrix_rejected(tmp_path, with_pairwise):
     params = GcnParams(rng.normal(size=(3, 4)), rng.normal(size=4))
     pp = PairwiseParams(raw=rng.normal(size=(2, 2)), alpha=np.zeros(0), mode="none")
     path = tmp_path / "ck.bin"
-    save_checkpoint(path, params, pp if with_pairwise else None)
+    if with_pairwise:
+        save_checkpoint(path, params, pp)
+    else:
+        write_checkpoint_records(path, [params.w0, params.w1])
     with pytest.raises(StructuralInputError, match="backbone weights must be matrices"):
         load_checkpoint(path)
 
@@ -95,4 +100,24 @@ def test_mode_record_that_is_not_one_known_code_rejected(tmp_path, code):
         fh.write(head)
         _write_array(fh, code)
     with pytest.raises(StructuralInputError, match="unknown coefficient mode code"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("w1, raw, alpha, mode, message", [
+    ((5, 2), None, None, None, r"W1 has 5 rows but W0 has 4 columns"),
+    ((4, 2), (2,), (3,), "edge", r"K storage has shape \(2,\) but W1 has 2 classes"),
+    ((4, 2), (3, 3), (0,), "none", r"K storage has shape \(3, 3\) but W1 has 2 classes"),
+    ((4, 2), (2, 2), (3, 1), "edge", r"alpha has shape \(3, 1\), not a vector"),
+    ((4, 2), (2, 2), (), "layer", r"alpha has shape \(\), not a vector"),
+    ((4, 2), (2, 2), (2,), "none", r"none mode stores 0 alpha value\(s\), got shape"),
+    ((4, 2), (2, 2), (0,), "layer", r"layer mode stores 1 alpha value\(s\), got shape"),
+], ids=["chain", "k_vector", "k_classes", "alpha_matrix", "alpha_scalar", "none_with_alpha",
+        "layer_without_alpha"])
+def test_records_that_do_not_fit_together_rejected(tmp_path, w1, raw, alpha, mode, message):
+    arrays = [np.ones((3, 4)), np.ones(w1)]
+    if mode is not None:
+        arrays += [np.ones(raw), np.ones(alpha), np.array([_MODE_CODES[mode]])]
+    path = tmp_path / "ck.bin"
+    write_checkpoint_records(path, arrays)
+    with pytest.raises(StructuralInputError, match=r"ck\.bin: " + message):
         load_checkpoint(path)

@@ -13,15 +13,15 @@ import mrfgcn
 from mrfgcn import cli, selfcheck, training
 from mrfgcn.checkpoint import load_checkpoint, save_checkpoint
 from mrfgcn.cli import RunConfig, main
-from mrfgcn.data import load_generic, ratio_split, row_normalize_features
+from mrfgcn.data import load_generic, planetoid_split, ratio_split, row_normalize_features
 from mrfgcn.errors import ConfigError
 from mrfgcn.gcn import GcnParams, forward
 from mrfgcn.graph import homophily_beta, normalized_adjacency_operator
 
-from conftest import write_citation
+from conftest import write_checkpoint_records, write_citation
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 def _synth_dir(tmp_path, name="ds", target=0.85, nodes=120, seed=0, edges_per_node=3,
@@ -417,7 +417,7 @@ def _random_backbone_checkpoint(path):
     """A backbone-only checkpoint for `_synth_dir`'s 8 features and 3 classes."""
     rng = np.random.default_rng(0)
     params = GcnParams(rng.normal(size=(8, 4)), rng.normal(size=(4, 3)))
-    save_checkpoint(path, params)
+    write_checkpoint_records(path, [params.w0, params.w1])
     return params
 
 
@@ -448,6 +448,125 @@ def test_evaluate_backbone_only_checkpoint_reports_the_backbone_argmax(tmp_path,
     test = ratio_split(ds, 0.2, 0.2, 0.6, seed=0).test
     accuracy = np.mean(np.argmax(scores[test], axis=1) == ds.labels[test])
     assert f"test accuracy: {accuracy:.4f}" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("raw, alpha, message", [
+    ((3,), (0,), "K storage has shape (3,) but W1 has 3 classes"),
+    ((3, 3), (2,), "none mode stores 0 alpha value(s), got shape (2,)"),
+], ids=["k_vector", "none_with_alpha"])
+def test_evaluate_checkpoint_whose_records_do_not_fit_exits_two(tmp_path, capsys, raw, alpha,
+                                                                message):
+    ds_dir = _synth_dir(tmp_path)
+    checkpoint = tmp_path / "model.bin"
+    rng = np.random.default_rng(0)
+    write_checkpoint_records(checkpoint, [rng.normal(size=(8, 4)), rng.normal(size=(4, 3)),
+                                          np.zeros(raw), np.ones(alpha), np.zeros(1)])
+    capsys.readouterr()
+    code = main(["evaluate", "--dataset", str(ds_dir), "--split", "ratio", "--seeds", "0",
+                 "--checkpoint", str(checkpoint)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"runtime failure: {checkpoint}: {message}"]
+
+
+# a checkpoint that fits the dataset (8 features, 2 classes) except for its
+# hidden width, class count, mode code (none, layer, edge or unknown) and up
+# to two records redrawn with a rank of 0 to 3 and small dims; backbone-only
+# files keep their first two records. The first example's 1-D K once failed
+# while the E-step formatted its own shape error
+_RECORD_SHAPES = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(count=st.sampled_from((2, 5)), hidden=st.integers(0, 3), classes=st.integers(0, 3),
+       mode_code=st.sampled_from((0.0, 1.0, 2.0, 7.0)),
+       redrawn=st.dictionaries(st.integers(0, 4), _RECORD_SHAPES, max_size=2),
+       seed=st.integers(0, 3))
+@example(count=5, hidden=3, classes=2, mode_code=0.0, redrawn={2: (2,)}, seed=0)
+@example(count=5, hidden=3, classes=2, mode_code=0.0, redrawn={3: (2,)}, seed=0)
+def test_checkpoint_records_end_in_a_documented_exit_code(tmp_path_factory, count, hidden,
+                                                          classes, mode_code, redrawn, seed):
+    root = tmp_path_factory.getbasetemp() / "checkpoint_records"
+    ds_dir = root / "ds"
+    if not ds_dir.exists():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--out", str(ds_dir), "--nodes", "40", "--classes", "2",
+                         "--edges-per-node", "2", "--feature-dim", "8", "--seed", "0"]) == 0
+    num_alpha = {0.0: 0, 2.0: load_generic(ds_dir).graph.num_edges}.get(mode_code, 1)
+    fitting = [(8, hidden), (hidden, classes), (classes, classes), (num_alpha,), (1,)]
+    shapes = [redrawn.get(number, shape) for number, shape in enumerate(fitting[:count])]
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    if count == 5:
+        arrays[4] = np.full(shapes[4], mode_code)
+    checkpoint = root / "model.bin"
+    write_checkpoint_records(checkpoint, arrays)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["evaluate", "--dataset", str(ds_dir), "--split", "ratio", "--seeds", "0",
+                     "--checkpoint", str(checkpoint)])
+    assert code in (0, 2)
+    assert len(stderr.getvalue().splitlines()) == (code != 0)
+
+
+def test_train_and_evaluate_start_their_final_e_step_from_different_proposals(
+        tmp_path, monkeypatch, capsys):
+    # train's final E-step starts from the q its selected round was validated
+    # on, evaluate's from softmax(scores). On this dense draw the K that EM
+    # learns is strong enough that the two reach different fixed points, so
+    # one checkpoint reports two test accuracies
+    ds_dir = tmp_path / "ds"
+    assert main(["synth", "--out", str(ds_dir), "--nodes", "400", "--classes", "10",
+                 "--edges-per-node", "10", "--target", "0.6", "--feature-dim", "64",
+                 "--noise", "0.45", "--seed", "3"]) == 0
+    split_flags = ["--seeds", "0", "--split", "planetoid", "--per-class", "10",
+                   "--num-val", "100", "--num-test", "200"]
+    starts, real = [], training._e_step_stats
+
+    def recording(q, *args):
+        starts.append(q.copy())
+        return real(q, *args)
+
+    monkeypatch.setattr(training, "_e_step_stats", recording)
+    out = tmp_path / "runs"
+    assert main(["train", "--dataset", str(ds_dir), "--out", str(out), "--em-rounds", "3",
+                 *split_flags, "--quiet"]) == 0
+    checkpoint = out / "checkpoint_seed0.bin"
+    capsys.readouterr()
+    assert main(["evaluate", "--dataset", str(ds_dir), *split_flags,
+                 "--checkpoint", str(checkpoint)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    report = (out / "report_seed0.txt").read_text(encoding="utf-8").splitlines()
+    assert report[1] == "# best_phase round3"
+    # E-step calls: one per round, train's final one, then evaluate's
+    assert len(starts) == 5
+
+    ds = row_normalize_features(load_generic(ds_dir))
+    g, labels = ds.graph, ds.labels
+    split = planetoid_split(ds, 10, 100, 200, seed=0)
+    params, pp = load_checkpoint(checkpoint)
+    scores, _ = forward(params, ds.features, normalized_adjacency_operator(g))
+    unlabeled = np.setdiff1d(np.arange(g.num_nodes), split.train)
+    cfg = training.TrainConfig()
+
+    def accuracy_from(start):
+        q, _, _ = real(start, scores, pp, g, labels, split.train,
+                       max(training.FINAL_E_SWEEPS, cfg.e_sweeps), cfg.e_tolerance)
+        predictions = labels.copy()         # labeled nodes report their own label
+        predictions[q.node_ids] = np.argmax(q.q, axis=1)
+        return training.evaluate(predictions, labels, split.test)
+
+    # round 3 was validated on the q its E-step returned
+    validated = real(starts[2], scores, pp, g, labels, split.train, cfg.e_sweeps,
+                     cfg.e_tolerance)[0]
+    assert np.array_equal(starts[3].q, validated.q)
+    softmax = training.Proposal.from_scores(scores, unlabeled, g.num_nodes)
+    assert np.array_equal(starts[4].q, softmax.q)
+    train_accuracy, evaluate_accuracy = accuracy_from(validated), accuracy_from(softmax)
+    assert report[2] == f"# test_accuracy {train_accuracy!r}"
+    assert f"test accuracy: {evaluate_accuracy:.4f}" in printed
+    assert train_accuracy != evaluate_accuracy
 
 
 # 8 features x 10**15 hidden units is 57 PiB, more than any address space

@@ -118,7 +118,7 @@ def _assert_same_arrays(got, expected):
              for name in ("indptr", "indices", "data")]
     pairs.append(("labels", got.labels, expected.labels))
     pairs += [("graph." + name, getattr(got.graph, name), getattr(expected.graph, name))
-              for name in ("edges", "indptr", "indices", "slot_edge_ids", "slot_reverse")]
+              for name in ("edges", "indptr", "indices", "slot_edge_ids")]
     assert got.features.shape == expected.features.shape
     for name, a, b in pairs:
         assert a.dtype == b.dtype and a.shape == b.shape, name

@@ -11,7 +11,7 @@ from mrfgcn.factors import (PairwiseParams, Redistribution, _piece_stats, endpoi
                             objective_and_gradients)
 from mrfgcn.graph import build_graph
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows
-from mrfgcn.selfcheck import random_instance, random_r
+from mrfgcn.selfcheck import fd_gradient, random_instance, random_r, rel_error
 
 from conftest import enum_piece
 
@@ -244,26 +244,6 @@ def test_gradients_edgeless_logistic_form():
     assert np.allclose(grad_scores, r - softmax_rows(scores), atol=1e-12)
 
 
-def _fd(func, x, step=1e-5):
-    grad = np.zeros_like(x)
-    flat, xf = grad.reshape(-1), x.reshape(-1)
-    for i in range(xf.size):
-        saved = xf[i]
-        xf[i] = saved + step
-        hi = func(x)
-        xf[i] = saved - step
-        lo = func(x)
-        xf[i] = saved
-        flat[i] = (hi - lo) / (2 * step)
-    return grad
-
-
-def _rel(a, b):
-    scale = max(np.linalg.norm(np.asarray(a).ravel()),
-                np.linalg.norm(np.asarray(b).ravel()), 1e-10)
-    return np.linalg.norm((np.asarray(a) - np.asarray(b)).ravel()) / scale
-
-
 @pytest.mark.parametrize("scheme", ["average", "center"])
 @pytest.mark.parametrize("mode", ["edge", "layer", "none"])
 def test_gradients_match_finite_differences(scheme, mode):
@@ -275,20 +255,20 @@ def test_gradients_match_finite_differences(scheme, mode):
         r = random_r(rng, n, c, labels, train)
         _, grad_scores, grad_raw, grad_alpha = objective_and_gradients(
             r, scores, pp, redist, g)
-        fd_scores = _fd(lambda s: objective_and_gradients(r, s, pp, redist, g)[0],
-                        scores.copy())
-        assert _rel(grad_scores, fd_scores) <= 1e-6
-        fd_raw = _fd(lambda raw: objective_and_gradients(
+        fd_scores = fd_gradient(lambda s: objective_and_gradients(r, s, pp, redist, g)[0],
+                                scores.copy())
+        assert rel_error(grad_scores, fd_scores) <= 1e-6
+        fd_raw = fd_gradient(lambda raw: objective_and_gradients(
             r, scores, PairwiseParams(raw, pp.alpha, pp.mode), redist, g)[0],
             pp.raw.copy())
-        assert _rel(grad_raw, fd_raw) <= 1e-6
+        assert rel_error(grad_raw, fd_raw) <= 1e-6
         if mode == "none":
             assert grad_alpha is None
         else:
-            fd_alpha = _fd(lambda al: objective_and_gradients(
+            fd_alpha = fd_gradient(lambda al: objective_and_gradients(
                 r, scores, PairwiseParams(pp.raw, al, pp.mode), redist, g)[0],
                 pp.alpha.copy())
-            assert _rel(grad_alpha, fd_alpha) <= 1e-6
+            assert rel_error(grad_alpha, fd_alpha) <= 1e-6
 
 
 @pytest.mark.parametrize("scheme", ["average", "center"])
@@ -366,9 +346,9 @@ def test_gradients_with_trailing_isolated_node():
     r = rng.random((4, 2))
     r /= r.sum(axis=1, keepdims=True)
     _, grad_scores, _, _ = objective_and_gradients(r, scores, pp, redist, g)
-    fd = _fd(lambda s: objective_and_gradients(r, s, pp, redist, g)[0],
-             scores.copy())
-    assert _rel(grad_scores, fd) <= 1e-6
+    fd = fd_gradient(lambda s: objective_and_gradients(r, s, pp, redist, g)[0],
+                     scores.copy())
+    assert rel_error(grad_scores, fd) <= 1e-6
 
 
 def test_alpha_storage_shapes_validated():
@@ -428,7 +408,7 @@ def test_piece_stats_stable_at_large_scores(scheme, mode):
 
 # ---- the segment-sum reference: every per-node sum over slots is a
 # reduceat over CSR segments, and the leaf marginals reach their node
-# through a slot_reverse gather
+# through a gather at each slot's reverse
 
 def _segment_sum(values, indptr):
     """Sum `values` rows over CSR-style segments, tolerating empty segments."""
@@ -441,6 +421,15 @@ def _segment_sum(values, indptr):
         return out
     out[nonempty] = np.add.reduceat(values, indptr[:-1][nonempty], axis=0)
     return out
+
+
+def _reverse_slots(g):
+    """Slot of the opposite orientation: the other slot with the same edge id."""
+    by_eid = np.argsort(g.slot_edge_ids, kind="stable")
+    reverse = np.empty_like(by_eid)
+    reverse[by_eid[0::2]] = by_eid[1::2]
+    reverse[by_eid[1::2]] = by_eid[0::2]
+    return reverse
 
 
 def _reference_objective_and_gradients(r, scores, pp, redist, g):
@@ -464,7 +453,7 @@ def _reference_objective_and_gradients(r, scores, pp, redist, g):
     j, kk = g.edges[:, 0], g.edges[:, 1]
     pair_dots = np.einsum("ec,ec->e", (r @ k)[j], r[kk])
     value = float((r * scores).sum() + (alphas_e * pair_dots).sum() - log_z.sum())
-    leaf_marg_at_leaf = rim[:, g.slot_reverse, 0].T
+    leaf_marg_at_leaf = rim[:, _reverse_slots(g), 0].T
     grad_scores = (r - redist.center_exp[:, None] * mu_center
                    - redist.leaf_exp[:, None] * _segment_sum(leaf_marg_at_leaf, g.indptr))
     g_k = (r[j] * alphas_e[:, None]).T @ r[kk] - redist.pair_exp * (alphas_d @ t).T
@@ -481,11 +470,11 @@ def _assert_matches_reference(r, scores, pp, redist, g):
     ref = _reference_objective_and_gradients(r, scores, pp, redist, g)
     assert abs(got[0] - ref[0]) <= 1e-12 * max(abs(ref[0]), 1.0)
     for a, b in zip(got[1:3], ref[1:3]):
-        assert _rel(a, b) <= 1e-12
+        assert rel_error(a, b) <= 1e-12
     if pp.mode == "none":
         assert got[3] is None and ref[3] is None
     else:
-        assert _rel(got[3], ref[3]) <= 1e-12
+        assert rel_error(got[3], ref[3]) <= 1e-12
 
 
 @pytest.mark.parametrize("scheme", ["average", "center"])

@@ -48,12 +48,7 @@ def _reference_build(num_nodes, raw_edges):
     center, leaf, eid = center[order], leaf[order], eid[order]
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(center, minlength=num_nodes), out=indptr[1:])
-    reverse = np.empty(2 * num_edges, dtype=np.int64)
-    by_eid = np.argsort(eid, kind="stable")
-    reverse[by_eid[0::2]] = by_eid[1::2]
-    reverse[by_eid[1::2]] = by_eid[0::2]
-    return {"edges": edges, "indptr": indptr, "indices": leaf, "slot_edge_ids": eid,
-            "slot_reverse": reverse}
+    return {"edges": edges, "indptr": indptr, "indices": leaf, "slot_edge_ids": eid}
 
 
 def _raw_pair_cases():
@@ -112,15 +107,17 @@ def test_edge_ids_bijection():
     assert np.array_equal(pairs, g.edges[g.slot_edge_ids])
 
 
-def test_slot_reverse_pairs_orientations():
-    rng = np.random.default_rng(3)
-    g = random_graph(rng, 10)
-    centers = g.slot_centers
-    for d in range(2 * g.num_edges):
-        r = g.slot_reverse[d]
-        assert centers[r] == g.indices[d]
-        assert g.indices[r] == centers[d]
-        assert g.slot_edge_ids[r] == g.slot_edge_ids[d]
+def test_leaf_incidence_rows_list_the_reverse_slots_in_order():
+    # the leaf-side sums add row i's slots in stored order; that order must be
+    # the reverses of the slots centered at i, in CSR order
+    for num_nodes, raw in _raw_pair_cases():
+        g = build_graph(num_nodes, raw)
+        inc = g.leaf_incidence
+        assert np.array_equal(inc.indptr, g.indptr)
+        reverse = inc.indices               # entry d sits in row center(d)
+        assert np.array_equal(g.slot_centers[reverse], g.indices)
+        assert np.array_equal(g.indices[reverse], g.slot_centers)
+        assert np.array_equal(g.slot_edge_ids[reverse], g.slot_edge_ids)
 
 
 @pytest.mark.parametrize("num_nodes, edges", [(7, [(0, 3), (3, 5), (0, 5), (5, 6)]),

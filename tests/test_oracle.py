@@ -202,7 +202,6 @@ def test_lone_star_piece_with_unit_exponents_matches_exact():
     scores = rng.normal(size=(5, 3))
     pp = PairwiseParams(raw=rng.normal(size=(3, 3)), alpha=rng.normal(size=4),
                         mode="edge")
-    unit = Redistribution(scheme="manual", center_exp=np.ones(5),
-                          leaf_exp=np.ones(5), pair_exp=1.0)
+    unit = Redistribution(center_exp=np.ones(5), leaf_exp=np.ones(5), pair_exp=1.0)
     log_z, _, _, _ = _piece_stats(g, scores, pp, unit)
     assert log_z[0] == pytest.approx(exact_log_partition(g, scores, pp), abs=1e-10)
