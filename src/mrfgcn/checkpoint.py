@@ -89,6 +89,8 @@ def load_checkpoint(path):
     w0, w1 = arrays[:2]
     if w0.ndim != 2 or w1.ndim != 2:
         raise StructuralInputError(f"{path}: backbone weights must be matrices")
+    if w1.shape[1] == 0:
+        raise StructuralInputError(f"{path}: W1 has no columns, so no classes")
     if w1.shape[0] != w0.shape[1]:
         raise StructuralInputError(
             f"{path}: W1 has {w1.shape[0]} rows but W0 has {w0.shape[1]} columns")

@@ -19,7 +19,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (Dataset, Split, generate_synthetic, load_dataset,
                    load_split_file, planetoid_split, ratio_split,
                    row_normalize_features, save_generic)
-from .errors import ConfigError, EnumerationLimitError
+from .errors import ConfigError, EnumerationLimitError, StructuralInputError
 from .gcn import forward
 from .graph import homophily_beta, normalized_adjacency_operator
 from .oracle import OracleLimit
@@ -215,12 +215,26 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_checkpoint_fits(path, ds: Dataset, params, pp):
+    """The checkpoint must read this dataset's features and score its classes and edges."""
+    if params.w0.shape[0] != ds.num_features:
+        raise StructuralInputError(f"{path}: W0 has {params.w0.shape[0]} rows but the "
+                                   f"dataset has {ds.num_features} features")
+    if params.w1.shape[1] != ds.num_classes:
+        raise StructuralInputError(f"{path}: W1 has {params.w1.shape[1]} classes but the "
+                                   f"dataset has {ds.num_classes}")
+    if pp.mode == "edge" and len(pp.alpha) != ds.graph.num_edges:
+        raise StructuralInputError(f"{path}: {len(pp.alpha)} edge coefficients but the "
+                                   f"graph has {ds.graph.num_edges} edges")
+
+
 def cmd_evaluate(cfg: RunConfig, checkpoint_path) -> int:
     ds = _load_prepared(cfg)
     split = _make_split(ds, cfg, cfg.seeds[0])
     if not len(split.val) and not len(split.test):
         raise ConfigError(f"seed {cfg.seeds[0]}: the split has no validation or test nodes")
     params, pp = load_checkpoint(checkpoint_path)
+    _check_checkpoint_fits(checkpoint_path, ds, params, pp)
     scores, _ = forward(params, ds.features, normalized_adjacency_operator(ds.graph))
     unlabeled = np.setdiff1d(np.arange(ds.graph.num_nodes), split.train)
     q = Proposal.from_scores(scores, unlabeled, ds.graph.num_nodes)

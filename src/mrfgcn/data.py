@@ -22,8 +22,10 @@ errors, as is ``1.0`` where an integer is expected.
 Feature values must be finite: ``nan``, ``inf`` and overflowing values
 such as ``1e999`` are rejected with their line rather than trained on.
 When a block fails, the same call is repeated line by line to name the
-first bad line. Node features are held as a CSR matrix built block by
-block, so at most one dense block exists at a time.
+first bad line. Node features are held as a CSR matrix: each dense
+block's nonzeros are appended to its values and column arrays, which
+grow in place, so at most one dense block exists at a time and the CSR
+is built once, never copied.
 """
 
 import logging
@@ -102,6 +104,15 @@ def _loadtxt(lines, dtype):
     return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
 
 
+def _parse_line(path, line_no, text, dtype, what):
+    """One row through the block parser's call; a value it rejects names `line_no`."""
+    try:
+        return _loadtxt([text], dtype)
+    except ValueError as exc:
+        detail = str(exc).partition(" at row ")[0]
+        raise ParseError(path, line_no, f"bad {what} ({detail})") from None
+
+
 def _read_table(path, rows, dtype, width, width_error, what):
     """Parse (line_no, text) rows of `width` numbers into 2-D blocks.
 
@@ -122,11 +133,7 @@ def _read_table(path, rows, dtype, width, width_error, what):
             found = len(text.split())
             if found != width:
                 raise width_error(line_no, found, width)
-            try:
-                row = _loadtxt([text], dtype)
-            except ValueError as exc:
-                detail = str(exc).partition(" at row ")[0]
-                raise ParseError(path, line_no, f"bad {what} ({detail})") from None
+            row = _parse_line(path, line_no, text, dtype, what)
             if not np.isfinite(row).all():
                 raise ParseError(path, line_no, f"non-finite {what}")
         raise StructuralInputError(f"{path}:{line_nos[0]}: rows do not parse as one table")
@@ -146,13 +153,22 @@ def _read_table(path, rows, dtype, width, width_error, what):
 
 def _read_features(path, rows, width_error) -> sp.csr_array | None:
     """CSR of the feature rows (None when there are none), one dense block at a time."""
-    blocks = [sp.csr_array(block) for block in
-              _read_table(path, rows, np.float64, None, width_error, "feature value")]
-    if not blocks:
+    values, columns = np.zeros(0), np.zeros(0, np.int64)
+    counts, width = [np.zeros(1, np.int64)], None
+    for block in _read_table(path, rows, np.float64, None, width_error, "feature value"):
+        block_rows, block_columns = np.nonzero(block)
+        start, end = len(values), len(values) + len(block_columns)
+        # grown in place, so the CSR is never held twice; no view of either exists
+        values.resize(end, refcheck=False)
+        columns.resize(end, refcheck=False)
+        values[start:] = block[block_rows, block_columns]
+        columns[start:] = block_columns
+        counts.append(np.count_nonzero(block, axis=1))
+        width = block.shape[1]
+    if width is None:
         return None
-    stacked = sp.vstack(blocks, format="csr")
-    return sp.csr_array((stacked.data, stacked.indices.astype(np.int64),
-                         stacked.indptr.astype(np.int64)), shape=stacked.shape)
+    indptr = np.cumsum(np.concatenate(counts))
+    return sp.csr_array((values, columns, indptr), shape=(len(indptr) - 1, width))
 
 
 def _read_ints(path, width, what, message) -> np.ndarray:
@@ -257,16 +273,13 @@ def ratio_split(ds: Dataset, train_frac, val_frac, test_frac, seed=0) -> Split:
 
 
 def load_split_file(path, num_nodes=None) -> Split:
-    """Read a split.tsv of (node_id, train|val|test) rows."""
+    """Read a split.tsv of (node_id, train|val|test) rows; ids are read as in edges.tsv."""
     sets = {"train": [], "val": [], "test": []}
     for line_no, text in _data_lines(path):
         parts = text.split()
         if len(parts) != 2 or parts[1] not in sets:
             raise ParseError(path, line_no, "expected `node_id train|val|test`")
-        try:
-            node = int(parts[0])
-        except ValueError as exc:
-            raise ParseError(path, line_no, f"bad node id ({exc})") from None
+        node = int(_parse_line(path, line_no, parts[0], np.int64, "node id")[0, 0])
         if num_nodes is not None and not 0 <= node < num_nodes:
             raise ParseError(path, line_no, f"node id {node} out of range")
         sets[parts[1]].append(node)
@@ -328,10 +341,12 @@ def generate_synthetic(num_nodes, num_classes, edges_per_node, homophily_target,
 
 def row_normalize_features(ds: Dataset) -> Dataset:
     """Scale each nonzero feature row to sum to 1; zero rows stay zero."""
-    scaled = ds.features.copy()
-    sums = scaled.sum(axis=1)
+    features = ds.features
+    sums = features.sum(axis=1)
     sums[sums == 0] = 1.0
-    scaled.data /= np.repeat(sums, np.diff(scaled.indptr))
+    values = np.repeat(sums, np.diff(features.indptr))
+    np.divide(features.data, values, out=values)
+    scaled = sp.csr_array((values, features.indices, features.indptr), shape=features.shape)
     return replace(ds, features=scaled)
 
 

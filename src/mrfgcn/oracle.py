@@ -9,13 +9,18 @@ the assignment count exceeds the configured limit.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EnumerationLimitError
 from .graph import Graph
 from .training import Proposal
 
 _BLOCK = 1 << 14
+
+
+def _logsumexp(*args, **kwargs):
+    """scipy's logsumexp, imported on first call, so only oracle users load scipy.special."""
+    from scipy.special import logsumexp
+    return logsumexp(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -72,9 +77,9 @@ def exact_log_partition(g: Graph, scores, pp, limit=None) -> float:
     """log Z by summing every assignment of every node."""
     c = scores.shape[1]
     _check_limit(g.num_nodes, c, limit)
-    parts = [logsumexp(_factor_sum(block, scores, pp, g))
+    parts = [_logsumexp(_factor_sum(block, scores, pp, g))
              for block in _blocks(g.num_nodes, c)]
-    return float(logsumexp(parts))
+    return float(_logsumexp(parts))
 
 
 def exact_posterior_marginals(g: Graph, scores, pp, labels, train_ids, limit=None):
@@ -91,18 +96,18 @@ def exact_posterior_marginals(g: Graph, scores, pp, labels, train_ids, limit=Non
             acc = np.full((len(free), c), -np.inf)
         for y in range(c):
             masked = np.where(block == y, logw[:, None], -np.inf)
-            acc[:, y] = np.logaddexp(acc[:, y], logsumexp(masked, axis=0))
+            acc[:, y] = np.logaddexp(acc[:, y], _logsumexp(masked, axis=0))
     if free is None or len(free) == 0:
         return np.zeros(0, dtype=np.int64), np.zeros((0, c))
-    return free, np.exp(acc - logsumexp(acc, axis=1, keepdims=True))
+    return free, np.exp(acc - _logsumexp(acc, axis=1, keepdims=True))
 
 
 def exact_observed_ll(g: Graph, scores, pp, labels, train_ids, limit=None) -> float:
     """log P(observed labels) = log-sum over completions minus log Z."""
     c = scores.shape[1]
-    parts = [logsumexp(_factor_sum(full, scores, pp, g))
+    parts = [_logsumexp(_factor_sum(full, scores, pp, g))
              for _, _, full in _clamped_blocks(g, labels, train_ids, c, limit)]
-    return float(logsumexp(parts) - exact_log_partition(g, scores, pp, limit))
+    return float(_logsumexp(parts) - exact_log_partition(g, scores, pp, limit))
 
 
 def exact_elbo(g: Graph, scores, pp, labels, train_ids, q: Proposal,

@@ -9,6 +9,16 @@ import pytest
 
 from mrfgcn.checkpoint import _MAGIC, _VERSION
 
+try:
+    from hypothesis import settings
+except ImportError:     # the property tests skip themselves without hypothesis
+    pass
+else:
+    # every property test draws the same examples on every run, and keeps no
+    # example database between runs; each test sets its own max_examples
+    settings.register_profile("tier1", database=None, deadline=None, derandomize=True)
+    settings.load_profile("tier1")
+
 
 def enum_piece(g, node, scores, pp, redist):
     """Independent enumeration over the star piece at `node` (pure python loops).

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 import scipy.sparse as sp
 
 from mrfgcn import data
-from mrfgcn.data import (generate_synthetic, load_citation, load_generic,
+from mrfgcn.data import (Dataset, generate_synthetic, load_citation, load_generic,
                          load_split_file, planetoid_split, ratio_split,
                          row_normalize_features, save_generic, Split)
 from mrfgcn.errors import ConfigError, ParseError, StructuralInputError
-from mrfgcn.graph import homophily_beta
+from mrfgcn.graph import build_graph, homophily_beta
 
 from conftest import write_citation
 
@@ -178,6 +179,27 @@ def test_row_normalize_leaves_the_input_alone():
     sums = dense.sum(axis=1, keepdims=True)
     expected = np.divide(dense, sums, out=dense.copy(), where=sums != 0)
     assert np.array_equal(out.features.toarray(), expected)
+
+
+def test_row_normalize_shares_the_structure_and_allocates_one_values_array():
+    rng = np.random.default_rng(5)
+    n = 2000
+    features = sp.random_array((n, 500), density=0.2, format="csr", rng=rng)
+    features = sp.csr_array((features.data, features.indices.astype(np.int64),
+                             features.indptr.astype(np.int64)), shape=features.shape)
+    ds = Dataset(graph=build_graph(n, np.zeros((0, 2), np.int64)), features=features,
+                 labels=np.zeros(n, np.int64), num_classes=1)
+    tracemalloc.start()
+    try:
+        out = row_normalize_features(ds).features
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(out.indices, features.indices)
+    assert np.shares_memory(out.indptr, features.indptr)
+    assert not np.shares_memory(out.data, features.data)
+    # the per-row sums and counts are the slack
+    assert peak <= features.data.nbytes + 8 * n * 8
 
 
 def test_generic_round_trip(tmp_path):

@@ -237,7 +237,7 @@ def _write_generic(directory, features, labels, edges):
 
 
 _block_values = st.integers(1, 40)
-_grid_settings = settings(max_examples=100, deadline=None, database=None)
+_grid_settings = settings(max_examples=100)
 
 
 @_grid_settings
@@ -397,14 +397,16 @@ def test_non_finite_feature_value_is_rejected_on_its_line(tmp_path, layout, toke
 
 # ---- memory
 
-def test_generic_load_never_holds_the_file_dense(tmp_path):
-    # 4000 x 1000 at 1% density: dense it would be 32 MB, its CSR is under 1 MB
+@pytest.mark.parametrize("per_row", [10, 150])
+def test_generic_load_never_holds_the_file_dense(tmp_path, per_row):
+    # 4000 x 1000: dense it would be 32 MB, its CSR is under 1 MB at 1% density
+    # and about 9 MB at 15%, where a second copy of the CSR would exceed the bound
     rng = np.random.default_rng(0)
     n, width = 4000, 1000
     with open(tmp_path / "features.tsv", "w", encoding="utf-8") as fh:
         for _ in range(n):
             row = ["0"] * width
-            for col in rng.choice(width, size=10, replace=False):
+            for col in rng.choice(width, size=per_row, replace=False):
                 row[col] = "%.6g" % rng.random()
             fh.write("\t".join(row) + "\n")
     (tmp_path / "labels.tsv").write_text("0\n" * n, encoding="utf-8")
@@ -414,6 +416,6 @@ def test_generic_load_never_holds_the_file_dense(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert features.nnz == n * 10
+    assert features.nnz == n * per_row
     csr_bytes = features.data.nbytes + features.indices.nbytes + features.indptr.nbytes
     assert peak <= csr_bytes + 4 * data._BLOCK_VALUES * 8
