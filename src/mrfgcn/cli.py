@@ -54,12 +54,14 @@ class _RunSettings:
         for name in ("train_frac", "val_frac", "test_frac"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("per_class", "num_val", "num_test"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        for name, value in (("per_class", self.per_class), ("num_val", self.num_val),
+                            ("num_test", self.num_test), ("split_seed", self.split_seed),
+                            ("seeds", min(self.seeds))):
+            if value < 0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
         # built once here, so a bad train setting fails before any file is touched
         self._train = TrainConfig(**{name: getattr(self, name) for name in _TRAIN_KEYS})
 
@@ -261,14 +263,15 @@ def cmd_homophily(cfg: RunConfig) -> int:
 def cmd_oracle_check(sizes, trials, seed, num_classes, max_configs) -> int:
     if not sizes:
         raise ConfigError("--sizes needs at least one instance size")
-    _require_at_least(1, sizes=min(sizes), trials=trials)
+    _require_at_least(1, sizes=min(sizes), trials=trials, max_configs=max_configs)
+    _require_at_least(0, seed=seed)
     # with one class every objective is constant, so no gradient can be checked
     _require_at_least(2, classes=num_classes)
     try:
         results = run_selfchecks(sizes, trials, seed, num_classes=num_classes,
                                  limit=OracleLimit(max_configs))
     except EnumerationLimitError as exc:
-        print(f"refused: {exc}")
+        print(f"refused: {exc}", file=sys.stderr)
         return 1
     width = max(len(r.name) for r in results)
     ok = True
@@ -305,7 +308,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
 def cmd_synth(out_dir, num_nodes, num_classes, edges_per_node, target,
               feature_dim, noise, seed) -> int:
     _require_at_least(1, nodes=num_nodes, classes=num_classes)
-    _require_at_least(0, edges_per_node=edges_per_node)
+    _require_at_least(0, edges_per_node=edges_per_node, seed=seed)
     ds = generate_synthetic(num_nodes, num_classes, edges_per_node, target,
                             feature_dim, noise, seed)
     save_generic(ds, out_dir)

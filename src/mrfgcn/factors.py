@@ -20,15 +20,15 @@ where log Zbar_i is the partition function of the redistributed star
 piece at node i, computed in closed form by summing leaf nodes out
 first. `_leaf_major_pieces` is the one star-piece inference: it runs
 every piece at once, and `objective_and_gradients` reads its buffers
-directly. `_piece_stats` presents the same buffers per piece: the piece
-at node i is row i of its per-node outputs plus CSR slots
-indptr[i]:indptr[i+1] of its per-slot outputs. The enumeration
-references (`selfcheck.enumerate_piece` and the tests') are compared
-against those rows. Per-slot tensors below index directed orientations:
-slot d of a graph covers (center(d), leaf(d)). The one per-slot label
-tensor is built leaf label first, as (c_leaf, 2E, c_center), so that
-summing a leaf out reduces over the leading axis; the `pair_marg` that
-`_piece_stats` returns is its (2E, c_center, c_leaf) view. Sums over
+directly. The piece at node i is row i of its per-node outputs plus CSR
+slots indptr[i]:indptr[i+1] of its per-slot outputs. The reference they
+are checked against is `selfcheck.oracle_star_piece`, which solves one
+piece as a small graph of its own with the exact oracle. Per-slot
+tensors below index directed orientations: slot d of a graph covers
+(center(d), leaf(d)). The one per-slot label tensor is built leaf label
+first, as (c_leaf, 2E, c_center), so that summing a leaf out reduces
+over the leading axis; its transpose(1, 2, 0) holds each slot's
+(center label, leaf label) marginal. Sums over
 slots per node are products with the graph's cached slot incidence
 matrices: `center_incidence` sums each piece's leaf messages, and
 `leaf_incidence` sums each node's leaf marginals over the pieces it sits
@@ -159,18 +159,6 @@ def _leaf_major_pieces(g: Graph, scores, pp, redist):
     t *= np.take(mu_center, centers, axis=0) / mass
     rim = t @ np.stack([np.ones((c, c)), k], axis=2)
     return log_z, mu_center, t, rim
-
-
-def _piece_stats(g: Graph, scores, pp, redist):
-    """Batched star inference over all pieces.
-
-    Returns (log_z, mu_center, pair_marg, leaf_marg). pair_marg[d] is the
-    joint (center label, leaf label) marginal of directed slot d's piece
-    edge and leaf_marg[d] the corresponding leaf marginal, both under the
-    piece of center(d). Both are views of `_leaf_major_pieces`' buffers.
-    """
-    log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist)
-    return log_z, mu_center, t.transpose(1, 2, 0), rim[:, :, 0].T
 
 
 def endpoint_rows(r, g: Graph):

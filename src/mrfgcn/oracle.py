@@ -2,8 +2,10 @@
 
 Everything here enumerates label assignments directly (in blocks, in
 log space) and is deliberately independent of the piecewise inference
-code it is used to check. Enumeration is refused, not truncated, when
-the assignment count exceeds the configured limit.
+code it is used to check. Star pieces are checked through it too: the
+self-checks run it on one piece as a graph of its own
+(`selfcheck.oracle_star_piece`). Enumeration is refused, not truncated,
+when the assignment count exceeds the configured limit.
 """
 
 from dataclasses import dataclass
@@ -29,12 +31,21 @@ class OracleLimit:
 
 
 def _check_limit(num_free, num_classes, limit):
+    """Refuse num_classes ** num_free assignments above the limit.
+
+    The count stops growing once it passes the limit, so a huge num_free
+    costs no huge power; at most one class gives at most one assignment.
+    """
     limit = limit or OracleLimit()
-    configs = num_classes ** num_free
+    configs = 1
+    for _ in range(num_free if num_classes > 1 else 0):
+        if configs > limit.max_configurations:
+            break
+        configs *= num_classes
     if configs > limit.max_configurations:
         raise EnumerationLimitError(
-            f"{configs} assignments exceed the enumeration limit "
-            f"{limit.max_configurations}")
+            f"{num_classes}^{num_free} assignments exceed the enumeration "
+            f"limit {limit.max_configurations}")
 
 
 def _blocks(num_free, num_classes):

@@ -2,11 +2,13 @@
 
 Each check pits the code that training runs against direct enumeration
 or central finite differences on small random instances and reports the
-worst discrepancy seen. Star-piece inference is checked on the rows of
-the batched `_piece_stats`. The finite differences are taken of the
-value that `objective_and_gradients` returns, the same call that
-supplies the analytic gradients; the backbone chain runs on the sparse
-adjacency operator and CSR features, as `train` does.
+worst discrepancy seen. Star pieces are checked through the oracle: a
+piece of the batched `_leaf_major_pieces` against the exact oracle run
+on that piece as a star graph of its own. The finite differences are
+taken of the value that `objective_and_gradients` returns, the same call
+that supplies the analytic gradients; the backbone chain runs on the
+sparse adjacency operator and CSR features, as `train` does. The KL
+identity is checked against `direct_kl`, which sums the factors itself.
 """
 
 from dataclasses import dataclass
@@ -15,11 +17,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import gcn
-from .errors import EnumerationLimitError
-from .factors import PairwiseParams, Redistribution, _piece_stats, objective_and_gradients
+from .factors import (PairwiseParams, Redistribution, _leaf_major_pieces,
+                      objective_and_gradients)
 from .graph import build_graph, normalized_adjacency_operator
 from .numerics import stream
-from .oracle import OracleLimit, exact_elbo, exact_observed_ll
+from .oracle import (_check_limit, exact_elbo, exact_log_partition,
+                     exact_observed_ll, exact_posterior_marginals)
 from .training import Proposal
 
 FD_STEP = 1e-5
@@ -76,35 +79,30 @@ def random_r(rng, num_nodes, num_classes, labels, train_ids):
     return r
 
 
-def enumerate_piece(g, node, scores, pp, redist):
-    """Direct enumeration over the assignments of the star piece at `node`.
+def oracle_star_piece(g, node, scores, pp, redist, limit=None):
+    """The star piece at `node`, solved by the oracle as a graph of its own.
 
-    Returns (log_z, center marginal, leaf marginals, pairwise marginals),
-    with leaves in the order of the node's CSR slots.
+    Node 0 of the star is the center and node p its p-th CSR leaf, joined by
+    edge p - 1. Returns (log_z, center marginal, leaf marginals, pairwise
+    marginals), with leaves in the order of the node's CSR slots; the
+    pairwise marginal P(a, b) is P(center = a) P(leaf = b | center = a).
     """
-    c = pp.num_classes
     lo, hi = g.indptr[node], g.indptr[node + 1]
     leaves = g.indices[lo:hi]
-    assign = np.stack(np.unravel_index(np.arange(c ** (len(leaves) + 1)),
-                                       (c,) * (len(leaves) + 1)), axis=1)
-    logf = redist.center_exp[node] * scores[node][assign[:, 0]]
-    alphas = pp.alpha_at(g.slot_edge_ids[lo:hi])
-    for pos, (leaf, a) in enumerate(zip(leaves, alphas), start=1):
-        logf = logf + redist.leaf_exp[leaf] * scores[leaf][assign[:, pos]]
-        logf = logf + redist.pair_exp * a * pp.K[assign[:, 0], assign[:, pos]]
-    top = logf.max()
-    log_z = top + np.log(np.exp(logf - top).sum())
-    probs = np.exp(logf - log_z)
-    center = np.bincount(assign[:, 0], weights=probs, minlength=c)
-    leaf_marg = np.zeros((len(leaves), c))
-    pair = np.zeros((len(leaves), c, c))
-    for pos in range(1, len(leaves) + 1):
-        leaf_marg[pos - 1] = np.bincount(assign[:, pos], weights=probs, minlength=c)
-        for a in range(c):
-            sel = assign[:, 0] == a
-            pair[pos - 1, a] = np.bincount(assign[sel, pos], weights=probs[sel],
-                                           minlength=c)
-    return float(log_z), center, leaf_marg, pair
+    star = build_graph(len(leaves) + 1, [(0, p) for p in range(1, len(leaves) + 1)])
+    unary = np.vstack([redist.center_exp[node] * scores[node],
+                       redist.leaf_exp[leaves, None] * scores[leaves]])
+    star_pp = PairwiseParams(
+        pp.raw, redist.pair_exp * pp.alpha_at(g.slot_edge_ids[lo:hi]), "edge")
+    log_z = exact_log_partition(star, unary, star_pp, limit)
+    labels = np.zeros(star.num_nodes, dtype=np.int64)
+    _, marg = exact_posterior_marginals(star, unary, star_pp, labels, [], limit)
+    pair = np.zeros((len(leaves), pp.num_classes, pp.num_classes))
+    for a in range(pp.num_classes):
+        labels[0] = a
+        _, given = exact_posterior_marginals(star, unary, star_pp, labels, [0], limit)
+        pair[:, a] = marg[0, a] * given
+    return log_z, marg[0], marg[1:], pair
 
 
 def fd_gradient(func, x, step=FD_STEP):
@@ -130,24 +128,24 @@ def rel_error(analytic, numeric):
     return float(np.linalg.norm((analytic - numeric).ravel()) / scale)
 
 
-def check_piece_inference(sizes, trials, seed, num_classes=3):
+def check_piece_inference(sizes, trials, seed, num_classes=3, limit=None):
     rng = stream(seed, "selfcheck_pieces")
     worst_z, worst_m = 0.0, 0.0
-    for t in range(trials):
-        n = sizes[t % len(sizes)]
-        scheme = ("average", "center")[t % 2]
-        mode = ("edge", "layer", "none")[t % 3]
+    for trial in range(trials):
+        n = sizes[trial % len(sizes)]
+        scheme = ("average", "center")[trial % 2]
+        mode = ("edge", "layer", "none")[trial % 3]
         g, redist, scores, pp, _, _ = random_instance(
             rng, n, num_classes, mode=mode, scheme=scheme)
         node = int(rng.integers(n))
-        ref_z, ref_c, ref_l, ref_p = enumerate_piece(g, node, scores, pp, redist)
-        log_z, mu_center, pair_marg, leaf_marg = _piece_stats(g, scores, pp, redist)
+        ref_z, ref_c, ref_l, ref_p = oracle_star_piece(g, node, scores, pp, redist, limit)
+        log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist)
         slots = slice(g.indptr[node], g.indptr[node + 1])
         worst_z = max(worst_z, abs(log_z[node] - ref_z))
         worst_m = max(worst_m,
                       np.abs(mu_center[node] - ref_c).max(initial=0.0),
-                      np.abs(leaf_marg[slots] - ref_l).max(initial=0.0),
-                      np.abs(pair_marg[slots] - ref_p).max(initial=0.0))
+                      np.abs(rim[:, slots, 0].T - ref_l).max(initial=0.0),
+                      np.abs(t[:, slots].transpose(1, 2, 0) - ref_p).max(initial=0.0))
     return [CheckResult("piece log-partition vs enumeration", worst_z, ENUM_TOL),
             CheckResult("piece marginals vs enumeration", worst_m, ENUM_TOL)]
 
@@ -242,45 +240,40 @@ def check_elbo_identity(sizes, trials, seed, num_classes=3, limit=None):
         q = Proposal(free, q_rows, n)
         gap = exact_observed_ll(g, scores, pp, labels, train_ids, limit) \
             - exact_elbo(g, scores, pp, labels, train_ids, q, limit)
-        kl = _direct_kl(g, scores, pp, labels, train_ids, q)
+        kl = direct_kl(g, scores, pp, labels, train_ids, q)
         worst = max(worst, abs(gap - kl))
     return [CheckResult("observed-ll minus ELBO equals KL", worst, ENUM_TOL)]
 
 
-def _direct_kl(g, scores, pp, labels, train_ids, q):
-    """KL(q || exact posterior) by explicit enumeration of the free nodes."""
-    from .oracle import _clamped_blocks, _factor_sum  # deliberate: same inputs
-    c = scores.shape[1]
-    blocks = list(_clamped_blocks(g, labels, train_ids, c, None))
-    logw = np.concatenate([_factor_sum(full, scores, pp, g) for _, _, full in blocks])
-    hi = logw.max()
-    log_norm = hi + np.log(np.exp(logw - hi).sum())
-    kl = 0.0
-    offset = 0
-    for free, block, _ in blocks:
-        if len(free) == 0:
-            return 0.0
-        rows = q.q[[q.position(node) for node in free]]
-        probs = rows[np.arange(len(free))[None, :], block]
-        with np.errstate(divide="ignore"):
-            logq = np.log(probs).sum(axis=1)
-        weight = np.exp(logq)
-        log_post = logw[offset:offset + len(block)] - log_norm
-        mask = weight > 0
-        kl += float((weight[mask] * (logq[mask] - log_post[mask])).sum())
-        offset += len(block)
-    return kl
+def direct_kl(g, scores, pp, labels, train_ids, q):
+    """KL(q || exact posterior) by enumerating the free nodes' assignments.
+
+    It sums the factors itself, so it checks the oracle's ELBO and
+    observed log-likelihood without sharing their code.
+    """
+    n, c = scores.shape
+    free = np.setdiff1d(np.arange(n), train_ids)
+    shape = (c,) * len(free)
+    block = np.stack(np.unravel_index(np.arange(c ** len(free)), shape), axis=1)
+    full = np.broadcast_to(labels, (len(block), n)).copy()
+    full[:, free] = block
+    logw = scores[np.arange(n)[None, :], full].sum(axis=1)
+    if g.num_edges:
+        j, k = g.edges[:, 0], g.edges[:, 1]
+        alphas = pp.alpha_at(np.arange(g.num_edges))
+        logw = logw + (alphas[None, :] * pp.K[full[:, j], full[:, k]]).sum(axis=1)
+    log_post = logw - (logw.max() + np.log(np.exp(logw - logw.max()).sum()))
+    rows = q.q[[q.position(node) for node in free]]
+    logq = np.log(rows[np.arange(len(free))[None, :], block]).sum(axis=1)
+    w = np.exp(logq)
+    return float((w * (logq - log_post)).sum())
 
 
 def run_selfchecks(sizes, trials, seed, num_classes=3, limit=None):
     """Run every suite; raises EnumerationLimitError for oversized requests."""
-    limit = limit or OracleLimit()
-    if num_classes ** max(sizes) > limit.max_configurations:
-        raise EnumerationLimitError(
-            f"{num_classes}^{max(sizes)} assignments exceed the enumeration "
-            f"limit {limit.max_configurations}")
+    _check_limit(max(sizes), num_classes, limit)
     results = []
-    results += check_piece_inference(sizes, trials, seed, num_classes)
+    results += check_piece_inference(sizes, trials, seed, num_classes, limit)
     results += check_gradients(sizes, trials, seed, num_classes)
     results += check_redistribution_identity(sizes, trials, seed, num_classes)
     results += check_elbo_identity(sizes, trials, seed, num_classes, limit)

@@ -1,5 +1,3 @@
-import itertools
-import math
 import os
 import struct
 from pathlib import Path
@@ -18,34 +16,6 @@ else:
     # example database between runs; each test sets its own max_examples
     settings.register_profile("tier1", database=None, deadline=None, derandomize=True)
     settings.load_profile("tier1")
-
-
-def enum_piece(g, node, scores, pp, redist):
-    """Independent enumeration over the star piece at `node` (pure python loops).
-
-    Returns (log_z, center marginal, pairwise marginals), the latter in the
-    order of the node's CSR slots.
-    """
-    c = pp.num_classes
-    lo, hi = g.indptr[node], g.indptr[node + 1]
-    leaves = [int(v) for v in g.indices[lo:hi]]
-    alphas = pp.alpha_at(g.slot_edge_ids[lo:hi])
-    k = pp.K
-    weights = {}
-    for assign in itertools.product(range(c), repeat=len(leaves) + 1):
-        lf = redist.center_exp[node] * scores[node][assign[0]]
-        for pos, (leaf, a) in enumerate(zip(leaves, alphas), start=1):
-            lf += redist.leaf_exp[leaf] * scores[leaf][assign[pos]]
-            lf += redist.pair_exp * a * k[assign[0], assign[pos]]
-        weights[assign] = math.exp(lf)
-    z = sum(weights.values())
-    center = np.zeros(c)
-    pair = np.zeros((len(leaves), c, c))
-    for assign, w in weights.items():
-        center[assign[0]] += w / z
-        for pos in range(len(leaves)):
-            pair[pos, assign[0], assign[pos + 1]] += w / z
-    return math.log(z), center, pair
 
 
 def write_checkpoint_records(path, arrays):

@@ -19,18 +19,19 @@ import scipy.sparse as sp
 
 from mrfgcn.data import (generate_synthetic, load_dataset, planetoid_split,
                          ratio_split, row_normalize_features)
-from mrfgcn.factors import (PairwiseParams, Redistribution, _piece_stats,
+from mrfgcn.factors import (PairwiseParams, Redistribution, _leaf_major_pieces,
                             objective_and_gradients)
 from mrfgcn.gcn import GcnParams, backward, forward, init_params
 from mrfgcn.graph import (build_graph, homophily_beta, normalized_adjacency,
                           normalized_adjacency_operator)
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows, stream
 from mrfgcn.oracle import exact_elbo, exact_observed_ll
-from mrfgcn.selfcheck import fd_gradient, random_instance, random_r, rel_error
+from mrfgcn.selfcheck import (direct_kl, fd_gradient, oracle_star_piece, random_instance,
+                              random_r, rel_error)
 from mrfgcn.training import (Proposal, TrainConfig, _e_step_stats, m_step, make_r,
                              mean_field_site_update, predict, train)
 
-from conftest import dataset_dir, enum_piece, require_dataset
+from conftest import dataset_dir, require_dataset
 
 _SEEDS = int(os.environ.get("MRFGCN_ACCEPT_SEEDS", "0"))
 
@@ -199,12 +200,14 @@ def test_c05_oracle_equivalence_on_random_pieces():
         if not len(eligible):
             continue
         node = int(eligible[int(rng.integers(len(eligible)))])
-        ref_z, ref_center, ref_pair = enum_piece(g, node, scores, pp, redist)
-        log_z, mu_center, pair_marg, _ = _piece_stats(g, scores, pp, redist)
+        ref_z, ref_center, ref_leaves, ref_pair = oracle_star_piece(
+            g, node, scores, pp, redist)
+        log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist)
         slots = slice(g.indptr[node], g.indptr[node + 1])
         worst_z = max(worst_z, abs(log_z[node] - ref_z))
         worst_m = max(worst_m, np.abs(mu_center[node] - ref_center).max(initial=0.0),
-                      np.abs(pair_marg[slots] - ref_pair).max(initial=0.0))
+                      np.abs(rim[:, slots, 0].T - ref_leaves).max(initial=0.0),
+                      np.abs(t[:, slots].transpose(1, 2, 0) - ref_pair).max(initial=0.0))
         checked += 1
     ok = worst_z <= 1e-10 and worst_m <= 1e-10
     _line(5, "PASS" if ok else "FAIL",
@@ -319,26 +322,6 @@ def test_c08_shift_invariance():
 
 # ---------------------------------------------------------------- criterion 9
 
-def _direct_kl(g, scores, pp, labels, train_ids, q):
-    """Vectorized in-test enumeration of KL(q || posterior)."""
-    n, c = scores.shape
-    free = np.setdiff1d(np.arange(n), train_ids)
-    shape = (c,) * len(free)
-    block = np.stack(np.unravel_index(np.arange(c ** len(free)), shape), axis=1)
-    full = np.broadcast_to(labels, (len(block), n)).copy()
-    full[:, free] = block
-    logw = scores[np.arange(n)[None, :], full].sum(axis=1)
-    if g.num_edges:
-        j, k = g.edges[:, 0], g.edges[:, 1]
-        alphas = pp.alpha_at(np.arange(g.num_edges))
-        logw = logw + (alphas[None, :] * pp.K[full[:, j], full[:, k]]).sum(axis=1)
-    log_post = logw - (logw.max() + np.log(np.exp(logw - logw.max()).sum()))
-    rows = q.q[[q.position(node) for node in free]]
-    logq = np.log(rows[np.arange(len(free))[None, :], block]).sum(axis=1)
-    w = np.exp(logq)
-    return float((w * (logq - log_post)).sum())
-
-
 def test_c09_elbo_coordinate_ascent_and_kl_identity():
     rng = stream(909, "acceptance")
     worst_drop, worst_gap, worst_sweep_drop = 0.0, 0.0, 0.0
@@ -368,8 +351,8 @@ def test_c09_elbo_coordinate_ascent_and_kl_identity():
             prev = cur
         gap = exact_observed_ll(g, scores, pp, labels, train_ids) \
             - exact_elbo(g, scores, pp, labels, train_ids, q)
-        worst_gap = max(worst_gap, abs(gap - _direct_kl(g, scores, pp, labels,
-                                                        train_ids, q)))
+        worst_gap = max(worst_gap, abs(gap - direct_kl(g, scores, pp, labels,
+                                                       train_ids, q)))
     ok = worst_drop <= 1e-9 and worst_gap <= 1e-10 and worst_sweep_drop <= 1e-9
     _line(9, "PASS" if ok else "FAIL",
           f"20 instances: worst per-site ELBO drop {worst_drop:.2e} (tol 1e-9), "

@@ -136,7 +136,7 @@ def test_config_file_with_flag_overrides(tmp_path):
     assert emitted.out == str(out)          # flag beat the config default
 
 
-def test_train_split_file_mode(tmp_path):
+def test_train_split_file_mode(tmp_path, capsys):
     ds_dir = _synth_dir(tmp_path)
     ds = load_generic(ds_dir)
     n = ds.graph.num_nodes
@@ -150,6 +150,15 @@ def test_train_split_file_mode(tmp_path):
                  "--em-rounds", "1", "--m-epochs", "4", "--e-sweeps", "3",
                  "--hidden", "8", "--split", "file"])
     assert code == 0
+
+    # a negative seed is refused before seed 0 trains or any file is written
+    negative = tmp_path / "negative"
+    code = main(["train", "--dataset", str(ds_dir), "--out", str(negative),
+                 "--seeds", "0,-1", "--quiet", "--split", "file"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: seeds must be non-negative, got -1"]
+    assert not negative.exists()
 
 
 def test_evaluate_command(tmp_path, capsys):
@@ -849,7 +858,20 @@ def test_oracle_check_detects_injected_bug(capsys, monkeypatch):
 
 def test_oracle_check_refuses_oversized(capsys):
     assert main(["oracle-check", "--sizes", "40", "--trials", "1"]) == 1
-    assert "refused" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "refused: 3^40 assignments exceed the enumeration limit 1048576"]
+
+
+def test_oracle_check_refuses_a_huge_size_at_once():
+    # the limit check stops multiplying once the count passes the limit;
+    # 3 ** size as an exact integer would not finish
+    done = _python("-m", "mrfgcn", "oracle-check", "--sizes", "9" * 20, "--trials", "1",
+                   timeout=30)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"refused: 3^{'9' * 20} assignments exceed")
 
 
 def test_run_config_validation():
@@ -857,6 +879,10 @@ def test_run_config_validation():
         RunConfig(split="bogus")
     with pytest.raises(ConfigError):
         RunConfig(seeds=())
+    with pytest.raises(ConfigError, match="seeds must be non-negative, got -1"):
+        RunConfig(seeds=(0, -1))
+    with pytest.raises(ConfigError, match="split_seed must be non-negative, got -2"):
+        RunConfig(split_seed=-2)
 
 
 @pytest.mark.parametrize("args,flag", [
@@ -870,6 +896,10 @@ def test_run_config_validation():
     (["synth", "--nodes", "0"], "--nodes"),
     (["synth", "--classes", "0"], "--classes"),
     (["synth", "--edges-per-node", "-1"], "--edges-per-node"),
+    (["oracle-check", "--seed", "-1"], "--seed"),
+    (["oracle-check", "--max-configs", "-5"], "--max-configs"),
+    (["oracle-check", "--max-configs", "0"], "--max-configs"),
+    (["synth", "--seed", "-1"], "--seed"),
 ])
 def test_out_of_range_counts_exit_one(tmp_path, capsys, args, flag):
     if args[0] == "synth":
@@ -882,13 +912,13 @@ def test_out_of_range_counts_exit_one(tmp_path, capsys, args, flag):
     assert not (tmp_path / "ds").exists()
 
 
-def _python(*args):
+def _python(*args, timeout=60):
     """This interpreter, run with the package's source directory on PYTHONPATH."""
     src = str(Path(mrfgcn.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=60, env=env)
+                          timeout=timeout, env=env)
 
 
 def test_python_dash_m_runs_the_cli():

@@ -7,20 +7,19 @@ import pytest
 
 from mrfgcn import selfcheck
 from mrfgcn.errors import ConfigError
-from mrfgcn.factors import (PairwiseParams, Redistribution, _piece_stats, endpoint_rows,
-                            objective_and_gradients)
+from mrfgcn.factors import (PairwiseParams, Redistribution, _leaf_major_pieces,
+                            endpoint_rows, objective_and_gradients)
 from mrfgcn.graph import build_graph
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows
-from mrfgcn.selfcheck import fd_gradient, random_instance, random_r, rel_error
-
-from conftest import enum_piece
+from mrfgcn.selfcheck import (fd_gradient, oracle_star_piece, random_instance, random_r,
+                              rel_error)
 
 
 def _piece(g, node, scores, pp, redist):
     """The piece at `node`: (log_z, center, leaf and pairwise marginals) rows."""
-    log_z, mu_center, pair_marg, leaf_marg = _piece_stats(g, scores, pp, redist)
+    log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist)
     slots = slice(g.indptr[node], g.indptr[node + 1])
-    return log_z[node], mu_center[node], leaf_marg[slots], pair_marg[slots]
+    return log_z[node], mu_center[node], rim[:, slots, 0].T, t[:, slots].transpose(1, 2, 0)
 
 
 def _log_factor(pp, edge_id, y_j, y_k):
@@ -118,12 +117,12 @@ def test_piece_inference_matches_enumeration(scheme, mode):
             rng, int(rng.integers(2, 8)), int(rng.integers(2, 5)),
             mode=mode, scheme=scheme)
         node = int(rng.integers(g.num_nodes))
-        ref_z, ref_center, ref_pair = enum_piece(g, node, scores, pp, redist)
-        log_z, center, _, pair = _piece(g, node, scores, pp, redist)
-        assert log_z == pytest.approx(ref_z, abs=1e-10)
-        assert np.abs(center - ref_center).max() <= 1e-10
-        if g.degrees[node]:
-            assert np.abs(pair - ref_pair).max() <= 1e-10
+        ref = oracle_star_piece(g, node, scores, pp, redist)
+        log_z, center, leaves, pair = _piece(g, node, scores, pp, redist)
+        assert log_z == pytest.approx(ref[0], abs=1e-10)
+        assert np.abs(center - ref[1]).max() <= 1e-10
+        assert np.abs(leaves - ref[2]).max(initial=0.0) <= 1e-10
+        assert np.abs(pair - ref[3]).max(initial=0.0) <= 1e-10
 
 
 @pytest.mark.parametrize("field", ["log_z", "pair_marg"])
@@ -131,14 +130,14 @@ def test_piece_check_fails_on_a_perturbed_piece_stats(monkeypatch, field):
     # the self-check must read the batched inference training runs, and
     # must notice an error far below what a wrong formula would give
     def perturbed(*args, **kwargs):
-        log_z, mu_center, pair_marg, leaf_marg = _piece_stats(*args, **kwargs)
+        log_z, mu_center, t, rim = _leaf_major_pieces(*args, **kwargs)
         if field == "log_z":
             log_z = log_z + 1e-8
         else:
-            pair_marg = pair_marg + 1e-8
-        return log_z, mu_center, pair_marg, leaf_marg
+            t = t + 1e-8
+        return log_z, mu_center, t, rim
 
-    monkeypatch.setattr(selfcheck, "_piece_stats", perturbed)
+    monkeypatch.setattr(selfcheck, "_leaf_major_pieces", perturbed)
     results = selfcheck.check_piece_inference([4, 6], trials=6, seed=0)
     assert not all(r.passed for r in results)
 
@@ -316,8 +315,8 @@ def test_mode_consistency_none_equals_edge_at_unit_alpha():
     assert objective_and_gradients(r, scores, pp_none, redist, g)[0] == \
         pytest.approx(objective_and_gradients(r, scores, pp_edge, redist, g)[0],
                       abs=1e-12)
-    stats_none = _piece_stats(g, scores, pp_none, redist)
-    stats_edge = _piece_stats(g, scores, pp_edge, redist)
+    stats_none = _leaf_major_pieces(g, scores, pp_none, redist)
+    stats_edge = _leaf_major_pieces(g, scores, pp_edge, redist)
     for a, b in zip(stats_none, stats_edge):
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
@@ -387,22 +386,21 @@ def test_piece_stats_stable_at_large_scores(scheme, mode):
         scores = scores * 200.0                                  # std 300
         pp = PairwiseParams(raw=5.0 * pp.raw, alpha=rng.normal(0.0, 2.0, pp.alpha.shape),
                             mode=mode)
-        stats = _piece_stats(g, scores, pp, redist)
-        log_z, mu_center, pair_marg, leaf_marg = stats
+        stats = _leaf_major_pieces(g, scores, pp, redist)
+        log_z, mu_center, t, rim = stats
         assert all(np.isfinite(x).all() for x in stats)
-        assert np.abs(pair_marg.sum(axis=2) - mu_center[g.slot_centers]).max(initial=0.0) \
-            <= 1e-12
-        assert np.abs(pair_marg.sum(axis=1) - leaf_marg).max(initial=0.0) <= 1e-12
+        assert np.abs(t.sum(axis=0) - mu_center[g.slot_centers]).max(initial=0.0) <= 1e-12
+        assert np.abs(t.sum(axis=2) - rim[:, :, 0]).max(initial=0.0) <= 1e-12
 
         # a per-node constant m moves each piece's log Z by its exponent-weighted
         # sum of m and leaves every marginal alone; shifted by thousands, the
         # unnormalized leaf and center terms are far outside exp's range
         m = rng.normal(0.0, 3000.0, size=n)
-        moved = _piece_stats(g, scores - m[:, None], pp, redist)
+        moved = _leaf_major_pieces(g, scores - m[:, None], pp, redist)
         shift = redist.center_exp * m + np.bincount(
             g.slot_centers, weights=(redist.leaf_exp * m)[g.indices], minlength=n)
         assert np.abs(log_z - moved[0] - shift).max() <= 1e-14 * np.abs(moved[0]).max()
-        for a, b in zip(stats[1:], moved[1:]):
+        for a, b in zip((mu_center, t, rim[:, :, 0]), (*moved[1:3], moved[3][:, :, 0])):
             assert np.abs(a - b).max(initial=0.0) <= 1e-12
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mrfgcn.errors import EnumerationLimitError
-from mrfgcn.factors import PairwiseParams, Redistribution, _piece_stats
+from mrfgcn.factors import PairwiseParams, Redistribution, _leaf_major_pieces
 from mrfgcn.graph import build_graph
 from mrfgcn.numerics import softmax_rows
 from mrfgcn.oracle import (OracleLimit, exact_elbo, exact_log_partition,
@@ -203,5 +203,5 @@ def test_lone_star_piece_with_unit_exponents_matches_exact():
     pp = PairwiseParams(raw=rng.normal(size=(3, 3)), alpha=rng.normal(size=4),
                         mode="edge")
     unit = Redistribution(center_exp=np.ones(5), leaf_exp=np.ones(5), pair_exp=1.0)
-    log_z, _, _, _ = _piece_stats(g, scores, pp, unit)
+    log_z, _, _, _ = _leaf_major_pieces(g, scores, pp, unit)
     assert log_z[0] == pytest.approx(exact_log_partition(g, scores, pp), abs=1e-10)
