@@ -3,13 +3,23 @@
 The forward map is ``A @ relu(A @ drop(X) @ W0) @ W1`` where A is the
 normalized adjacency (dense array or sparse operator) and dropout is
 active only for a keep probability below 1. The features X are a CSR
-matrix, and the input dropout scales only its stored entries: a zero
-stays zero whether it is dropped or kept, so one mask value per nonzero
-is drawn, and the dropped input reuses the features' index arrays. The
-hidden-layer mask is dense. Raw scores serve directly as
-unary log-factors; no per-node normalization is applied. Backward
-passes are exact for the activations cached by the forward call that
-produced them, including its dropout masks.
+matrix, and the input dropout draws one mask value per stored entry: a
+zero stays zero whether it is dropped or kept, so the dropped input
+stores only the kept entries, each scaled by 1/keep. The hidden-layer
+mask is dense over the rows the hidden layer computes. Raw scores serve
+directly as unary log-factors; no per-node normalization is applied.
+Backward passes are exact for the activations cached by the forward call
+that produced them, including its dropout masks.
+
+A loss that reads the scores of a few rows reads only their receptive
+field: the rows' neighbours' hidden activations, and those nodes'
+neighbours' features. `receptive_field` cuts these blocks out of A and X
+once, and `forward` runs on them with an outer adjacency A[rows] and an
+inner one A[hidden][:, inputs]; the whole graph passes A for both. Every
+row of a CSR product sums its stored entries in order, and the hidden
+rows are placed back at their node ids before the dense products with
+W1, so the field's loss, gradients and scores are bit-identical to the
+whole graph's.
 """
 
 from dataclasses import dataclass
@@ -33,13 +43,59 @@ class GcnParams:
 @dataclass
 class GcnCache:
     """Activations retained by forward() for an exact backward()."""
-    norm_adj: object
-    x0: object          # input after dropout (CSR in train mode)
+    outer_t: object     # transpose of the score layer's adjacency
+    inner_t: object     # transpose of the hidden layer's adjacency
+    hidden: np.ndarray | None   # node id of each row of z1; None for every node
+    x0: object          # input after dropout (CSR of the kept entries in train mode)
     z1: np.ndarray      # pre-activation of the hidden layer
-    h1d: np.ndarray     # hidden activation after dropout
+    h1d: np.ndarray     # hidden activation after dropout, one row per node
     mask1: np.ndarray | None
     w0_ref: np.ndarray
     w1_ref: np.ndarray
+
+
+@dataclass(frozen=True)
+class Field:
+    """The blocks of A and X that the scores of `ids` read, with the
+    transposes that backward() multiplies by.
+
+    `rows` are the sorted distinct ids and `positions` each id's row among
+    them; `hidden` are the sorted nodes adjacent to a row (itself included)
+    and `inputs` the sorted nodes adjacent to a hidden node.
+    """
+    ids: np.ndarray
+    rows: np.ndarray
+    positions: np.ndarray
+    hidden: np.ndarray
+    outer: sp.csr_array      # A[rows], all n columns
+    outer_t: sp.csr_array
+    inner: sp.csr_array      # A[hidden][:, inputs]
+    inner_t: sp.csr_array
+    features: sp.csr_array   # X[inputs]
+
+
+def receptive_field(norm_adj, features, ids) -> Field:
+    """Cut the receptive field of `ids` out of the adjacency and the features.
+
+    Both are taken as CSR. Row slices keep each row's entries in order, and
+    the inner block's columns are renumbered by rank among the sorted
+    `inputs`, which keeps that order too. A transpose converted to CSR lists
+    each row's entries in ascending column order, the order in which a
+    product with the CSC view of the transpose adds them up.
+    """
+    a = sp.csr_array(norm_adj)
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = np.unique(ids)
+    outer = a[rows]
+    hidden = np.unique(outer.indices).astype(np.int64)
+    inner = a[hidden]
+    inputs = np.unique(inner.indices)
+    rank = np.empty(a.shape[1], dtype=inner.indices.dtype)
+    rank[inputs] = np.arange(len(inputs))
+    inner = sp.csr_array((inner.data, rank[inner.indices], inner.indptr),
+                         shape=(len(hidden), len(inputs)))
+    return Field(ids, rows, np.searchsorted(rows, ids), hidden, outer, outer.T.tocsr(),
+                 inner, inner.T.tocsr(), sp.csr_array(features)[inputs])
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -54,12 +110,31 @@ def init_params(num_features, hidden, num_classes, seed: int) -> GcnParams:
                      w1=_glorot(rng, hidden, num_classes))
 
 
-def forward(params: GcnParams, features, norm_adj, dropout_keep=1.0, rng=None):
+def _drop_stored(features, keep, rng):
+    """CSR of the kept stored entries, each scaled by 1/keep."""
+    x = features if isinstance(features, sp.csr_array) else sp.csr_array(features)
+    kept = np.flatnonzero(dropout_mask(x.data.shape, keep, rng))
+    indptr = np.searchsorted(kept, x.indptr).astype(x.indptr.dtype)
+    return sp.csr_array((x.data[kept] * (1.0 / keep), x.indices[kept], indptr), shape=x.shape)
+
+
+def forward(params: GcnParams, features, norm_adj, dropout_keep=1.0, rng=None, field=None):
     """Run the backbone; returns (scores, cache).
+
+    norm_adj is symmetric, so backward() uses it as its own transpose. A
+    receptive `field` cut from these features and this adjacency restricts
+    the run to its blocks: the hidden layer computes the field's hidden
+    rows and the scores have one row per entry of field.rows.
 
     With dropout_keep < 1 an rng must be supplied; one input mask over the
     stored feature entries and one hidden mask are drawn, in that order.
     """
+    if field is None:
+        outer = outer_t = inner = inner_t = norm_adj
+        hidden = None
+    else:
+        features, outer, outer_t = field.features, field.outer, field.outer_t
+        inner, inner_t, hidden = field.inner, field.inner_t, field.hidden
     if features.shape[1] != params.w0.shape[0]:
         raise StructuralInputError(
             f"features width {features.shape[1]} != w0 rows {params.w0.shape[0]}")
@@ -68,16 +143,20 @@ def forward(params: GcnParams, features, norm_adj, dropout_keep=1.0, rng=None):
     if dropout_keep < 1.0:
         if rng is None:
             raise StructuralInputError("dropout requires an rng stream")
-        x = sp.csr_array(features)      # shares a CSR input's arrays
-        x0 = sp.csr_array((x.data * dropout_mask(x.data.shape, dropout_keep, rng),
-                           x.indices, x.indptr), shape=x.shape)
-        mask1 = dropout_mask((features.shape[0], params.w0.shape[1]), dropout_keep, rng)
-    z1 = norm_adj @ (x0 @ params.w0)
+        x0 = _drop_stored(features, dropout_keep, rng)
+        mask1 = dropout_mask((inner.shape[0], params.w0.shape[1]), dropout_keep,
+                             rng) / dropout_keep
+    z1 = inner @ (x0 @ params.w0)
     h1 = np.maximum(z1, 0.0)
     h1d = h1 if mask1 is None else h1 * mask1
-    scores = norm_adj @ (h1d @ params.w1)
-    cache = GcnCache(norm_adj=norm_adj, x0=x0, z1=z1, h1d=h1d, mask1=mask1,
-                     w0_ref=params.w0, w1_ref=params.w1)
+    if hidden is not None:
+        # BLAS computes a row of a dense product by its place in the matrix
+        placed = np.zeros((outer.shape[1], h1d.shape[1]))
+        placed[hidden] = h1d
+        h1d = placed
+    scores = outer @ (h1d @ params.w1)
+    cache = GcnCache(outer_t=outer_t, inner_t=inner_t, hidden=hidden, x0=x0, z1=z1, h1d=h1d,
+                     mask1=mask1, w0_ref=params.w0, w1_ref=params.w1)
     return scores, cache
 
 
@@ -85,29 +164,38 @@ def backward(params: GcnParams, cache: GcnCache, grad_scores):
     """Gradients of sum(grad_scores * scores) w.r.t. (w0, w1)."""
     if cache.w0_ref is not params.w0 or cache.w1_ref is not params.w1:
         raise StaleCacheError("forward cache does not match these parameters")
-    a = cache.norm_adj
-    ag = a @ grad_scores
+    ag = cache.outer_t @ grad_scores
     gw1 = cache.h1d.T @ ag
     gh1d = ag @ params.w1.T
+    if cache.hidden is not None:
+        gh1d = gh1d[cache.hidden]
     gh1 = gh1d if cache.mask1 is None else gh1d * cache.mask1
     gz1 = gh1 * (cache.z1 > 0.0)
-    gw0 = cache.x0.T @ (a @ gz1)
+    gw0 = cache.x0.T @ (cache.inner_t @ gz1)
     return gw0, gw1
 
 
 def supervised_loss_and_grad(params, features, norm_adj, labels, train_ids,
-                             rng=None, dropout_keep=1.0):
-    """Mean cross-entropy over train_ids plus its exact weight gradients."""
-    scores, cache = forward(params, features, norm_adj, dropout_keep=dropout_keep, rng=rng)
-    train_ids = np.asarray(train_ids)
-    probs = softmax_rows(scores[train_ids])
-    picked = probs[np.arange(len(train_ids)), labels[train_ids]]
+                             rng=None, dropout_keep=1.0, field=None):
+    """Mean cross-entropy over train_ids plus its exact weight gradients.
+
+    The loss reads only the scores of train_ids, so it runs on their
+    receptive field: `field` when given (cut for these train_ids), else one
+    cut here.
+    """
+    if field is None:
+        field = receptive_field(norm_adj, features, train_ids)
+    scores, cache = forward(params, features, norm_adj, dropout_keep=dropout_keep, rng=rng,
+                            field=field)
+    count = len(field.ids)
+    probs = softmax_rows(scores[field.positions])
+    picked = probs[np.arange(count), labels[field.ids]]
     # a label probability that underflows to 0 makes the reported loss inf;
     # the loss is only reported, and the gradient below stays finite
     with np.errstate(divide="ignore"):
         loss = float(-np.mean(np.log(picked)))
     grad_scores = np.zeros_like(scores)
-    grad_scores[train_ids] = probs / len(train_ids)
-    grad_scores[train_ids, labels[train_ids]] -= 1.0 / len(train_ids)
+    grad_scores[field.positions] = probs / count
+    grad_scores[field.positions, labels[field.ids]] -= 1.0 / count
     gw0, gw1 = backward(params, cache, grad_scores)
     return loss, gw0, gw1

@@ -4,9 +4,11 @@ Everything is double precision. Randomness comes from named Philox
 streams derived from one run seed, so results do not depend on the
 order in which unrelated components draw numbers. A dropout mask has
 whatever shape the caller names: the GCN draws one value per stored
-entry of its CSR features, and a dense mask for its hidden layer.
+entry of its CSR features, and one per hidden unit of the rows it
+computes. Each mask value is one 32-bit half of a raw Philox word.
 """
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -37,10 +39,21 @@ def softmax_rows(m):
 
 
 def dropout_mask(shape, keep_prob, rng):
-    """Binary mask scaled by 1/keep_prob, so kept activations are unbiased."""
+    """Boolean keep mask; the caller scales what it keeps by 1/keep_prob.
+
+    Each entry is one uint32 half of the stream's raw 64-bit words, kept
+    when below round(keep_prob * 2**32), so the keep rate is exact to
+    2**-32. A threshold that rounds up to 2**32 is held at 2**32 - 1,
+    and keep_prob == 1 draws nothing.
+    """
     if not 0.0 < keep_prob <= 1.0:
         raise ConfigError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    return (rng.random(shape) < keep_prob) / keep_prob
+    if keep_prob == 1.0:
+        return np.ones(shape, dtype=bool)
+    size = math.prod(shape)
+    halves = rng.bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size]
+    threshold = np.uint32(min(round(keep_prob * 2.0 ** 32), 2 ** 32 - 1))
+    return (halves < threshold).reshape(shape)
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
@@ -72,7 +85,10 @@ class AdamState:
 def adam_step(param, grad, state: AdamState):
     """One bias-corrected Adam minimization step; returns the new parameter.
 
-    The moment accumulators and step counter in `state` are updated in place.
+    The moment accumulators and step counter in `state` are updated in place,
+    through one scratch array; each operation rounds as in the textbook
+    expressions m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, so the
+    result is bit-identical to them.
     """
     param = np.asarray(param, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
@@ -80,10 +96,21 @@ def adam_step(param, grad, state: AdamState):
         raise ValueError(f"adam_step shape mismatch: param {param.shape}, grad {grad.shape}, "
                          f"state {state.m.shape}")
     state.step += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    m, v = state.m, state.v
+    scratch = np.multiply(grad, 1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
+    m += scratch
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch)
+    scratch *= grad
+    v *= ADAM_BETA2
+    v += scratch
+    # scratch becomes sqrt(v_hat) + eps, then step holds lr * m_hat over it
+    np.divide(v, 1.0 - ADAM_BETA2 ** state.step, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    step = m / (1.0 - ADAM_BETA1 ** state.step)
+    step *= state.lr
+    step /= scratch
     new = param * (1.0 - state.lr * state.weight_decay)
-    new = new - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    new -= step
     return new

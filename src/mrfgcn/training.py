@@ -17,6 +17,11 @@ rather than along the short class axis. A numbering that chains the
 unlabeled nodes (a path numbered end to end) puts every node on its own
 level, where this is slower than a per-node loop.
 
+The warm start trains the backbone on the labeled nodes' cross-entropy.
+Its loss and its per-epoch validation read the scores of a few rows, so
+both run on those rows' receptive fields (`gcn.receptive_field`), which
+gives the full graph's loss, gradients and scores bit for bit.
+
 The M-step fixes q and runs full-batch Adam ascent on the expected
 piecewise objective, updating the backbone weights together with K and
 alpha. Each EM round is one M-step on q, then one E-step on the new
@@ -388,6 +393,16 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
             return float("nan")
         return evaluate(predictions, labels, split.val)
 
+    # the warm start's loss and validation read only their receptive fields
+    train_field = gcn.receptive_field(norm_adj, features, train_ids)
+    val_field = gcn.receptive_field(norm_adj, features, split.val) if len(split.val) else None
+
+    def warm_val_accuracy(p):
+        if val_field is None:
+            return float("nan")
+        s, _ = gcn.forward(p, features, norm_adj, field=val_field)
+        return float(np.mean(np.argmax(s[val_field.positions], axis=1) == labels[split.val]))
+
     best: _Checkpoint | None = None
     use_selection = len(split.val) > 0
 
@@ -409,12 +424,11 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
     epochs_since_best = 0
     for epoch in range(config.warm_epochs):
         loss, gw0, gw1 = gcn.supervised_loss_and_grad(
-            params, features, norm_adj, labels, train_ids,
-            rng=rng_drop, dropout_keep=config.dropout_keep)
+            params, features, norm_adj, labels, train_ids, rng=rng_drop,
+            dropout_keep=config.dropout_keep, field=train_field)
         params = gcn.GcnParams(adam_step(params.w0, gw0, st_w0),
                                adam_step(params.w1, gw1, st_w1))
-        scores = eval_scores(params)
-        acc = val_accuracy_of(np.argmax(scores, axis=1))
+        acc = warm_val_accuracy(params)
         report.add("warm", epoch, "supervised_loss", loss)
         report.add("warm", epoch, "val_accuracy", acc)
         if consider(acc, f"warm:{epoch}", params, pp, None):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mrfgcn.data import generate_synthetic
 from mrfgcn.errors import StaleCacheError
-from mrfgcn.gcn import GcnParams, backward, forward, init_params, supervised_loss_and_grad
-from mrfgcn.graph import build_graph, normalized_adjacency
-from mrfgcn.numerics import dropout_mask, stream
+from mrfgcn.gcn import (GcnParams, backward, forward, init_params, receptive_field,
+                        supervised_loss_and_grad)
+from mrfgcn.graph import build_graph, normalized_adjacency, normalized_adjacency_operator
+from mrfgcn.numerics import dropout_mask, softmax_rows, stream
 from mrfgcn.selfcheck import random_graph
 
 
@@ -222,12 +224,14 @@ def test_input_dropout_keeps_zeros_and_scales_kept_entries():
     kept = dropped[stored] != 0.0
     assert kept.any() and not kept.all()
     assert np.array_equal(dropped[stored][kept], dense[stored][kept] * (1.0 / keep))
+    # the dropped input stores the kept entries and nothing else
+    assert cache.x0.nnz == kept.sum() and np.all(cache.x0.data != 0.0)
     # the caller's features are not touched
     assert np.array_equal(x.data, before.data)
 
 
 @pytest.mark.parametrize("layout", ["csr", "dense"])
-def test_input_dropout_scales_a_copy_of_the_values_on_the_shared_structure(layout):
+def test_input_dropout_stores_a_scaled_copy_of_the_kept_entries(layout):
     rng = np.random.default_rng(12)
     g = random_graph(rng, 30)
     x = _sparse_features(rng, 30, 12)
@@ -235,16 +239,28 @@ def test_input_dropout_scales_a_copy_of_the_values_on_the_shared_structure(layou
     features = x if layout == "csr" else x.toarray()
     scores, cache = forward(params, features, normalized_adjacency(g), dropout_keep=0.6,
                             rng=stream(3, "d"))
-    # the values of a whole-matrix copy scaled in place, bit for bit
-    copied = sp.csr_array(x, copy=True)
-    copied.data *= dropout_mask(copied.data.shape, 0.6, stream(3, "d"))
-    assert np.array_equal(cache.x0.data, copied.data)
-    assert np.array_equal(cache.x0.indices, x.indices)
-    assert np.array_equal(cache.x0.indptr, x.indptr)
-    if layout == "csr":
-        assert np.shares_memory(cache.x0.indices, x.indices)
-        assert np.shares_memory(cache.x0.indptr, x.indptr)
-        assert not np.shares_memory(cache.x0.data, x.data)
+    # the stored entries the same stream keeps, each multiplied by 1/keep
+    kept = dropout_mask((x.nnz,), 0.6, stream(3, "d"))
+    assert np.array_equal(cache.x0.data, x.data[kept] * (1.0 / 0.6))
+    assert np.array_equal(cache.x0.indices, x.indices[kept])
+    assert np.array_equal(cache.x0.indptr, np.concatenate([[0], np.cumsum(kept)])[x.indptr])
+    assert not np.shares_memory(cache.x0.data, x.data)
+    # products over the kept entries equal those with the dropped ones as zeros
+    zeros_kept = sp.csr_array((x.data * (kept / 0.6), x.indices, x.indptr), shape=x.shape)
+    upstream = rng.normal(size=(30, 4))
+    assert np.array_equal(cache.x0 @ params.w0, zeros_kept @ params.w0)
+    assert np.array_equal(cache.x0.T @ upstream, zeros_kept.T @ upstream)
+
+
+def test_keep_one_draws_nothing_and_stores_the_features_as_given():
+    rng = np.random.default_rng(13)
+    g = random_graph(rng, 12)
+    x = _sparse_features(rng, 12, 5)
+    params = init_params(5, 4, 3, seed=1)
+    draws = stream(3, "d")
+    _, cache = forward(params, x, normalized_adjacency(g), dropout_keep=1.0, rng=draws)
+    assert cache.x0 is x and cache.mask1 is None
+    assert np.array_equal(draws.random(4), stream(3, "d").random(4))
 
 
 def _dense_reference(params, x, adj, mask0, mask1, upstream):
@@ -272,9 +288,9 @@ def test_sparse_forward_backward_match_dense_for_the_same_masks():
 
     # the same stream, drawn in forward's order: one value per stored entry, then hidden
     masks = stream(5, "d")
-    mask0 = sp.csr_array((dropout_mask((x.nnz,), keep, masks), x.indices, x.indptr),
+    mask0 = sp.csr_array((dropout_mask((x.nnz,), keep, masks) / keep, x.indices, x.indptr),
                          shape=x.shape).toarray()
-    mask1 = dropout_mask((n, hidden), keep, masks)
+    mask1 = dropout_mask((n, hidden), keep, masks) / keep
     ref_scores, ref_gw0, ref_gw1 = _dense_reference(params, x.toarray(), adj, mask0, mask1,
                                                     upstream)
     assert np.allclose(scores, ref_scores, rtol=0.0, atol=1e-12)
@@ -369,3 +385,126 @@ def test_supervised_grads_match_finite_differences():
     fd1 = _fd(lambda w: loss_of(params.w0, w), params.w1.copy())
     assert _rel(gw0, fd0) <= 1e-6
     assert _rel(gw1, fd1) <= 1e-6
+
+
+# ---- the receptive field: the supervised step and validation on A[rows] and X[inputs]
+
+def _full_graph_loss_and_grad(params, x, adj, labels, train_ids):
+    """Supervised loss, gradients and scores from the full-graph forward and backward."""
+    scores, cache = forward(params, x, adj)
+    count = len(train_ids)
+    probs = softmax_rows(scores[train_ids])
+    loss = float(-np.mean(np.log(probs[np.arange(count), labels[train_ids]])))
+    grad_scores = np.zeros_like(scores)
+    grad_scores[train_ids] = probs / count
+    grad_scores[train_ids, labels[train_ids]] -= 1.0 / count
+    return (loss, *backward(params, cache, grad_scores)), scores
+
+
+def _field_case(name):
+    """(graph, features, train ids, validation ids) for one equivalence case."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "isolated_nodes":
+        g = random_graph(rng, 41, edge_prob=0.03)
+    elif name == "bare_labeled":
+        g = random_graph(rng, 30, edge_prob=0.08)
+    elif name == "whole_graph":
+        g = random_graph(rng, 23, edge_prob=0.3)
+    else:                                    # a sparse graph of a few hundred nodes
+        ds = generate_synthetic(203, 5, 2, 0.8, feature_dim=40, feature_noise=0.1,
+                                seed=3)
+        g = ds.graph
+    n = g.num_nodes
+    x = _sparse_features(rng, n, 9, density=0.4)
+    bare = np.flatnonzero(g.degrees == 0)
+    if name == "bare_labeled":
+        assert len(bare) >= 2
+        train = np.concatenate([bare[:2], rng.choice(np.flatnonzero(g.degrees > 0), 4,
+                                                     replace=False)])
+    else:
+        train = rng.choice(n, max(3, n // 10), replace=False)
+    if name == "isolated_nodes":
+        assert len(bare) > 0
+    val = rng.choice(np.setdiff1d(np.arange(n), train), n // 3, replace=False)
+    return g, x, train, val
+
+
+_FIELD_CASES = ("isolated_nodes", "bare_labeled", "whole_graph", "synthetic")
+
+
+@pytest.mark.parametrize("layout", ["csr", "dense"])
+@pytest.mark.parametrize("name", _FIELD_CASES)
+def test_field_supervised_step_and_validation_scores_equal_the_full_graph(name, layout):
+    g, x, train, val = _field_case(name)
+    n = g.num_nodes
+    rng = np.random.default_rng(5)
+    # the default hidden width and ten classes: BLAS computes a row of a
+    # (rows x 16) @ (16 x 10) product by its place, which the field must keep
+    labels = rng.integers(0, 10, size=n)
+    params = GcnParams(rng.normal(size=(9, 16)), rng.normal(size=(16, 10)))
+    csr = normalized_adjacency_operator(g)
+    adj = csr if layout == "csr" else normalized_adjacency(g)
+    field = receptive_field(adj, x, train)
+    if name == "whole_graph":
+        assert field.features.shape[0] == n
+    # the field is always cut as CSR, so the full graph runs on the CSR form
+    ref, scores = _full_graph_loss_and_grad(params, x, csr, labels, train)
+    got = supervised_loss_and_grad(params, x, adj, labels, train, field=field)
+    assert all(np.array_equal(r, v) for r, v in zip(ref, got))
+    # without a field given, one is cut from the arguments
+    assert all(np.array_equal(r, v) for r, v in
+               zip(ref, supervised_loss_and_grad(params, x, adj, labels, train)))
+    val_field = receptive_field(adj, x, val)
+    val_scores, _ = forward(params, x, adj, field=val_field)
+    assert np.array_equal(val_scores[val_field.positions], scores[val])
+    if layout == "dense":
+        dense_ref, _ = _full_graph_loss_and_grad(params, x, adj, labels, train)
+        assert all(np.allclose(r, v, rtol=1e-12, atol=1e-15) for r, v in zip(dense_ref, got))
+
+
+def test_field_holds_the_two_hop_blocks():
+    g, x, train, _ = _field_case("synthetic")
+    adj = normalized_adjacency(g)
+    field = receptive_field(adj, x, train)
+    hop1 = np.flatnonzero(adj[np.sort(train)].any(axis=0))
+    hop2 = np.flatnonzero(adj[hop1].any(axis=0))
+    assert np.array_equal(field.rows, np.sort(train))
+    assert np.array_equal(field.rows[field.positions], train)
+    assert np.array_equal(field.hidden, hop1)
+    assert len(hop2) < g.num_nodes
+    assert np.array_equal(field.outer.toarray(), adj[field.rows])
+    assert np.array_equal(field.inner.toarray(), adj[np.ix_(hop1, hop2)])
+    assert np.array_equal(field.outer_t.toarray(), adj[field.rows].T)
+    assert np.array_equal(field.inner_t.toarray(), adj[np.ix_(hop1, hop2)].T)
+    assert np.array_equal(field.features.toarray(), x.toarray()[hop2])
+
+
+def test_field_dropout_draws_over_the_field_only():
+    g, x, train, _ = _field_case("synthetic")
+    adj = normalized_adjacency_operator(g)
+    field = receptive_field(adj, x, train)
+    params = init_params(9, 6, 4, seed=2)
+    _, cache = forward(params, x, adj, dropout_keep=0.5, rng=stream(1, "d"), field=field)
+    draws = stream(1, "d")
+    kept = dropout_mask((field.features.nnz,), 0.5, draws)
+    mask1 = dropout_mask((len(field.hidden), 6), 0.5, draws) / 0.5
+    assert cache.x0.nnz == kept.sum()
+    assert np.array_equal(cache.mask1, mask1)
+
+
+def test_field_backward_with_dropout_matches_finite_differences():
+    g, x, train, _ = _field_case("isolated_nodes")
+    rng = np.random.default_rng(14)
+    labels = rng.integers(0, 3, size=g.num_nodes)
+    params = GcnParams(rng.normal(size=(9, 5)), rng.normal(size=(5, 3)))
+    adj = normalized_adjacency_operator(g)
+    field = receptive_field(adj, x, train)
+
+    def loss(w0, w1):
+        return supervised_loss_and_grad(GcnParams(w0, w1), x, adj, labels, train,
+                                        rng=stream(2, "fd"), dropout_keep=0.7, field=field)[0]
+
+    _, gw0, gw1 = supervised_loss_and_grad(params, x, adj, labels, train, rng=stream(2, "fd"),
+                                           dropout_keep=0.7, field=field)
+    assert _rel(gw0, _fd(lambda w: loss(w, params.w1), params.w0.copy())) <= 1e-6
+    assert _rel(gw1, _fd(lambda w: loss(params.w0, w), params.w1.copy())) <= 1e-6

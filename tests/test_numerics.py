@@ -126,6 +126,26 @@ def test_adam_matches_scalar_reference_trace():
     assert p[0] == pytest.approx(p_ref, abs=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(1433, 16), (64, 16), (3673,), (500, 16)])
+def test_adam_in_place_moments_equal_the_textbook_formula_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    p = rng.normal(size=shape)
+    st = AdamState.for_param(p, lr=0.01, weight_decay=5e-4)
+    p_ref, m, v = p.copy(), np.zeros(shape), np.zeros(shape)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, 21):
+        g = rng.normal(size=shape) * rng.choice([1e-6, 1.0, 1e3])
+        p = adam_step(p, g, st)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        p_ref = p_ref * (1.0 - 0.01 * 5e-4)
+        p_ref = p_ref - 0.01 * m_hat / (np.sqrt(v_hat) + eps)
+        assert np.array_equal(p, p_ref)
+        assert np.array_equal(st.m, m) and np.array_equal(st.v, v)
+
+
 def test_adam_decoupled_weight_decay():
     p = np.array([2.0])
     st = AdamState.for_param(p, lr=0.1, weight_decay=0.5)
@@ -145,9 +165,45 @@ def test_dropout_keep_one_is_all_ones():
 
 
 def test_dropout_mean_near_one():
-    mask = dropout_mask((100000,), 0.5, stream(7, "dropout"))
+    # the mask keeps; scaled by 1/keep it leaves activations unbiased
+    mask = dropout_mask((100000,), 0.5, stream(7, "dropout")) / 0.5
     assert set(np.unique(mask)) <= {0.0, 2.0}
     assert abs(mask.mean() - 1.0) <= 0.02
+
+
+@pytest.mark.parametrize("keep", [0.5, 0.3])
+def test_dropout_keep_rate_within_five_sigma(keep):
+    draws = 10 ** 6
+    kept = dropout_mask((draws,), keep, stream(4, "dropout"))
+    assert kept.dtype == bool
+    sigma = math.sqrt(draws * keep * (1.0 - keep))
+    assert abs(int(kept.sum()) - draws * keep) <= 5 * sigma
+
+
+def test_dropout_same_stream_same_mask_and_odd_sizes_use_half_words():
+    a = dropout_mask((7, 3), 0.4, stream(5, "dropout"))
+    b = dropout_mask((7, 3), 0.4, stream(5, "dropout"))
+    assert a.shape == (7, 3) and np.array_equal(a, b)
+    # 21 halves take 11 raw words; the stream continues after them
+    rng = stream(5, "dropout")
+    dropout_mask((21,), 0.4, rng)
+    raw = stream(5, "dropout").bit_generator.random_raw(12)
+    assert rng.bit_generator.random_raw() == raw[11]
+    halves = raw[:11].view(np.uint32)[:21]
+    assert np.array_equal(a.ravel(), halves < round(0.4 * 2 ** 32))
+
+
+def test_dropout_keep_just_below_one_does_not_overflow_the_threshold():
+    keep = 1.0 - 2.0 ** -40                     # round(keep * 2**32) is 2**32
+    assert round(keep * 2.0 ** 32) == 2 ** 32
+    kept = dropout_mask((1000,), keep, stream(6, "dropout"))
+    assert kept.all()
+
+
+def test_dropout_keep_one_draws_nothing():
+    rng = stream(8, "dropout")
+    assert dropout_mask((3, 4), 1.0, rng).all()
+    assert np.array_equal(rng.random(3), stream(8, "dropout").random(3))
 
 
 def test_dropout_deterministic_per_seed():

@@ -433,12 +433,15 @@ def test_train_alpha_zero_stays_degenerate():
 
 
 def test_train_draws_input_dropout_only_for_stored_features(monkeypatch):
-    # a dense n x f input mask would draw n * f values on every forward pass
+    # a dense n x f input mask would draw n * f values on every forward pass;
+    # the warm start draws only over its receptive field, the M-step over all
     ds = row_normalize_features(generate_synthetic(150, 3, 3, 0.85, feature_dim=60,
                                                    feature_noise=0.05, seed=6))
     n, hidden = ds.graph.num_nodes, 8
     assert ds.features.nnz + n * hidden < n * ds.num_features
-    split = ratio_split(ds, 0.2, 0.2, 0.6, seed=3)
+    split = ratio_split(ds, 0.05, 0.2, 0.6, seed=3)
+    field = gcn.receptive_field(normalized_adjacency(ds.graph), ds.features, split.train)
+    assert len(field.hidden) < n
     drawn, real = [], gcn.dropout_mask
 
     def counting(shape, keep_prob, rng):
@@ -448,10 +451,12 @@ def test_train_draws_input_dropout_only_for_stored_features(monkeypatch):
     monkeypatch.setattr(gcn, "dropout_mask", counting)
     config = _tiny_config(hidden=hidden)
     train(ds, split, config)
-    per_forward = [a + b for a, b in zip(drawn[::2], drawn[1::2])]
+    per_forward = list(zip(drawn[::2], drawn[1::2]))
     assert len(drawn) == 2 * len(per_forward)
     assert len(per_forward) == config.warm_epochs + config.em_rounds * config.m_epochs
-    assert max(per_forward) <= ds.features.nnz + n * hidden
+    warm, m_steps = per_forward[:config.warm_epochs], per_forward[config.warm_epochs:]
+    assert set(warm) == {(field.features.nnz, len(field.hidden) * hidden)}
+    assert set(m_steps) == {(ds.features.nnz, n * hidden)}
 
 
 def test_train_reports_the_returned_proposal(monkeypatch):
