@@ -2,9 +2,16 @@
 
 Subcommands: train, evaluate, homophily, oracle-check, ablate, synth.
 Run settings come from an optional key=value config file plus flags;
-flags win. They are all checked when they are built, before a command
-reads data or writes a file. Exit codes: 0 success, 1 configuration
-error, 2 runtime failure, 3 self-check failure.
+flags win. Both are derived from RunConfig's fields: the key is the
+field's name, the flag is that name in kebab case (`em_rounds` is
+`--em-rounds`), and a flag's text is read as the config line's value is.
+A bool field's flag takes no value and sets the opposite of its default.
+The exceptions are `--config`, the short aliases `--coeff` and `--redist`,
+and `--fixed-split` and `--no-row-normalize`, which turn off
+`resplit_per_seed` and `row_normalize`. The settings are all checked
+when they are built, before a command reads data or writes a file. Exit
+codes: 0 success, 1 configuration error, 2 runtime failure, 3
+self-check failure.
 """
 
 import argparse
@@ -69,13 +76,8 @@ class _RunSettings:
         return dataclasses.replace(self._train, seed=seed)
 
     def to_text(self) -> str:
-        lines = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            value = getattr(self, f.name)
-            if f.name == "seeds":
-                value = ",".join(str(s) for s in value)
-            lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name} = {_text(getattr(self, f.name))}\n"
+                       for f in sorted(fields(self), key=lambda f: f.name))
 
     @classmethod
     def from_text(cls, text):
@@ -112,21 +114,27 @@ RunConfig.__doc__ = "Every setting of a run: the key=value config file and the f
 RunConfig.__module__ = __name__
 
 
+def _text(value):
+    """A setting's value as a config line writes it."""
+    return ",".join(str(s) for s in value) if isinstance(value, tuple) else str(value)
+
+
 def _parse_value(f, text):
-    if f.name == "seeds":
-        return seed_list(text)
-    for kind, noun in ((int, "an int"), (float, "a float")):
-        if f.type in (kind, kind.__name__):
-            try:
-                return kind(text)
-            except ValueError:
-                raise ConfigError(f"{f.name} expects {noun}, got {text!r}") from None
-    if f.type in ("bool", bool):
+    """The value of setting `f` from its text, in a config line or a flag."""
+    if f.type is tuple:
+        return _int_list(text, f.name)
+    if f.type is bool:
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"bad boolean value {text!r} for {f.name}")
+    if f.type in (int, float):
+        try:
+            return f.type(text)
+        except ValueError:
+            noun = "an int" if f.type is int else "a float"
+            raise ConfigError(f"{f.name} expects {noun}, got {text!r}") from None
     return text
 
 
@@ -135,10 +143,6 @@ def _int_list(text, name):
         return tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError:
         raise ConfigError(f"{name} expects comma-separated ints, got {text!r}") from None
-
-
-def seed_list(text):
-    return _int_list(text, "seeds")
 
 
 def _require_at_least(lowest, **values):
@@ -323,44 +327,36 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# the flags not spelled as their setting's name in kebab case: two short
+# aliases, and the switches that turn off a setting that is on by default
+_FLAG_SPELLINGS = {"coefficient_mode": ("--coefficient-mode", "--coeff"),
+                   "redistribution": ("--redistribution", "--redist"),
+                   "resplit_per_seed": ("--fixed-split",),
+                   "row_normalize": ("--no-row-normalize",)}
+
+
 def _add_run_flags(p):
     p.add_argument("--config", help="key=value settings file")
-    p.add_argument("--dataset", help="dataset directory or .content file")
-    p.add_argument("--split", choices=_SPLIT_KINDS)
-    p.add_argument("--seeds", type=seed_list, help="comma-separated list, e.g. 0,1,2")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--coeff", choices=("none", "layer", "edge"),
-                   dest="coefficient_mode")
-    p.add_argument("--redist", choices=("average", "center"), dest="redistribution")
-    p.add_argument("--em-rounds", type=int, dest="em_rounds")
-    p.add_argument("--warm-epochs", type=int, dest="warm_epochs")
-    p.add_argument("--m-epochs", type=int, dest="m_epochs")
-    p.add_argument("--e-sweeps", type=int, dest="e_sweeps")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--alpha-init", type=float, dest="alpha_init")
-    p.add_argument("--per-class", type=int, dest="per_class")
-    p.add_argument("--num-val", type=int, dest="num_val")
-    p.add_argument("--num-test", type=int, dest="num_test")
-    p.add_argument("--patience", type=int)
-    p.add_argument("--fixed-split", action="store_const", const=False,
-                   dest="resplit_per_seed",
-                   help="reuse one split (seeded by split_seed) for every run seed")
-    p.add_argument("--no-row-normalize", action="store_const", const=False,
-                   dest="row_normalize")
-    p.add_argument("--quiet", action="store_const", const=True)
+    for f in fields(RunConfig):
+        names = _FLAG_SPELLINGS.get(f.name, (f"--{f.name.replace('_', '-')}",))
+        if f.type is bool:
+            p.add_argument(*names, dest=f.name, action="store_const", const=str(not f.default),
+                           default=argparse.SUPPRESS, help=f"{f.name} = {not f.default}")
+        else:
+            p.add_argument(*names, dest=f.name, default=argparse.SUPPRESS,
+                           help=f"default: {_text(f.default) or 'none'}")
 
 
 def _build_config(args) -> RunConfig:
     """The config file's settings (or the defaults), overridden by every flag given.
 
-    Each run flag's dest is the name of the setting it overrides; a flag
-    that is not given parses to None.
+    A run flag stores its text under its setting's name only when it is
+    given, and that text is read as a config line's value is.
     """
+    given = vars(args)
+    overrides = {f.name: _parse_value(f, given[f.name])
+                 for f in fields(RunConfig) if f.name in given}
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    keys = {f.name for f in fields(RunConfig)}
-    overrides = {name: value for name, value in vars(args).items()
-                 if name in keys and value is not None}
     return dataclasses.replace(cfg, **overrides)
 
 

@@ -513,6 +513,23 @@ def test_final_e_step_starts_from_the_validated_proposal(monkeypatch):
     assert evaluate(predictions, ds.labels, split.val) == recorded
 
 
+def test_different_starts_reach_different_fixed_points():
+    # why train's final E-step and evaluate's can disagree on one checkpoint:
+    # on a 3-node path with no labels and no unary evidence, an attractive K
+    # keeps whichever class the start leans to
+    g = build_graph(3, [(0, 1), (1, 2)])
+    pp = PairwiseParams(raw=np.diag([3.0, 3.0]), alpha=np.ones(2), mode="edge")
+    scores, labels, train_ids = np.zeros((3, 2)), np.zeros(3, dtype=np.int64), np.array([])
+    reached = []
+    for row in ([0.9, 0.1], [0.1, 0.9]):
+        start = Proposal(np.arange(3), np.tile(row, (3, 1)), 3)
+        q, _, tv = _e_step_stats(start, scores, pp, g, labels, train_ids, 50, 1e-4)
+        assert tv < 1e-4
+        reached.append(_argmax_predictions(q, labels, train_ids))
+    assert reached[0].tolist() == [0, 0, 0]
+    assert reached[1].tolist() == [1, 1, 1]
+
+
 def test_train_empty_train_split_rejected():
     ds = _tiny_dataset(seed=5)
     empty = Split(train=np.array([], dtype=np.int64), val=np.array([0]),
