@@ -273,19 +273,48 @@ def ratio_split(ds: Dataset, train_frac, val_frac, test_frac, seed=0) -> Split:
 
 
 def load_split_file(path, num_nodes=None) -> Split:
-    """Read a split.tsv of (node_id, train|val|test) rows; ids are read as in edges.tsv."""
-    sets = {"train": [], "val": [], "test": []}
-    for line_no, text in _data_lines(path):
-        parts = text.split()
-        if len(parts) != 2 or parts[1] not in sets:
-            raise ParseError(path, line_no, "expected `node_id train|val|test`")
-        node = int(_parse_line(path, line_no, parts[0], np.int64, "node id")[0, 0])
-        if num_nodes is not None and not 0 <= node < num_nodes:
-            raise ParseError(path, line_no, f"node id {node} out of range")
-        sets[parts[1]].append(node)
-    return Split(train=np.array(sets["train"], dtype=np.int64),
-                 val=np.array(sets["val"], dtype=np.int64),
-                 test=np.array(sets["test"], dtype=np.int64))
+    """Read a split.tsv of (node_id, train|val|test) rows; ids are read as in edges.tsv.
+
+    The ids of each block of _BLOCK_VALUES rows go through one `_loadtxt`
+    call. A block with a bad row is read again line by line, which raises
+    the error of its first bad row.
+    """
+    kinds = ("train", "val", "test")
+
+    def parse(line_nos, rows):
+        try:
+            if all(len(parts) == 2 and parts[1] in kinds for parts in rows):
+                ids = _loadtxt([parts[0] for parts in rows], np.int64)[:, 0]
+                if num_nodes is None or ((ids >= 0) & (ids < num_nodes)).all():
+                    return ids
+        except ValueError:
+            pass
+        for line_no, parts in zip(line_nos, rows):
+            if len(parts) != 2 or parts[1] not in kinds:
+                raise ParseError(path, line_no, "expected `node_id train|val|test`")
+            node = int(_parse_line(path, line_no, parts[0], np.int64, "node id")[0, 0])
+            if num_nodes is not None and not 0 <= node < num_nodes:
+                raise ParseError(path, line_no, f"node id {node} out of range")
+        raise StructuralInputError(f"{path}:{line_nos[0]}: rows do not parse as one table")
+
+    def blocks():
+        line_nos, rows = [], []
+        for line_no, text in _data_lines(path):
+            line_nos.append(line_no)
+            rows.append(text.split())
+            if len(rows) == _BLOCK_VALUES:
+                yield line_nos, rows
+                line_nos, rows = [], []
+        if rows:
+            yield line_nos, rows
+
+    ids, kind_of = [np.zeros(0, np.int64)], []
+    for line_nos, rows in blocks():
+        ids.append(parse(line_nos, rows))
+        kind_of += [parts[1] for parts in rows]
+    ids, kind_of = np.concatenate(ids), np.array(kind_of, dtype=str)
+    return Split(train=ids[kind_of == "train"], val=ids[kind_of == "val"],
+                 test=ids[kind_of == "test"])
 
 
 def generate_synthetic(num_nodes, num_classes, edges_per_node, homophily_target,

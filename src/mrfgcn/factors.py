@@ -18,35 +18,49 @@ The piecewise objective for a table r of per-node label distributions is
 
 where log Zbar_i is the partition function of the redistributed star
 piece at node i, computed in closed form by summing leaf nodes out
-first. `_leaf_major_pieces` is the one star-piece inference: it runs
-every piece at once, and `objective_and_gradients` reads its buffers
-directly. The piece at node i is row i of its per-node outputs plus CSR
-slots indptr[i]:indptr[i+1] of its per-slot outputs. The reference they
-are checked against is `selfcheck.oracle_star_piece`, which solves one
-piece as a small graph of its own with the exact oracle. Per-slot
-tensors below index directed orientations: slot d of a graph covers
-(center(d), leaf(d)). The one per-slot label tensor is built leaf label
-first, as (c_leaf, 2E, c_center), so that summing a leaf out reduces
-over the leading axis; its transpose(1, 2, 0) holds each slot's
-(center label, leaf label) marginal. Sums over
-slots per node are products with the graph's cached slot incidence
-matrices: `center_incidence` sums each piece's leaf messages, and
-`leaf_incidence` sums each node's leaf marginals over the pieces it sits
-on the rim of. The pair terms read r only at the edge ends, so
-`objective_and_gradients` takes them pre-gathered (`endpoint_rows`) from
-a caller that holds r fixed.
+first. `_leaf_major_pieces` is the one star-piece inference. It runs
+the pieces of one block: a run of consecutive centers in CSR order,
+whose slots are consecutive too (`Graph.slot_blocks`). Per-slot tensors
+below index directed orientations: slot d of a graph covers
+(center(d), leaf(d)). A block's per-slot label tensor is built leaf
+label first, as (c_leaf, m, c_center) over its m slots, so that summing
+a leaf out reduces over the leading axis; its transpose(1, 2, 0) holds
+each slot's (center label, leaf label) marginal. The piece at node i is
+row i of the per-node outputs plus its slots in its block's per-slot
+outputs. The reference they are checked against is
+`selfcheck.oracle_star_piece`, which solves one piece as a small graph
+of its own with the exact oracle.
+
+`objective_and_gradients` and `diagnose_non_finite` walk the blocks in
+order. A block holds at most `SLOT_CLASS_BUDGET` slot-class pairs
+(m * c**2), 1 MB per float64 tensor, unless one piece alone holds more;
+a piece is never split. Its operand and its slot-label tensor come from
+scratch buffers (`PieceBuffers`) allocated once per call and reused by
+every block, so the objective's memory is these block-sized tensors
+plus O(n * c + 2E * c) of per-node rows, per-slot leaf marginals and
+<t, K> dots; it never holds the whole (c, 2E, c) tensor. The K gradient
+adds the blocks' pair-marginal sums in block order, so results are
+deterministic. A graph whose pieces fit in one block runs the one-block
+case, which is also what `_leaf_major_pieces(g, scores, pp, redist)`
+computes. Sums over slots per node are products with slot incidence
+matrices: a block's cut of `center_incidence` sums each piece's leaf
+messages, and `leaf_incidence` sums each node's leaf marginals over the
+pieces it sits on the rim of. The pair terms read r only at the edge
+ends, so `objective_and_gradients` takes them pre-gathered
+(`endpoint_rows`) from a caller that holds r fixed.
 
 `objective_and_gradients` is the one implementation of this objective:
 training, the self-checks and the tests all read its value and
 gradients from it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .graph import Graph
+from .graph import Graph, SlotBlock
 
 COEFFICIENT_MODES = ("edge", "layer", "none")
 REDISTRIBUTION_SCHEMES = ("average", "center")
@@ -127,37 +141,99 @@ class Redistribution:
         return redist
 
 
-def _leaf_major_pieces(g: Graph, scores, pp, redist):
-    """Batched star inference over all pieces, in the leaf-major layout.
+# slot-class pairs per block: each block's (c, m, c) tensor takes at most 1 MB
+SLOT_CLASS_BUDGET = 1 << 17
 
-    Returns (log_z, mu_center, t, rim). t[b, d, a] is the joint marginal
-    of leaf label b and center label a on slot d under the piece of
-    center(d), and rim[b, d] = (sum_a t[b, d, a], sum_a t[b, d, a] K[b, a]).
+
+class PieceBuffers:
+    """Outputs of star inference over a graph, and the scratch its blocks share.
+
+    log_z (n,) and mu_center (n, c) hold every piece's row, and the
+    slot-major leaf marginals (2E, c) and <t, K> dots (2E,) every slot's;
+    each block writes its own centers and slots. The slot-label tensor
+    t (c, m, c) and the (c, m, 2) operand it is built from, which then
+    holds rim, with m the largest block's slot count, are overwritten by
+    every block. All of them are views of one allocation: as the largest
+    array a call frees, it raises glibc's dynamic trim threshold above
+    the call's other temporaries, so the heap is not returned to the
+    system and faulted back in on every call.
     """
-    centers = g.slot_centers
-    leaves = g.indices
+
+    def __init__(self, g: Graph, num_classes, blocks):
+        c, m = num_classes, max((b.slots.stop - b.slots.start for b in blocks), default=0)
+        n, slots = g.num_nodes, len(g.indices)
+        shapes = {"log_z": (n,), "mu_center": (n, c), "leaf_marg": (slots, c), "dots": (slots,),
+                  "operand": (c, m, 2), "tensor": (c, m, c)}
+        # each part starts on a 64-byte boundary; packed parts made the
+        # one-block call measurably slower
+        padded = [-(-math.prod(shape) // 8) * 8 for shape in shapes.values()]
+        arena = np.empty(sum(padded) + 8)
+        start = -(arena.ctypes.data // 8) % 8
+        for (name, shape), size in zip(shapes.items(), padded):
+            setattr(self, name, arena[start:start + math.prod(shape)].reshape(shape))
+            start += size
+
+
+def piece_blocks(g: Graph, num_classes, max_slots=None):
+    """(blocks, buffers) for inferring every piece of `g`, `max_slots` slots per block.
+
+    `max_slots` defaults to SLOT_CLASS_BUDGET // c², read at call time;
+    a piece with more slots is a block of its own.
+    """
+    if max_slots is None:
+        max_slots = max(SLOT_CLASS_BUDGET // num_classes ** 2, 1)
+    blocks = g.slot_blocks(max_slots)
+    return blocks, PieceBuffers(g, num_classes, blocks)
+
+
+def _leaf_major_pieces(g: Graph, scores, pp, redist, block=None, out=None):
+    """Batched star inference over the pieces of one block, in the leaf-major layout.
+
+    `block` is a `SlotBlock` of `g` (the whole graph by default) and `out`
+    the `PieceBuffers` it writes into (by default new ones for the block).
+    Returns (log_z, mu_center, t, rim) over the block: views of `out`'s
+    rows for its centers, and of its scratch, which the next block
+    overwrites. t[b, d, a] is the joint marginal of leaf label b and
+    center label a on the block's slot d (slot indptr[lo] + d of the
+    graph) under the piece of center(d), and
+    rim[b, d] = (sum_a t[b, d, a], sum_a t[b, d, a] K[b, a]). The block's
+    slots of `out.leaf_marg` and `out.dots` get rim[:, d, 0] and
+    sum_b rim[b, d, 1].
+    """
     c = pp.num_classes
     k = pp.K
+    if block is None:
+        block = SlotBlock(slice(0, g.num_nodes), slice(0, len(g.indices)), g.center_incidence)
+    if out is None:
+        out = PieceBuffers(g, c, [block])
+    nodes, slots = block.nodes, block.slots
+    m = slots.stop - slots.start
+    leaves = g.indices[slots]
     # t[b, d, a] = leaf_exp * s[leaf(d), b] + pair_exp * alpha_d * K[b, a] for leaf
     # label b, slot d and center label a (K is symmetric), built as one batched
-    # rank-2 product: (c, 2E, 2) @ (c, 2, c)
-    unary = np.take(scores.T * redist.leaf_exp, leaves, axis=1)
-    pair = np.broadcast_to(redist.pair_exp * pp.alpha_at(g.slot_edge_ids), unary.shape)
-    t = np.stack([unary, pair], axis=2) @ np.stack([np.ones((c, c)), k], axis=1)
+    # rank-2 product: (c, m, 2) @ (c, 2, c)
+    operand = out.operand[:, :m]
+    np.multiply(np.take(scores.T, leaves, axis=1), redist.leaf_exp[leaves],
+                out=operand[:, :, 0])
+    operand[:, :, 1] = redist.pair_exp * pp.alpha_at(g.slot_edge_ids[slots])
+    t = np.matmul(operand, np.stack([np.ones((c, c)), k], axis=1), out=out.tensor[:, :m])
     hi = t.max(axis=0)
     t -= hi
     np.exp(t, out=t)
-    mass = t.sum(axis=0)                                   # (2E, c), each >= 1
+    mass = t.sum(axis=0)                                   # (m, c), each >= 1
     msgs = hi + np.log(mass)
 
-    b = redist.center_exp[:, None] * scores + g.center_incidence @ msgs
+    b = redist.center_exp[nodes, None] * scores[nodes] + block.incidence @ msgs
     b_hi = b.max(axis=1)
-    log_z = b_hi + np.log(np.exp(b - b_hi[:, None]).sum(axis=1))
-    mu_center = np.exp(b - log_z[:, None])
+    log_z = out.log_z[nodes]
+    log_z[:] = b_hi + np.log(np.exp(b - b_hi[:, None]).sum(axis=1))
+    mu_center = np.exp(b - log_z[:, None], out=out.mu_center[nodes])
 
     # exp(b[centers] - msgs + hi - log_z[centers]) == mu_center[centers] / mass <= 1
-    t *= np.take(mu_center, centers, axis=0) / mass
-    rim = t @ np.stack([np.ones((c, c)), k], axis=2)
+    t *= np.take(out.mu_center, g.slot_centers[slots], axis=0) / mass
+    rim = np.matmul(t, np.stack([np.ones((c, c)), k], axis=2), out=operand)
+    out.leaf_marg[slots] = rim[:, :, 0].T
+    out.dots[slots] = rim[:, :, 1].sum(axis=0)
     return log_z, mu_center, t, rim
 
 
@@ -174,27 +250,32 @@ def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None):
     `endpoint_rows(r, g)`; a caller that holds r fixed over many calls
     passes it in, and it is gathered here when omitted.
     """
-    log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist)
+    c = pp.num_classes
+    blocks, out = piece_blocks(g, c)
+    alphas_d = pp.alpha_at(g.slot_edge_ids)
+    pair_sum = np.zeros((c, c))                            # sum_d alpha_d t[:, d, :]
+    for block in blocks:
+        _, _, t, _ = _leaf_major_pieces(g, scores, pp, redist, block, out)
+        pair_sum += alphas_d[block.slots] @ t              # t is leaf-major
+    log_z, mu_center, leaf_marg, dots = out.log_z, out.mu_center, out.leaf_marg, out.dots
     if r_ends is None:
         r_ends = endpoint_rows(r, g)
     r_j, r_k = r_ends
     alphas_e = pp.alpha_at(np.arange(g.num_edges))
-    alphas_d = pp.alpha_at(g.slot_edge_ids)
     pair_dots = np.einsum("ec,ec->e", r_j @ pp.K, r_k)     # <r_j, K r_k>
     value = float((r * scores).sum() + (alphas_e * pair_dots).sum() - log_z.sum())
 
     # leaf contribution: the pieces where node i sits on the rim are those
     # of the slots whose leaf is i
     grad_scores = (r - redist.center_exp[:, None] * mu_center
-                   - redist.leaf_exp[:, None] * (g.leaf_incidence @ rim[:, :, 0].T))
+                   - redist.leaf_exp[:, None] * (g.leaf_incidence @ leaf_marg))
 
     g_k = (r_j * alphas_e[:, None]).T @ r_k
-    g_k -= redist.pair_exp * (alphas_d @ t).T              # t is leaf-major
+    g_k -= redist.pair_exp * pair_sum.T
     grad_raw = 0.5 * (g_k + g_k.T)
 
     grad_alpha = None
     if pp.mode != "none":
-        dots = rim[:, :, 1].sum(axis=0)                    # <pair_marg[d], K>
         per_edge = pair_dots - redist.pair_exp * np.bincount(
             g.slot_edge_ids, weights=dots, minlength=g.num_edges)
         grad_alpha = per_edge if pp.mode == "edge" else np.array([per_edge.sum()])
@@ -206,6 +287,10 @@ def diagnose_non_finite(g: Graph, scores, pp, redist):
     """Return the first node whose piece partition is non-finite, or None."""
     if not np.isfinite(scores).all():
         return int(np.flatnonzero(~np.isfinite(scores).all(axis=1))[0])
-    log_z, _, _, _ = _leaf_major_pieces(g, scores, pp, redist)
-    bad = np.flatnonzero(~np.isfinite(log_z))
-    return int(bad[0]) if len(bad) else None
+    blocks, out = piece_blocks(g, pp.num_classes)
+    for block in blocks:
+        log_z, _, _, _ = _leaf_major_pieces(g, scores, pp, redist, block, out)
+        bad = np.flatnonzero(~np.isfinite(log_z))
+        if len(bad):
+            return block.nodes.start + int(bad[0])
+    return None

@@ -10,11 +10,19 @@ for per-piece bookkeeping.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateInputError, StructuralInputError
+
+
+class SlotBlock(NamedTuple):
+    """A run of consecutive centers and their CSR slots, which are consecutive too."""
+    nodes: slice             # centers lo:hi
+    slots: slice             # indptr[lo]:indptr[hi]
+    incidence: sp.csr_array  # (hi - lo, slots) 0/1; row i - lo holds the slots centered at i
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,39 @@ class Graph:
         both follow the id of the slot's other end.
         """
         return self._slot_incidence(np.argsort(self.indices, kind="stable"))
+
+    def slot_blocks(self, max_slots) -> tuple:
+        """The nodes cut into runs of consecutive centers of at most `max_slots` slots each.
+
+        A node with more than `max_slots` neighbors is a block of its own.
+        A block's incidence is `center_incidence` cut to its rows and slots;
+        a single block covering the graph uses `center_incidence` itself.
+        Built on first use for each `max_slots` and kept with the graph.
+        """
+        blocks = self._slot_blocks.get(max_slots)
+        if blocks is None:
+            bounds = [0]
+            while bounds[-1] < self.num_nodes:
+                lo = bounds[-1]
+                hi = np.searchsorted(self.indptr, self.indptr[lo] + max_slots, side="right") - 1
+                bounds.append(max(int(hi), lo + 1))
+            blocks = tuple(self._slot_block(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+            self._slot_blocks[max_slots] = blocks
+        return blocks
+
+    @cached_property
+    def _slot_blocks(self) -> dict:
+        return {}
+
+    def _slot_block(self, lo, hi) -> SlotBlock:
+        start, stop = int(self.indptr[lo]), int(self.indptr[hi])
+        if (lo, hi) == (0, self.num_nodes):
+            incidence = self.center_incidence
+        else:
+            incidence = sp.csr_array(
+                (np.ones(stop - start), np.arange(stop - start), self.indptr[lo:hi + 1] - start),
+                shape=(hi - lo, stop - start))
+        return SlotBlock(slice(lo, hi), slice(start, stop), incidence)
 
     def _slot_incidence(self, slots) -> sp.csr_array:
         return sp.csr_array((np.ones(len(slots)), slots, self.indptr),

@@ -3,12 +3,16 @@
 Each check pits the code that training runs against direct enumeration
 or central finite differences on small random instances and reports the
 worst discrepancy seen. Star pieces are checked through the oracle: a
-piece of the batched `_leaf_major_pieces` against the exact oracle run
-on that piece as a star graph of its own. The finite differences are
-taken of the value that `objective_and_gradients` returns, the same call
-that supplies the analytic gradients; the backbone chain runs on the
-sparse adjacency operator and CSR features, as `train` does. The KL
-identity is checked against `direct_kl`, which sums the factors itself.
+piece of the batched `_leaf_major_pieces`, read from the block that
+blockwise inference computes it in, against the exact oracle run on
+that piece as a star graph of its own. The piece check's blocks hold
+`PIECE_CHECK_SLOTS` slots, so an instance spans several blocks that
+share one set of buffers, and a piece with more slots is a block of its
+own. The finite differences are taken of the value that
+`objective_and_gradients` returns, the same call that supplies the
+analytic gradients; the backbone chain runs on the sparse adjacency
+operator and CSR features, as `train` does. The KL identity is checked
+against `direct_kl`, which sums the factors itself.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,7 @@ import scipy.sparse as sp
 
 from . import gcn
 from .factors import (PairwiseParams, Redistribution, _leaf_major_pieces,
-                      objective_and_gradients)
+                      objective_and_gradients, piece_blocks)
 from .graph import build_graph, normalized_adjacency_operator
 from .numerics import stream
 from .oracle import (_check_limit, exact_elbo, exact_log_partition,
@@ -28,6 +32,7 @@ from .training import Proposal
 FD_STEP = 1e-5
 GRAD_TOL = 1e-6
 ENUM_TOL = 1e-10
+PIECE_CHECK_SLOTS = 3
 
 
 @dataclass
@@ -105,6 +110,23 @@ def oracle_star_piece(g, node, scores, pp, redist, limit=None):
     return log_z, marg[0], marg[1:], pair
 
 
+def blocked_piece(g, node, scores, pp, redist, max_slots=PIECE_CHECK_SLOTS):
+    """The piece at `node` as blockwise inference computes it, in blocks of `max_slots` slots.
+
+    The blocks run in order through one set of buffers, as in
+    `objective_and_gradients`, up to the block holding `node`, and the
+    piece is read from that block's results. Returns what
+    `oracle_star_piece` returns.
+    """
+    blocks, out = piece_blocks(g, pp.num_classes, max_slots)
+    for block in blocks:
+        log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist, block, out)
+        if node < block.nodes.stop:
+            i, lo = node - block.nodes.start, block.slots.start
+            slots = slice(g.indptr[node] - lo, g.indptr[node + 1] - lo)
+            return log_z[i], mu_center[i], rim[:, slots, 0].T, t[:, slots].transpose(1, 2, 0)
+
+
 def fd_gradient(func, x, step=FD_STEP):
     """Central finite differences of a scalar function of an array."""
     x = np.asarray(x, dtype=np.float64)
@@ -139,13 +161,11 @@ def check_piece_inference(sizes, trials, seed, num_classes=3, limit=None):
             rng, n, num_classes, mode=mode, scheme=scheme)
         node = int(rng.integers(n))
         ref_z, ref_c, ref_l, ref_p = oracle_star_piece(g, node, scores, pp, redist, limit)
-        log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist)
-        slots = slice(g.indptr[node], g.indptr[node + 1])
-        worst_z = max(worst_z, abs(log_z[node] - ref_z))
-        worst_m = max(worst_m,
-                      np.abs(mu_center[node] - ref_c).max(initial=0.0),
-                      np.abs(rim[:, slots, 0].T - ref_l).max(initial=0.0),
-                      np.abs(t[:, slots].transpose(1, 2, 0) - ref_p).max(initial=0.0))
+        log_z, center, leaves, pair = blocked_piece(g, node, scores, pp, redist)
+        worst_z = max(worst_z, abs(log_z - ref_z))
+        worst_m = max(worst_m, np.abs(center - ref_c).max(initial=0.0),
+                      np.abs(leaves - ref_l).max(initial=0.0),
+                      np.abs(pair - ref_p).max(initial=0.0))
     return [CheckResult("piece log-partition vs enumeration", worst_z, ENUM_TOL),
             CheckResult("piece marginals vs enumeration", worst_m, ENUM_TOL)]
 

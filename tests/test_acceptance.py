@@ -19,15 +19,14 @@ import scipy.sparse as sp
 
 from mrfgcn.data import (generate_synthetic, load_dataset, planetoid_split,
                          ratio_split, row_normalize_features)
-from mrfgcn.factors import (PairwiseParams, Redistribution, _leaf_major_pieces,
-                            objective_and_gradients)
+from mrfgcn.factors import PairwiseParams, Redistribution, objective_and_gradients
 from mrfgcn.gcn import GcnParams, backward, forward, init_params
 from mrfgcn.graph import (build_graph, homophily_beta, normalized_adjacency,
                           normalized_adjacency_operator)
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows, stream
 from mrfgcn.oracle import exact_elbo, exact_observed_ll
-from mrfgcn.selfcheck import (direct_kl, fd_gradient, oracle_star_piece, random_instance,
-                              random_r, rel_error)
+from mrfgcn.selfcheck import (blocked_piece, direct_kl, fd_gradient, oracle_star_piece,
+                              random_instance, random_r, rel_error)
 from mrfgcn.training import (Proposal, TrainConfig, _e_step_stats, m_step, make_r,
                              mean_field_site_update, predict, train)
 
@@ -202,12 +201,11 @@ def test_c05_oracle_equivalence_on_random_pieces():
         node = int(eligible[int(rng.integers(len(eligible)))])
         ref_z, ref_center, ref_leaves, ref_pair = oracle_star_piece(
             g, node, scores, pp, redist)
-        log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist)
-        slots = slice(g.indptr[node], g.indptr[node + 1])
-        worst_z = max(worst_z, abs(log_z[node] - ref_z))
-        worst_m = max(worst_m, np.abs(mu_center[node] - ref_center).max(initial=0.0),
-                      np.abs(rim[:, slots, 0].T - ref_leaves).max(initial=0.0),
-                      np.abs(t[:, slots].transpose(1, 2, 0) - ref_pair).max(initial=0.0))
+        log_z, center, leaves, pair = blocked_piece(g, node, scores, pp, redist)
+        worst_z = max(worst_z, abs(log_z - ref_z))
+        worst_m = max(worst_m, np.abs(center - ref_center).max(initial=0.0),
+                      np.abs(leaves - ref_leaves).max(initial=0.0),
+                      np.abs(pair - ref_pair).max(initial=0.0))
         checked += 1
     ok = worst_z <= 1e-10 and worst_m <= 1e-10
     _line(5, "PASS" if ok else "FAIL",

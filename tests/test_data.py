@@ -223,6 +223,54 @@ def test_split_file_round_trip(tmp_path):
     assert np.array_equal(back.test, split.test)
 
 
+def _split_lines(num_rows):
+    lines = ["# node\tset"]
+    for i in range(num_rows):
+        lines.append(f"{(7 * i) % num_rows}\t{('train', 'val', 'test')[i % 3]}")
+        if i == 5:
+            lines.append("")
+    return lines
+
+
+def test_split_file_in_blocks_reads_each_block_with_one_parse(tmp_path, monkeypatch):
+    path = tmp_path / "split.tsv"
+    path.write_text("\n".join(_split_lines(23)) + "\n", encoding="utf-8")
+    whole = load_split_file(path, num_nodes=23)
+    calls = []
+    real = data._loadtxt
+    monkeypatch.setattr(data, "_loadtxt", lambda lines, dtype: calls.append(len(lines))
+                        or real(lines, dtype))
+    monkeypatch.setattr(data, "_BLOCK_VALUES", 5)
+    got = load_split_file(path, num_nodes=23)
+    assert calls == [5, 5, 5, 5, 3]
+    for name in ("train", "val", "test"):
+        assert np.array_equal(getattr(got, name), getattr(whole, name))
+        assert getattr(got, name).dtype == np.int64
+    assert got.train.tolist() == sorted((7 * i) % 23 for i in range(0, 23, 3))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("x7\tval", "bad node id"), ("1_0\tval", "bad node id"),
+    ("7\tvalid", "expected `node_id train|val|test`"),
+    ("7 val more", "expected `node_id train|val|test`"),
+    ("23\ttest", "node id 23 out of range"), ("-1\ttest", "node id -1 out of range")])
+@pytest.mark.parametrize("row", [0, 9, 15, 22])
+def test_split_file_in_blocks_names_the_first_bad_row(tmp_path, monkeypatch, fault,
+                                                     message, row):
+    # a second, different fault later in the same block must not be reported
+    lines = _split_lines(23)
+    data_lines = [i for i, text in enumerate(lines) if text and not text.startswith("#")]
+    lines[data_lines[row]] = fault
+    if row + 1 < len(data_lines):
+        lines[data_lines[row + 1]] = "5\tnone"
+    path = tmp_path / "split.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setattr(data, "_BLOCK_VALUES", 5)
+    with pytest.raises(ParseError) as caught:
+        load_split_file(path, num_nodes=23)
+    assert str(caught.value).startswith(f"{path}:{data_lines[row] + 1}: {message}")
+
+
 def _same_csr(a, b):
     return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
             and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))

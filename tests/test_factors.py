@@ -5,14 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mrfgcn import selfcheck
+from mrfgcn import factors, selfcheck
 from mrfgcn.errors import ConfigError
 from mrfgcn.factors import (PairwiseParams, Redistribution, _leaf_major_pieces,
                             endpoint_rows, objective_and_gradients)
 from mrfgcn.graph import build_graph
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows
-from mrfgcn.selfcheck import (fd_gradient, oracle_star_piece, random_instance, random_r,
-                              rel_error)
+from mrfgcn.selfcheck import (blocked_piece, fd_gradient, oracle_star_piece, random_graph,
+                              random_instance, random_r, rel_error)
 
 
 def _piece(g, node, scores, pp, redist):
@@ -359,13 +359,17 @@ def test_alpha_storage_shapes_validated():
         PairwiseParams(raw=np.zeros((2, 2)), alpha=np.ones(1), mode="diagonal")
 
 
-def test_objective_and_gradients_allocates_at_most_two_slot_label_tensors():
-    # the 2E·c² star-piece tensor is built once and reused in place for
-    # the pair marginals and every gradient; a copying layout peaks above 3
+def test_objective_and_gradients_memory_does_not_grow_with_the_slot_label_tensor():
+    # blocks of at most SLOT_CLASS_BUDGET slot-class pairs share one scratch
+    # tensor; the rest is per-node and per-slot rows. Holding every piece's
+    # (c, 2E, c) tensor at once, as one block, peaks near three times the bound.
     rng = np.random.default_rng(15)
-    g, redist, scores, pp, labels, train = random_instance(rng, 200, 10, edge_prob=0.1)
-    r = random_r(rng, 200, 10, labels, train)
-    assert g.degrees.mean() > 18
+    n, c = 300, 10
+    g = build_graph(n, rng.integers(0, n, size=(6000, 2)))
+    redist = Redistribution.for_graph(g, "average")
+    pp = PairwiseParams(rng.normal(size=(c, c)), rng.normal(1.0, 0.5, g.num_edges), "edge")
+    scores, r = rng.normal(size=(n, c)), softmax_rows(rng.normal(size=(n, c)))
+    assert len(factors.piece_blocks(g, c)[0]) >= 8
     objective_and_gradients(r, scores, pp, redist, g)
     tracemalloc.start()
     try:
@@ -373,7 +377,8 @@ def test_objective_and_gradients_allocates_at_most_two_slot_label_tensors():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * (2 * g.num_edges * 10 * 10 * 8)
+    rows = n * c + 2 * g.num_edges * c
+    assert peak <= 2 * factors.SLOT_CLASS_BUDGET * 8 + 3 * rows * 8
 
 
 @pytest.mark.parametrize("scheme", ["average", "center"])
@@ -513,3 +518,73 @@ def test_objective_with_gathered_endpoint_rows_matches_r_alone(mode):
     assert alone[0] == gathered[0]
     for a, b in zip(alone[1:], gathered[1:]):
         assert (a is None and b is None) or np.array_equal(a, b)
+
+
+# ---- blocks: the pieces inferred a few at a time through shared scratch
+
+def _block_graph(kind, rng):
+    if kind == "random":
+        return random_graph(rng, 40, 0.15)
+    if kind == "isolated_nodes":
+        return build_graph(8, [(1, 3), (3, 4), (1, 4), (4, 6)])
+    if kind == "no_edges":
+        return build_graph(8, [])
+    # node 7's 23 slots alone exceed a block of 3
+    return build_graph(30, [(7, k) for k in range(6, 31) if k not in (7, 30)]
+                       + [(0, 1), (1, 2), (2, 3), (9, 10), (20, 21), (28, 29)])
+
+
+@pytest.mark.parametrize("scheme", ["average", "center"])
+@pytest.mark.parametrize("mode", ["edge", "layer", "none"])
+@pytest.mark.parametrize("kind", ["random", "isolated_nodes", "no_edges", "hub"])
+def test_objective_in_blocks_matches_one_block_and_the_reference(monkeypatch, scheme,
+                                                                 mode, kind):
+    rng = np.random.default_rng(20)
+    g, c = _block_graph(kind, rng), 4
+    redist = Redistribution.for_graph(g, scheme)
+    alpha = {"edge": rng.normal(1.0, 0.5, g.num_edges), "layer": np.array([0.7]),
+             "none": np.zeros(0)}[mode]
+    pp = PairwiseParams(raw=rng.normal(size=(c, c)), alpha=alpha, mode=mode)
+    scores = rng.normal(0.0, 1.5, size=(g.num_nodes, c))
+    r = softmax_rows(rng.normal(size=(g.num_nodes, c)))
+    assert len(factors.piece_blocks(g, c)[0]) == 1
+    whole = objective_and_gradients(r, scores, pp, redist, g)
+
+    monkeypatch.setattr(factors, "SLOT_CLASS_BUDGET", 3 * c * c)
+    blocks = factors.piece_blocks(g, c)[0]
+    if g.num_edges:
+        assert len(blocks) >= 4
+    if kind == "hub":
+        assert (7, 8) in [(b.nodes.start, b.nodes.stop) for b in blocks]
+    got = objective_and_gradients(r, scores, pp, redist, g)
+    assert abs(got[0] - whole[0]) <= 1e-13 * abs(whole[0])
+    for a, b in zip(got[1:], whole[1:]):
+        assert (a is None and b is None) or rel_error(a, b) <= 1e-13
+    _assert_matches_reference(r, scores, pp, redist, g)
+
+
+@pytest.mark.parametrize("kind", ["random", "isolated_nodes", "hub"])
+def test_each_piece_read_from_its_block_equals_the_whole_graph_piece(kind):
+    rng = np.random.default_rng(21)
+    g = _block_graph(kind, rng)
+    redist = Redistribution.for_graph(g, "average")
+    pp = PairwiseParams(raw=rng.normal(size=(3, 3)),
+                        alpha=rng.normal(1.0, 0.5, g.num_edges), mode="edge")
+    scores = rng.normal(0.0, 1.5, size=(g.num_nodes, 3))
+    for node in range(g.num_nodes):
+        whole = _piece(g, node, scores, pp, redist)
+        for got, ref in zip(blocked_piece(g, node, scores, pp, redist), whole):
+            assert np.abs(got - ref).max(initial=0.0) <= 1e-14
+
+
+def test_piece_check_reads_pieces_from_later_blocks(monkeypatch):
+    # an error confined to the blocks after the first must fail the check
+    def perturbed(g, scores, pp, redist, block, out):
+        log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist, block, out)
+        return (log_z + (block.nodes.start > 0) * 1e-8), mu_center, t, rim
+
+    monkeypatch.setattr(selfcheck, "_leaf_major_pieces", perturbed)
+    results = selfcheck.check_piece_inference([6, 8], trials=6, seed=0)
+    assert not all(r.passed for r in results)
+    monkeypatch.undo()
+    assert all(r.passed for r in selfcheck.check_piece_inference([6, 8], trials=6, seed=0))

@@ -136,6 +136,29 @@ def test_slot_incidence_rows_hold_the_slots_at_each_node(num_nodes, edges):
         assert getattr(g, name) is inc          # built once per graph
 
 
+@pytest.mark.parametrize("max_slots", [1, 3, 7, 1000])
+def test_slot_blocks_cut_the_csr_order_into_whole_pieces(max_slots):
+    rng = np.random.default_rng(3)
+    for g in (random_graph(rng, 15, 0.3), build_graph(6, [(2, 3)]), build_graph(4, []),
+              build_graph(9, [(4, k) for k in range(9) if k != 4])):
+        blocks = g.slot_blocks(max_slots)
+        assert g.slot_blocks(max_slots) is blocks         # built once per size
+        assert [b.nodes.start for b in blocks] == [0] + [b.nodes.stop for b in blocks[:-1]]
+        assert blocks[-1].nodes.stop == g.num_nodes
+        for b in blocks:
+            size = b.slots.stop - b.slots.start
+            assert (b.slots.start, b.slots.stop) == (g.indptr[b.nodes.start],
+                                                     g.indptr[b.nodes.stop])
+            # within the budget, or one piece; and no room for the next piece
+            assert size <= max_slots or b.nodes.stop - b.nodes.start == 1
+            if b.nodes.stop < g.num_nodes:
+                assert g.indptr[b.nodes.stop + 1] - b.slots.start > max_slots
+            assert np.array_equal(b.incidence.toarray(),
+                                  g.center_incidence.toarray()[b.nodes, b.slots])
+        if len(blocks) == 1:
+            assert blocks[0].incidence is g.center_incidence
+
+
 def test_normalized_adjacency_isolated_node():
     assert normalized_adjacency(build_graph(1, [])).tolist() == [[1.0]]
 

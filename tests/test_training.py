@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mrfgcn import gcn, training
+from mrfgcn import factors, gcn, training
 from mrfgcn.data import Split, generate_synthetic, ratio_split, row_normalize_features
 from mrfgcn.errors import ConfigError, DegenerateInputError, NonFiniteObjectiveError
 from mrfgcn.factors import PairwiseParams, Redistribution
@@ -368,6 +368,40 @@ def test_m_step_non_finite_diagnostic():
             np.errstate(invalid="ignore"):
         m_step(params, pp, q, features, normalized_adjacency(g), g, redist,
                labels, np.array([0]), cfg, stream(0, "d"))
+
+
+def test_non_finite_piece_in_a_later_block_is_named_and_later_blocks_are_not_run(
+        monkeypatch):
+    # blocks of 2 slots on a 12-node path; the overflowing edge (8, 9) makes
+    # pieces 8 and 9 non-finite, and piece 8 comes first
+    g = build_graph(12, [(i, i + 1) for i in range(11)])
+    monkeypatch.setattr(factors, "SLOT_CLASS_BUDGET", 2 * 2 * 2)
+    blocks = factors.piece_blocks(g, 2)[0]
+    assert len(blocks) >= 6 and blocks[0].nodes.stop <= 8
+    alpha = np.ones(g.num_edges)
+    alpha[8] = 1e308
+    pp = PairwiseParams(raw=4.0 * np.eye(2), alpha=alpha, mode="edge")
+    redist = Redistribution.for_graph(g, "average")
+    scores = np.zeros((12, 2))
+    seen = []
+    real = factors._leaf_major_pieces
+
+    def counted(g, scores, pp, redist, block, out):
+        seen.append(block.nodes.start)
+        return real(g, scores, pp, redist, block, out)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        monkeypatch.setattr(factors, "_leaf_major_pieces", counted)
+        assert factors.diagnose_non_finite(g, scores, pp, redist) == 8
+        assert seen == [b.nodes.start for b in blocks if b.nodes.start <= 8]
+        monkeypatch.undo()
+        monkeypatch.setattr(factors, "SLOT_CLASS_BUDGET", 2 * 2 * 2)
+        params = GcnParams(np.zeros((1, 4)), np.zeros((4, 2)))
+        q = _uniform_q(np.arange(1, 12), 2, 12)
+        with pytest.raises(NonFiniteObjectiveError, match=r"piece at node 8\)"):
+            m_step(params, pp, q, np.ones((12, 1)), normalized_adjacency(g), g, redist,
+                   np.zeros(12, dtype=np.int64), np.array([0]),
+                   TrainConfig(m_epochs=1, dropout_keep=1.0), stream(0, "d"))
 
 
 def _tiny_dataset(seed=0, n=150, target=0.85):
