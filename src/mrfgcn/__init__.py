@@ -11,7 +11,7 @@ from .data import (Dataset, Split, generate_synthetic, load_citation,
                    row_normalize_features, save_generic)
 from .factors import PairwiseParams, Redistribution, objective_and_gradients
 from .gcn import GcnParams, backward, init_params, supervised_loss_and_grad
-from .graph import Graph, build_graph, homophily_beta, normalized_adjacency
+from .graph import Graph, build_graph, homophily_beta, normalized_adjacency_operator
 from .oracle import (OracleLimit, exact_elbo, exact_log_partition,
                      exact_observed_ll, exact_posterior_marginals)
 from .training import (Proposal, TrainConfig, TrainReport, TrainResult,

@@ -1,15 +1,16 @@
 """Two-layer graph-convolutional backbone producing per-node label scores.
 
 The forward map is ``A @ relu(A @ drop(X) @ W0) @ W1`` where A is the
-normalized adjacency (dense array or sparse operator) and dropout is
-active only for a keep probability below 1. The features X are a CSR
-matrix, and the input dropout draws one mask value per stored entry: a
-zero stays zero whether it is dropped or kept, so the dropped input
-stores only the kept entries, each scaled by 1/keep. The hidden-layer
-mask is dense over the rows the hidden layer computes. Raw scores serve
-directly as unary log-factors; no per-node normalization is applied.
-Backward passes are exact for the activations cached by the forward call
-that produced them, including its dropout masks.
+normalized adjacency and dropout is active only for a keep probability
+below 1. A and X are both ``scipy.sparse.csr_array``: A as
+`normalized_adjacency_operator` builds it, X as `Dataset` stores it. The
+input dropout draws one mask value per stored entry: a zero stays zero
+whether it is dropped or kept, so the dropped input stores only the
+kept entries, each scaled by 1/keep. The hidden-layer mask is dense
+over the rows the hidden layer computes. Raw scores serve directly as
+unary log-factors; no per-node normalization is applied. Backward
+passes are exact for the activations cached by the forward call that
+produced them, including its dropout masks.
 
 A loss that reads the scores of a few rows reads only their receptive
 field: the rows' neighbours' hidden activations, and those nodes'
@@ -43,10 +44,10 @@ class GcnParams:
 @dataclass
 class GcnCache:
     """Activations retained by forward() for an exact backward()."""
-    outer_t: object     # transpose of the score layer's adjacency
-    inner_t: object     # transpose of the hidden layer's adjacency
+    outer_t: sp.csr_array   # transpose of the score layer's adjacency
+    inner_t: sp.csr_array   # transpose of the hidden layer's adjacency
     hidden: np.ndarray | None   # node id of each row of z1; None for every node
-    x0: object          # input after dropout (CSR of the kept entries in train mode)
+    x0: sp.csr_array    # input after dropout (only the kept entries in train mode)
     z1: np.ndarray      # pre-activation of the hidden layer
     h1d: np.ndarray     # hidden activation after dropout, one row per node
     mask1: np.ndarray | None
@@ -77,25 +78,25 @@ class Field:
 def receptive_field(norm_adj, features, ids) -> Field:
     """Cut the receptive field of `ids` out of the adjacency and the features.
 
-    Both are taken as CSR. Row slices keep each row's entries in order, and
-    the inner block's columns are renumbered by rank among the sorted
-    `inputs`, which keeps that order too. A transpose converted to CSR lists
-    each row's entries in ascending column order, the order in which a
-    product with the CSC view of the transpose adds them up.
+    `norm_adj` and `features` are `scipy.sparse.csr_array`. Row slices keep
+    each row's entries in order, and the inner block's columns are
+    renumbered by rank among the sorted `inputs`, which keeps that order
+    too. A transpose converted to CSR lists each row's entries in ascending
+    column order, the order in which a product with the CSC view of the
+    transpose adds them up.
     """
-    a = sp.csr_array(norm_adj)
     ids = np.asarray(ids, dtype=np.int64)
     rows = np.unique(ids)
-    outer = a[rows]
+    outer = norm_adj[rows]
     hidden = np.unique(outer.indices).astype(np.int64)
-    inner = a[hidden]
+    inner = norm_adj[hidden]
     inputs = np.unique(inner.indices)
-    rank = np.empty(a.shape[1], dtype=inner.indices.dtype)
+    rank = np.empty(norm_adj.shape[1], dtype=inner.indices.dtype)
     rank[inputs] = np.arange(len(inputs))
     inner = sp.csr_array((inner.data, rank[inner.indices], inner.indptr),
                          shape=(len(hidden), len(inputs)))
     return Field(ids, rows, np.searchsorted(rows, ids), hidden, outer, outer.T.tocsr(),
-                 inner, inner.T.tocsr(), sp.csr_array(features)[inputs])
+                 inner, inner.T.tocsr(), features[inputs])
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -110,9 +111,8 @@ def init_params(num_features, hidden, num_classes, seed: int) -> GcnParams:
                      w1=_glorot(rng, hidden, num_classes))
 
 
-def _drop_stored(features, keep, rng):
-    """CSR of the kept stored entries, each scaled by 1/keep."""
-    x = features if isinstance(features, sp.csr_array) else sp.csr_array(features)
+def _drop_stored(x, keep, rng):
+    """CSR of the kept stored entries of CSR `x`, each scaled by 1/keep."""
     kept = np.flatnonzero(dropout_mask(x.data.shape, keep, rng))
     indptr = np.searchsorted(kept, x.indptr).astype(x.indptr.dtype)
     return sp.csr_array((x.data[kept] * (1.0 / keep), x.indices[kept], indptr), shape=x.shape)
@@ -121,6 +121,7 @@ def _drop_stored(features, keep, rng):
 def forward(params: GcnParams, features, norm_adj, dropout_keep=1.0, rng=None, field=None):
     """Run the backbone; returns (scores, cache).
 
+    `features` (n, F) and `norm_adj` (n, n) are `scipy.sparse.csr_array`.
     norm_adj is symmetric, so backward() uses it as its own transpose. A
     receptive `field` cut from these features and this adjacency restricts
     the run to its blocks: the hidden layer computes the field's hidden

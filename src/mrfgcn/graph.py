@@ -100,9 +100,6 @@ class Graph:
         return sp.csr_array((np.ones(len(slots)), slots, self.indptr),
                             shape=(self.num_nodes, len(slots)))
 
-    def neighbors(self, node: int) -> np.ndarray:
-        return self.indices[self.indptr[node]:self.indptr[node + 1]]
-
 
 def _unique_edges(pairs, n):
     """The distinct (j, k), j < k, of in-range pairs, in lexicographic order.
@@ -162,23 +159,12 @@ def build_graph(num_nodes, raw_edges) -> Graph:
                  indices=slots_leaf, slot_edge_ids=slots_eid)
 
 
-def normalized_adjacency(g: Graph) -> np.ndarray:
-    """Dense symmetrically normalized adjacency with self-connections.
+def normalized_adjacency_operator(g: Graph) -> sp.csr_array:
+    """Symmetrically normalized adjacency with self-connections, as CSR.
 
     Entry (i, j) is 1/sqrt((d(i)+1)(d(j)+1)) when j is a neighbor of i or
     i == j, else 0.
     """
-    inv_sqrt = 1.0 / np.sqrt(g.degrees + 1.0)
-    a = np.zeros((g.num_nodes, g.num_nodes), dtype=np.float64)
-    centers = g.slot_centers
-    a[centers, g.indices] = inv_sqrt[centers] * inv_sqrt[g.indices]
-    idx = np.arange(g.num_nodes)
-    a[idx, idx] = inv_sqrt * inv_sqrt
-    return a
-
-
-def normalized_adjacency_operator(g: Graph) -> sp.csr_array:
-    """Sparse CSR form of normalized_adjacency, for large-graph products."""
     inv_sqrt = 1.0 / np.sqrt(g.degrees + 1.0)
     centers = g.slot_centers
     rows = np.concatenate([centers, np.arange(g.num_nodes, dtype=np.int64)])

@@ -302,9 +302,10 @@ def m_step(params: gcn.GcnParams, pp: PairwiseParams, q: Proposal, features,
            config: TrainConfig, rng_dropout):
     """Full-batch Adam ascent on the expected piecewise objective.
 
-    Returns (params, pp, objective_trace); q stays fixed, so r and its rows
-    at the edge ends are built once. Fresh optimizer state is used for each
-    M-step.
+    `features` and `norm_adj` are `scipy.sparse.csr_array`, as `forward`
+    takes them. Returns (params, pp, objective_trace); q stays fixed, so r
+    and its rows at the edge ends are built once. Fresh optimizer state is
+    used for each M-step.
     """
     r = make_r(q, labels, train_ids, pp.num_classes)
     r_ends = endpoint_rows(r, g)

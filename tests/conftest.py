@@ -35,6 +35,22 @@ def write_checkpoint_records(path, arrays):
             fh.write(arr.tobytes())
 
 
+def dense_normalized_adjacency(g):
+    """The normalized adjacency as a dense n x n array, built entry by entry.
+
+    Entry (i, j) is 1/sqrt((d(i)+1)(d(j)+1)) when j is a neighbor of i or
+    i == j, else 0. The reference that the program's CSR operator is
+    checked against; the program itself never holds A densely.
+    """
+    inv_sqrt = 1.0 / np.sqrt(g.degrees + 1.0)
+    a = np.zeros((g.num_nodes, g.num_nodes), dtype=np.float64)
+    centers = g.slot_centers
+    a[centers, g.indices] = inv_sqrt[centers] * inv_sqrt[g.indices]
+    idx = np.arange(g.num_nodes)
+    a[idx, idx] = inv_sqrt * inv_sqrt
+    return a
+
+
 def write_citation(directory, name, content_rows, cite_rows):
     """content_rows: (node_name, feature list, class string); cite_rows: (cited, citing)."""
     directory = Path(directory)

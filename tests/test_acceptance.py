@@ -21,8 +21,7 @@ from mrfgcn.data import (generate_synthetic, load_dataset, planetoid_split,
                          ratio_split, row_normalize_features)
 from mrfgcn.factors import PairwiseParams, Redistribution, objective_and_gradients
 from mrfgcn.gcn import GcnParams, backward, forward, init_params
-from mrfgcn.graph import (build_graph, homophily_beta, normalized_adjacency,
-                          normalized_adjacency_operator)
+from mrfgcn.graph import build_graph, homophily_beta, normalized_adjacency_operator
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows, stream
 from mrfgcn.oracle import exact_elbo, exact_observed_ll
 from mrfgcn.selfcheck import (blocked_piece, direct_kl, fd_gradient, oracle_star_piece,
@@ -30,7 +29,7 @@ from mrfgcn.selfcheck import (blocked_piece, direct_kl, fd_gradient, oracle_star
 from mrfgcn.training import (Proposal, TrainConfig, _e_step_stats, m_step, make_r,
                              mean_field_site_update, predict, train)
 
-from conftest import dataset_dir, require_dataset
+from conftest import dataset_dir, dense_normalized_adjacency, require_dataset
 
 _SEEDS = int(os.environ.get("MRFGCN_ACCEPT_SEEDS", "0"))
 
@@ -405,14 +404,14 @@ def test_c10_degenerate_reductions():
     params = init_params(3, 5, 3, seed=4)
     pp2 = PairwiseParams.init(3, g2.num_edges, mode="edge", alpha_init=0.0)
     redist2 = Redistribution.for_graph(g2, "center")
-    adj = normalized_adjacency(g2)
+    adj = normalized_adjacency_operator(g2)
     free = np.setdiff1d(np.arange(7), train_ids)
-    s0, _ = forward(params, feats, adj)
+    s0, _ = forward(params, sp.csr_array(feats), adj)
     q = Proposal.from_scores(s0, free, 7)
     cfg = TrainConfig(m_epochs=30, dropout_keep=1.0, lr=0.03, weight_decay=0.0)
-    stepped, pp_after, _ = m_step(params, pp2, q, feats, adj, g2, redist2,
+    stepped, pp_after, _ = m_step(params, pp2, q, sp.csr_array(feats), adj, g2, redist2,
                                   labels2, train_ids, cfg, stream(0, "d"))
-    ref = _supervised_reference(params, feats, adj,
+    ref = _supervised_reference(params, feats, dense_normalized_adjacency(g2),
                                 make_r(q, labels2, train_ids, 3), 30, 0.03)
     traj_gap = max(np.abs(stepped.w0 - ref.w0).max(),
                    np.abs(stepped.w1 - ref.w1).max())
@@ -426,7 +425,7 @@ def test_c10_degenerate_reductions():
                                        alpha_init=0.0))
     end_k = np.abs(res.pairwise.raw).max()
     end_alpha = np.abs(res.pairwise.alpha).max()
-    s_final, _ = forward(res.params, ds.features, normalized_adjacency(ds.graph))
+    s_final, _ = forward(res.params, ds.features, normalized_adjacency_operator(ds.graph))
     q_gap = np.abs(res.proposal.q
                    - softmax_rows(s_final[res.proposal.node_ids])).max()
     predicted = predict(s_final, res.pairwise, res.proposal, ds.graph, ds.labels,

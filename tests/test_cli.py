@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -238,6 +239,28 @@ def test_evaluate_command(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "test accuracy:" in printed
+
+
+def test_train_and_evaluate_never_hold_a_dense_adjacency(tmp_path):
+    # A and X stay CSR from loading to scores: a dense n x n float64 A would
+    # take n * n * 8 bytes (72 MB here), and each command peaks far below a
+    # quarter of that
+    n = 3000
+    ds_dir = _synth_dir(tmp_path, nodes=n)
+    out = tmp_path / "runs"
+    commands = {
+        "train": ["train", "--dataset", str(ds_dir), "--out", str(out), "--split", "ratio",
+                  "--warm-epochs", "2", "--em-rounds", "1", "--m-epochs", "2", "--quiet"],
+        "evaluate": ["evaluate", "--dataset", str(ds_dir), "--split", "ratio",
+                     "--checkpoint", str(out / "checkpoint_seed0.bin")]}
+    for name, argv in commands.items():
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4, (name, peak)
 
 
 @pytest.mark.parametrize("edges_per_node", [5, 1], ids=["more_edges", "fewer_edges"])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import dense_normalized_adjacency
 from mrfgcn.errors import DegenerateInputError, StructuralInputError
-from mrfgcn.graph import (build_graph, homophily_beta, normalized_adjacency,
-                          normalized_adjacency_operator)
+from mrfgcn.graph import build_graph, homophily_beta, normalized_adjacency_operator
 from mrfgcn.selfcheck import random_graph
 
 
@@ -22,7 +22,7 @@ def test_build_empty():
 def test_build_star_degrees():
     g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     assert g.degrees.tolist() == [3, 1, 1, 1]
-    assert g.neighbors(0).tolist() == [1, 2, 3]
+    assert g.indices[g.indptr[0]:g.indptr[1]].tolist() == [1, 2, 3]
 
 
 def test_build_endpoint_out_of_range():
@@ -90,8 +90,8 @@ def test_neighbor_lists_symmetric():
     rng = np.random.default_rng(1)
     g = random_graph(rng, 15)
     for j in range(g.num_nodes):
-        for k in g.neighbors(j):
-            assert j in g.neighbors(k)
+        for k in g.indices[g.indptr[j]:g.indptr[j + 1]]:
+            assert j in g.indices[g.indptr[k]:g.indptr[k + 1]]
 
 
 def test_edge_ids_bijection():
@@ -160,18 +160,18 @@ def test_slot_blocks_cut_the_csr_order_into_whole_pieces(max_slots):
 
 
 def test_normalized_adjacency_isolated_node():
-    assert normalized_adjacency(build_graph(1, [])).tolist() == [[1.0]]
+    assert normalized_adjacency_operator(build_graph(1, [])).toarray().tolist() == [[1.0]]
 
 
 def test_normalized_adjacency_single_edge():
-    a = normalized_adjacency(build_graph(2, [(0, 1)]))
+    a = normalized_adjacency_operator(build_graph(2, [(0, 1)])).toarray()
     assert np.allclose(a, 0.5)
 
 
 def test_normalized_adjacency_matches_dense_formula():
     # independent route: build A + I and the degree matrix explicitly
     g = build_graph(3, [(0, 1), (1, 2)])
-    a = normalized_adjacency(g)
+    a = normalized_adjacency_operator(g).toarray()
     assert a[0, 1] == pytest.approx(1.0 / np.sqrt(2 * 3))
     adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float) + np.eye(3)
     d_inv_sqrt = np.diag(1.0 / np.sqrt(adj.sum(axis=1)))
@@ -181,7 +181,7 @@ def test_normalized_adjacency_matches_dense_formula():
 def test_normalized_adjacency_exactly_symmetric():
     rng = np.random.default_rng(4)
     for _ in range(5):
-        a = normalized_adjacency(random_graph(rng, int(rng.integers(2, 20))))
+        a = normalized_adjacency_operator(random_graph(rng, int(rng.integers(2, 20)))).toarray()
         assert np.array_equal(a, a.T)
 
 
@@ -189,7 +189,7 @@ def test_regular_graph_rows_sum_to_one():
     # 2-regular cycle: every row has three entries of 1/3
     n = 6
     g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-    a = normalized_adjacency(g)
+    a = normalized_adjacency_operator(g).toarray()
     assert np.allclose(a.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -197,8 +197,8 @@ def test_sparse_operator_matches_dense():
     rng = np.random.default_rng(5)
     for _ in range(5):
         g = random_graph(rng, int(rng.integers(2, 20)))
-        dense = normalized_adjacency(g)
-        assert np.allclose(normalized_adjacency_operator(g).toarray(), dense, atol=1e-15)
+        assert np.array_equal(normalized_adjacency_operator(g).toarray(),
+                              dense_normalized_adjacency(g))
 
 
 def test_homophily_triangle_all_equal():

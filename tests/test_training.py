@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import dense_normalized_adjacency
 from mrfgcn import factors, gcn, training
 from mrfgcn.data import Split, generate_synthetic, ratio_split, row_normalize_features
 from mrfgcn.errors import ConfigError, DegenerateInputError, NonFiniteObjectiveError
 from mrfgcn.factors import PairwiseParams, Redistribution
 from mrfgcn.gcn import GcnParams, forward, init_params
-from mrfgcn.graph import build_graph, normalized_adjacency
+from mrfgcn.graph import build_graph, normalized_adjacency_operator
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows, stream
 from mrfgcn.oracle import exact_posterior_marginals
 from mrfgcn.selfcheck import random_graph, random_instance
@@ -155,8 +156,8 @@ def test_dependency_levels_follow_lower_neighbours(case):
     _, g, _, _, _, train = _e_step_case(case)
     free = np.setdiff1d(np.arange(g.num_nodes), train)
     position = {int(node): i for i, node in enumerate(free)}
-    neighbours = [[position[int(v)] for v in g.neighbors(u) if int(v) in position]
-                  for u in free]
+    neighbours = [[position[int(v)] for v in g.indices[g.indptr[u]:g.indptr[u + 1]]
+                   if int(v) in position] for u in free]
     indptr = np.concatenate([[0], np.cumsum([len(nb) for nb in neighbours])])
     indices = np.array([v for nb in neighbours for v in nb], dtype=np.int64)
     coupling = sp.csr_array((np.ones(len(indices)), indices, indptr),
@@ -295,18 +296,19 @@ def test_m_step_edgeless_reduces_to_supervised():
     params = init_params(3, 4, 3, seed=0)
     pp = PairwiseParams.init(3, 0, mode="edge")
     redist = Redistribution.for_graph(g, "average")
-    adj = normalized_adjacency(g)
     q = Proposal(np.array([], dtype=np.int64), np.zeros((0, 3)), 6)
     cfg = TrainConfig(m_epochs=40, dropout_keep=1.0, lr=0.05, weight_decay=0.0)
 
-    new_params, new_pp, trace = m_step(params, pp, q, features, adj, g, redist,
+    new_params, new_pp, trace = m_step(params, pp, q, sp.csr_array(features),
+                                       normalized_adjacency_operator(g), g, redist,
                                        labels, train_ids, cfg, stream(0, "d"))
     assert trace[-1] > trace[0]
     # K and alpha have zero gradient on an edgeless graph
     assert np.array_equal(new_pp.raw, np.zeros((3, 3)))
     # identical to an independently coded supervised trajectory
     r = make_r(q, labels, train_ids, 3)
-    ref = _supervised_reference(params, features, adj, r, 40, 0.05, 0.0)
+    ref = _supervised_reference(params, features, dense_normalized_adjacency(g), r, 40, 0.05,
+                                0.0)
     assert np.allclose(new_params.w0, ref.w0, atol=1e-12)
     assert np.allclose(new_params.w1, ref.w1, atol=1e-12)
 
@@ -321,18 +323,19 @@ def test_m_step_dead_pairwise_center_scheme_matches_supervised():
     params = init_params(3, 4, 3, seed=1)
     pp = PairwiseParams.init(3, g.num_edges, mode="edge", alpha_init=0.0)
     redist = Redistribution.for_graph(g, "center")
-    adj = normalized_adjacency(g)
+    adj = normalized_adjacency_operator(g)
     free = np.setdiff1d(np.arange(6), train_ids)
-    scores0, _ = forward(params, features, adj)
+    scores0, _ = forward(params, sp.csr_array(features), adj)
     q = Proposal.from_scores(scores0, free, 6)
     cfg = TrainConfig(m_epochs=25, dropout_keep=1.0, lr=0.03, weight_decay=0.0)
 
-    new_params, new_pp, _ = m_step(params, pp, q, features, adj, g, redist,
+    new_params, new_pp, _ = m_step(params, pp, q, sp.csr_array(features), adj, g, redist,
                                    labels, train_ids, cfg, stream(0, "d"))
     assert np.array_equal(new_pp.raw, np.zeros((3, 3)))
     assert np.array_equal(new_pp.alpha, np.zeros(g.num_edges))
     r = make_r(q, labels, train_ids, 3)
-    ref = _supervised_reference(params, features, adj, r, 25, 0.03, 0.0)
+    ref = _supervised_reference(params, features, dense_normalized_adjacency(g), r, 25, 0.03,
+                                0.0)
     assert np.allclose(new_params.w0, ref.w0, atol=1e-12)
     assert np.allclose(new_params.w1, ref.w1, atol=1e-12)
 
@@ -340,9 +343,9 @@ def test_m_step_dead_pairwise_center_scheme_matches_supervised():
 def test_m_step_small_steps_do_not_decrease_objective():
     rng = np.random.default_rng(6)
     g, redist, _, pp, labels, train = random_instance(rng, 8, 3, min_labeled=1)
-    features = rng.normal(size=(8, 3))
+    features = sp.csr_array(rng.normal(size=(8, 3)))
     params = init_params(3, 4, 3, seed=2)
-    adj = normalized_adjacency(g)
+    adj = normalized_adjacency_operator(g)
     free = np.setdiff1d(np.arange(8), train)
     scores0, _ = forward(params, features, adj)
     q = Proposal.from_scores(scores0, free, 8)
@@ -355,7 +358,7 @@ def test_m_step_small_steps_do_not_decrease_objective():
 
 def test_m_step_non_finite_diagnostic():
     g = build_graph(2, [(0, 1)])
-    features = np.ones((2, 1))
+    features = sp.csr_array(np.ones((2, 1)))
     labels = np.array([0, 0])
     params = GcnParams(np.array([[1.0]]), np.array([[1.0, 0.0]]))
     raw = np.zeros((2, 2))
@@ -366,7 +369,7 @@ def test_m_step_non_finite_diagnostic():
     cfg = TrainConfig(m_epochs=1, dropout_keep=1.0)
     with pytest.raises(NonFiniteObjectiveError, match="node"), \
             np.errstate(invalid="ignore"):
-        m_step(params, pp, q, features, normalized_adjacency(g), g, redist,
+        m_step(params, pp, q, features, normalized_adjacency_operator(g), g, redist,
                labels, np.array([0]), cfg, stream(0, "d"))
 
 
@@ -399,7 +402,8 @@ def test_non_finite_piece_in_a_later_block_is_named_and_later_blocks_are_not_run
         params = GcnParams(np.zeros((1, 4)), np.zeros((4, 2)))
         q = _uniform_q(np.arange(1, 12), 2, 12)
         with pytest.raises(NonFiniteObjectiveError, match=r"piece at node 8\)"):
-            m_step(params, pp, q, np.ones((12, 1)), normalized_adjacency(g), g, redist,
+            m_step(params, pp, q, sp.csr_array(np.ones((12, 1))),
+                   normalized_adjacency_operator(g), g, redist,
                    np.zeros(12, dtype=np.int64), np.array([0]),
                    TrainConfig(m_epochs=1, dropout_keep=1.0), stream(0, "d"))
 
@@ -425,8 +429,7 @@ def test_train_zero_rounds_is_warm_baseline():
     assert not any(p.startswith("round") for p in phases)
     assert res.report.best_phase.startswith("warm")
     # with K = 0 the prediction rule reduces to the backbone argmax
-    scores, _ = forward(res.params, ds.features,
-                        normalized_adjacency(ds.graph))
+    scores, _ = forward(res.params, ds.features, normalized_adjacency_operator(ds.graph))
     predicted = predict(scores, res.pairwise, res.proposal, ds.graph, ds.labels,
                         split.train)
     expected = np.argmax(scores, axis=1)
@@ -461,7 +464,7 @@ def test_train_alpha_zero_stays_degenerate():
     assert np.array_equal(res.pairwise.alpha, np.zeros(ds.graph.num_edges))
     assert np.array_equal(res.pairwise.raw, np.zeros((3, 3)))
     # E-step at dead pairwise factors is exactly the softmax of the scores
-    scores, _ = forward(res.params, ds.features, normalized_adjacency(ds.graph))
+    scores, _ = forward(res.params, ds.features, normalized_adjacency_operator(ds.graph))
     assert np.allclose(res.proposal.q, softmax_rows(scores[res.proposal.node_ids]),
                        atol=1e-12)
 
@@ -474,7 +477,8 @@ def test_train_draws_input_dropout_only_for_stored_features(monkeypatch):
     n, hidden = ds.graph.num_nodes, 8
     assert ds.features.nnz + n * hidden < n * ds.num_features
     split = ratio_split(ds, 0.05, 0.2, 0.6, seed=3)
-    field = gcn.receptive_field(normalized_adjacency(ds.graph), ds.features, split.train)
+    field = gcn.receptive_field(normalized_adjacency_operator(ds.graph), ds.features,
+                                split.train)
     assert len(field.hidden) < n
     drawn, real = [], gcn.dropout_mask
 
