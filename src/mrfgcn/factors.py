@@ -31,27 +31,26 @@ outputs. The reference they are checked against is
 `selfcheck.oracle_star_piece`, which solves one piece as a small graph
 of its own with the exact oracle.
 
-`objective_and_gradients` and `diagnose_non_finite` walk the blocks in
-order. A block holds at most `SLOT_CLASS_BUDGET` slot-class pairs
-(m * c**2), 1 MB per float64 tensor, unless one piece alone holds more;
-a piece is never split. Its operand and its slot-label tensor come from
-scratch buffers (`PieceBuffers`) allocated once per call and reused by
-every block, so the objective's memory is these block-sized tensors
-plus O(n * c + 2E * c) of per-node rows, per-slot leaf marginals and
-<t, K> dots; it never holds the whole (c, 2E, c) tensor. The K gradient
-adds the blocks' pair-marginal sums in block order, so results are
-deterministic. A graph whose pieces fit in one block runs the one-block
-case, which is also what `_leaf_major_pieces(g, scores, pp, redist)`
-computes. Sums over slots per node are products with slot incidence
-matrices: a block's cut of `center_incidence` sums each piece's leaf
-messages, and `leaf_incidence` sums each node's leaf marginals over the
-pieces it sits on the rim of. The pair terms read r only at the edge
-ends, so `objective_and_gradients` takes them pre-gathered
-(`endpoint_rows`) from a caller that holds r fixed.
+`star_blocks` is the one walk over the pieces, and
+`objective_and_gradients` and `selfcheck.blocked_piece` its consumers.
+It cuts the graph into blocks of at most `SLOT_CLASS_BUDGET` slot-class
+pairs (m * c**2), 1 MB per float64 tensor, unless one piece alone holds
+more; a piece is never split. Each block's operand and slot-label
+tensor come from scratch buffers (`PieceBuffers`) allocated once per
+walk and reused by every block, so the objective's memory is these
+block-sized tensors plus O(n * c + 2E * c) of per-node rows, per-slot
+leaf marginals and <t, K> dots; it never holds the whole (c, 2E, c)
+tensor. The K gradient adds the blocks' pair-marginal sums in block
+order, so results are deterministic. Sums over slots per node are
+products with slot incidence matrices: a block's incidence sums each
+piece's leaf messages, and `leaf_incidence` sums each node's leaf
+marginals over the pieces it sits on the rim of. The pair terms read r
+only at the edge ends, so `objective_and_gradients` takes them
+pre-gathered (`endpoint_rows`) from a caller that holds r fixed.
 
 `objective_and_gradients` is the one implementation of this objective:
 training, the self-checks and the tests all read its value and
-gradients from it.
+gradients from it, and it names the first non-finite piece itself.
 """
 
 import math
@@ -59,11 +58,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .graph import Graph, SlotBlock
+from .errors import ConfigError, NonFiniteObjectiveError
+from .graph import Graph
 
 COEFFICIENT_MODES = ("edge", "layer", "none")
 REDISTRIBUTION_SCHEMES = ("average", "center")
+# every edge sits in the two pieces of its ends, at exponent 1/2 in each
+PAIR_EXP = 0.5
 
 
 @dataclass
@@ -115,7 +116,7 @@ class PairwiseParams:
 
 @dataclass
 class Redistribution:
-    """Unary factor exponents per piece; pairwise exponent is a constant.
+    """Unary factor exponents per piece; the pairwise exponent is PAIR_EXP.
 
     A node's exponent depends only on the node and on whether it sits at a
     piece's center or on its rim, so two vectors cover every (node, piece)
@@ -125,7 +126,6 @@ class Redistribution:
 
     center_exp: np.ndarray
     leaf_exp: np.ndarray
-    pair_exp: float = 0.5
 
     @classmethod
     def for_graph(cls, g: Graph, scheme: str):
@@ -160,7 +160,7 @@ class PieceBuffers:
     """
 
     def __init__(self, g: Graph, num_classes, blocks):
-        c, m = num_classes, max((b.slots.stop - b.slots.start for b in blocks), default=0)
+        c, m = num_classes, max(b.slots.stop - b.slots.start for b in blocks)
         n, slots = g.num_nodes, len(g.indices)
         shapes = {"log_z": (n,), "mu_center": (n, c), "leaf_marg": (slots, c), "dots": (slots,),
                   "operand": (c, m, 2), "tensor": (c, m, c)}
@@ -174,26 +174,30 @@ class PieceBuffers:
             start += size
 
 
-def piece_blocks(g: Graph, num_classes, max_slots=None):
-    """(blocks, buffers) for inferring every piece of `g`, `max_slots` slots per block.
+def star_blocks(g: Graph, scores, pp, redist, max_slots=None):
+    """Infer every piece of `g` in blocks of `max_slots` slots, in CSR order.
 
-    `max_slots` defaults to SLOT_CLASS_BUDGET // c², read at call time;
-    a piece with more slots is a block of its own.
+    Yields (block, out, block's `_leaf_major_pieces`) per block, with `out`
+    the one `PieceBuffers`, which holds every piece's rows once the walk
+    ends. `max_slots` defaults to SLOT_CLASS_BUDGET // c², read at call
+    time; a piece with more slots is a block of its own.
     """
+    c = pp.num_classes
     if max_slots is None:
-        max_slots = max(SLOT_CLASS_BUDGET // num_classes ** 2, 1)
+        max_slots = max(SLOT_CLASS_BUDGET // c ** 2, 1)
     blocks = g.slot_blocks(max_slots)
-    return blocks, PieceBuffers(g, num_classes, blocks)
+    out = PieceBuffers(g, c, blocks)
+    for block in blocks:
+        yield block, out, _leaf_major_pieces(g, scores, pp, redist, block, out)
 
 
-def _leaf_major_pieces(g: Graph, scores, pp, redist, block=None, out=None):
+def _leaf_major_pieces(g: Graph, scores, pp, redist, block, out):
     """Batched star inference over the pieces of one block, in the leaf-major layout.
 
-    `block` is a `SlotBlock` of `g` (the whole graph by default) and `out`
-    the `PieceBuffers` it writes into (by default new ones for the block).
-    Returns (log_z, mu_center, t, rim) over the block: views of `out`'s
-    rows for its centers, and of its scratch, which the next block
-    overwrites. t[b, d, a] is the joint marginal of leaf label b and
+    `block` is a `SlotBlock` of `g` and `out` the `PieceBuffers` it
+    writes into. Returns (log_z, mu_center, t, rim) over the block: views
+    of `out`'s rows for its centers, and of its scratch, which the next
+    block overwrites. t[b, d, a] is the joint marginal of leaf label b and
     center label a on the block's slot d (slot indptr[lo] + d of the
     graph) under the piece of center(d), and
     rim[b, d] = (sum_a t[b, d, a], sum_a t[b, d, a] K[b, a]). The block's
@@ -202,20 +206,16 @@ def _leaf_major_pieces(g: Graph, scores, pp, redist, block=None, out=None):
     """
     c = pp.num_classes
     k = pp.K
-    if block is None:
-        block = SlotBlock(slice(0, g.num_nodes), slice(0, len(g.indices)), g.center_incidence)
-    if out is None:
-        out = PieceBuffers(g, c, [block])
     nodes, slots = block.nodes, block.slots
     m = slots.stop - slots.start
     leaves = g.indices[slots]
-    # t[b, d, a] = leaf_exp * s[leaf(d), b] + pair_exp * alpha_d * K[b, a] for leaf
+    # t[b, d, a] = leaf_exp * s[leaf(d), b] + PAIR_EXP * alpha_d * K[b, a] for leaf
     # label b, slot d and center label a (K is symmetric), built as one batched
     # rank-2 product: (c, m, 2) @ (c, 2, c)
     operand = out.operand[:, :m]
     np.multiply(np.take(scores.T, leaves, axis=1), redist.leaf_exp[leaves],
                 out=operand[:, :, 0])
-    operand[:, :, 1] = redist.pair_exp * pp.alpha_at(g.slot_edge_ids[slots])
+    operand[:, :, 1] = PAIR_EXP * pp.alpha_at(g.slot_edge_ids[slots])
     t = np.matmul(operand, np.stack([np.ones((c, c)), k], axis=1), out=out.tensor[:, :m])
     hi = t.max(axis=0)
     t -= hi
@@ -248,14 +248,14 @@ def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None):
     Gradients are w.r.t. scores, the unconstrained K storage, and the
     alpha parameter vector (None in no-coefficient mode). `r_ends` is
     `endpoint_rows(r, g)`; a caller that holds r fixed over many calls
-    passes it in, and it is gathered here when omitted.
+    passes it in, and it is gathered here when omitted. A non-finite
+    value raises `NonFiniteObjectiveError` naming the first non-finite
+    score row, else the first non-finite piece log partition, else None.
     """
     c = pp.num_classes
-    blocks, out = piece_blocks(g, c)
     alphas_d = pp.alpha_at(g.slot_edge_ids)
     pair_sum = np.zeros((c, c))                            # sum_d alpha_d t[:, d, :]
-    for block in blocks:
-        _, _, t, _ = _leaf_major_pieces(g, scores, pp, redist, block, out)
+    for block, out, (_, _, t, _) in star_blocks(g, scores, pp, redist):
         pair_sum += alphas_d[block.slots] @ t              # t is leaf-major
     log_z, mu_center, leaf_marg, dots = out.log_z, out.mu_center, out.leaf_marg, out.dots
     if r_ends is None:
@@ -264,6 +264,11 @@ def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None):
     alphas_e = pp.alpha_at(np.arange(g.num_edges))
     pair_dots = np.einsum("ec,ec->e", r_j @ pp.K, r_k)     # <r_j, K r_k>
     value = float((r * scores).sum() + (alphas_e * pair_dots).sum() - log_z.sum())
+    if not np.isfinite(value):
+        bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+        bad = bad if len(bad) else np.flatnonzero(~np.isfinite(log_z))
+        raise NonFiniteObjectiveError("piecewise objective became non-finite "
+                                      f"(piece at node {bad[0] if len(bad) else None})")
 
     # leaf contribution: the pieces where node i sits on the rim are those
     # of the slots whose leaf is i
@@ -271,26 +276,14 @@ def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None):
                    - redist.leaf_exp[:, None] * (g.leaf_incidence @ leaf_marg))
 
     g_k = (r_j * alphas_e[:, None]).T @ r_k
-    g_k -= redist.pair_exp * pair_sum.T
+    g_k -= PAIR_EXP * pair_sum.T
     grad_raw = 0.5 * (g_k + g_k.T)
 
     grad_alpha = None
     if pp.mode != "none":
-        per_edge = pair_dots - redist.pair_exp * np.bincount(
+        per_edge = pair_dots - PAIR_EXP * np.bincount(
             g.slot_edge_ids, weights=dots, minlength=g.num_edges)
         grad_alpha = per_edge if pp.mode == "edge" else np.array([per_edge.sum()])
 
     return value, grad_scores, grad_raw, grad_alpha
 
-
-def diagnose_non_finite(g: Graph, scores, pp, redist):
-    """Return the first node whose piece partition is non-finite, or None."""
-    if not np.isfinite(scores).all():
-        return int(np.flatnonzero(~np.isfinite(scores).all(axis=1))[0])
-    blocks, out = piece_blocks(g, pp.num_classes)
-    for block in blocks:
-        log_z, _, _, _ = _leaf_major_pieces(g, scores, pp, redist, block, out)
-        bad = np.flatnonzero(~np.isfinite(log_z))
-        if len(bad):
-            return block.nodes.start + int(bad[0])
-    return None

@@ -75,6 +75,14 @@ class Field:
     features: sp.csr_array   # X[inputs]
 
 
+def _require_csr(**inputs):
+    """Reject an input that is not CSR; a dense A or X is not converted."""
+    for name, x in inputs.items():
+        if not (sp.issparse(x) and x.format == "csr"):
+            raise StructuralInputError(
+                f"{name} must be a scipy.sparse.csr_array, got {type(x).__name__}")
+
+
 def receptive_field(norm_adj, features, ids) -> Field:
     """Cut the receptive field of `ids` out of the adjacency and the features.
 
@@ -85,6 +93,7 @@ def receptive_field(norm_adj, features, ids) -> Field:
     column order, the order in which a product with the CSC view of the
     transpose adds them up.
     """
+    _require_csr(norm_adj=norm_adj, features=features)
     ids = np.asarray(ids, dtype=np.int64)
     rows = np.unique(ids)
     outer = norm_adj[rows]
@@ -129,7 +138,9 @@ def forward(params: GcnParams, features, norm_adj, dropout_keep=1.0, rng=None, f
 
     With dropout_keep < 1 an rng must be supplied; one input mask over the
     stored feature entries and one hidden mask are drawn, in that order.
+    Input that is not CSR raises StructuralInputError.
     """
+    _require_csr(features=features, norm_adj=norm_adj)
     if field is None:
         outer = outer_t = inner = inner_t = norm_adj
         hidden = None

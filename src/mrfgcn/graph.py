@@ -49,11 +49,6 @@ class Graph:
         return centers
 
     @cached_property
-    def center_incidence(self) -> sp.csr_array:
-        """(n, 2E) 0/1 matrix whose row i holds the slots centered at i."""
-        return self._slot_incidence(np.arange(len(self.indices)))
-
-    @cached_property
     def leaf_incidence(self) -> sp.csr_array:
         """(n, 2E) 0/1 matrix whose row i holds the slots whose leaf is i.
 
@@ -61,15 +56,16 @@ class Graph:
         is also the order of their reverses among the slots centered at i:
         both follow the id of the slot's other end.
         """
-        return self._slot_incidence(np.argsort(self.indices, kind="stable"))
+        slots = np.argsort(self.indices, kind="stable")
+        return sp.csr_array((np.ones(len(slots)), slots, self.indptr),
+                            shape=(self.num_nodes, len(slots)))
 
     def slot_blocks(self, max_slots) -> tuple:
         """The nodes cut into runs of consecutive centers of at most `max_slots` slots each.
 
-        A node with more than `max_slots` neighbors is a block of its own.
-        A block's incidence is `center_incidence` cut to its rows and slots;
-        a single block covering the graph uses `center_incidence` itself.
-        Built on first use for each `max_slots` and kept with the graph.
+        A node with more than `max_slots` neighbors is a block of its own,
+        and a graph without nodes is one empty block. Built on first use
+        for each `max_slots` and kept with the graph.
         """
         blocks = self._slot_blocks.get(max_slots)
         if blocks is None:
@@ -79,7 +75,7 @@ class Graph:
                 hi = np.searchsorted(self.indptr, self.indptr[lo] + max_slots, side="right") - 1
                 bounds.append(max(int(hi), lo + 1))
             blocks = tuple(self._slot_block(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
-            self._slot_blocks[max_slots] = blocks
+            blocks = self._slot_blocks[max_slots] = blocks or (self._slot_block(0, 0),)
         return blocks
 
     @cached_property
@@ -88,17 +84,10 @@ class Graph:
 
     def _slot_block(self, lo, hi) -> SlotBlock:
         start, stop = int(self.indptr[lo]), int(self.indptr[hi])
-        if (lo, hi) == (0, self.num_nodes):
-            incidence = self.center_incidence
-        else:
-            incidence = sp.csr_array(
-                (np.ones(stop - start), np.arange(stop - start), self.indptr[lo:hi + 1] - start),
-                shape=(hi - lo, stop - start))
+        incidence = sp.csr_array(
+            (np.ones(stop - start), np.arange(stop - start), self.indptr[lo:hi + 1] - start),
+            shape=(hi - lo, stop - start))
         return SlotBlock(slice(lo, hi), slice(start, stop), incidence)
-
-    def _slot_incidence(self, slots) -> sp.csr_array:
-        return sp.csr_array((np.ones(len(slots)), slots, self.indptr),
-                            shape=(self.num_nodes, len(slots)))
 
 
 def _unique_edges(pairs, n):

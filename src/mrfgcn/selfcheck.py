@@ -3,16 +3,16 @@
 Each check pits the code that training runs against direct enumeration
 or central finite differences on small random instances and reports the
 worst discrepancy seen. Star pieces are checked through the oracle: a
-piece of the batched `_leaf_major_pieces`, read from the block that
-blockwise inference computes it in, against the exact oracle run on
-that piece as a star graph of its own. The piece check's blocks hold
-`PIECE_CHECK_SLOTS` slots, so an instance spans several blocks that
-share one set of buffers, and a piece with more slots is a block of its
-own. The finite differences are taken of the value that
-`objective_and_gradients` returns, the same call that supplies the
-analytic gradients; the backbone chain runs on the sparse adjacency
-operator and CSR features, as `train` does. The KL identity is checked
-against `direct_kl`, which sums the factors itself.
+piece read from its block of `factors.star_blocks`, the walk that the
+objective runs, against the exact oracle run on that piece as a star
+graph of its own. The piece check's blocks hold `PIECE_CHECK_SLOTS`
+slots, so an instance spans several blocks that share one set of
+buffers, and a piece with more slots is a block of its own. The finite
+differences are taken of the value that `objective_and_gradients`
+returns, the same call that supplies the analytic gradients; the
+backbone chain runs on the sparse adjacency operator and CSR features,
+as `train` does. The KL identity is checked against `direct_kl`, which
+sums the factors itself.
 """
 
 from dataclasses import dataclass
@@ -21,8 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import gcn
-from .factors import (PairwiseParams, Redistribution, _leaf_major_pieces,
-                      objective_and_gradients, piece_blocks)
+from .factors import (PAIR_EXP, PairwiseParams, Redistribution, objective_and_gradients,
+                      star_blocks)
 from .graph import build_graph, normalized_adjacency_operator
 from .numerics import stream
 from .oracle import (_check_limit, exact_elbo, exact_log_partition,
@@ -98,7 +98,7 @@ def oracle_star_piece(g, node, scores, pp, redist, limit=None):
     unary = np.vstack([redist.center_exp[node] * scores[node],
                        redist.leaf_exp[leaves, None] * scores[leaves]])
     star_pp = PairwiseParams(
-        pp.raw, redist.pair_exp * pp.alpha_at(g.slot_edge_ids[lo:hi]), "edge")
+        pp.raw, PAIR_EXP * pp.alpha_at(g.slot_edge_ids[lo:hi]), "edge")
     log_z = exact_log_partition(star, unary, star_pp, limit)
     labels = np.zeros(star.num_nodes, dtype=np.int64)
     _, marg = exact_posterior_marginals(star, unary, star_pp, labels, [], limit)
@@ -111,16 +111,12 @@ def oracle_star_piece(g, node, scores, pp, redist, limit=None):
 
 
 def blocked_piece(g, node, scores, pp, redist, max_slots=PIECE_CHECK_SLOTS):
-    """The piece at `node` as blockwise inference computes it, in blocks of `max_slots` slots.
+    """The piece at `node` as `star_blocks` infers it, in blocks of `max_slots` slots.
 
-    The blocks run in order through one set of buffers, as in
-    `objective_and_gradients`, up to the block holding `node`, and the
-    piece is read from that block's results. Returns what
-    `oracle_star_piece` returns.
+    The walk runs up to the block holding `node`, and the piece is read
+    from that block's results. Returns what `oracle_star_piece` returns.
     """
-    blocks, out = piece_blocks(g, pp.num_classes, max_slots)
-    for block in blocks:
-        log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist, block, out)
+    for block, _, (log_z, mu_center, t, rim) in star_blocks(g, scores, pp, redist, max_slots):
         if node < block.nodes.stop:
             i, lo = node - block.nodes.start, block.slots.start
             slots = slice(g.indptr[node] - lo, g.indptr[node + 1] - lo)
@@ -236,7 +232,7 @@ def check_redistribution_identity(sizes, trials, seed, num_classes=3):
         centers, leaves = g.slot_centers, g.indices
         total = (redist.center_exp * scores[np.arange(n), assign]).sum()
         total += (redist.leaf_exp[leaves] * scores[leaves, assign[leaves]]).sum()
-        total += (redist.pair_exp * pp.alpha_at(g.slot_edge_ids)
+        total += (PAIR_EXP * pp.alpha_at(g.slot_edge_ids)
                   * pp.K[assign[centers], assign[leaves]]).sum()
         direct = scores[np.arange(n), assign].sum()
         if g.num_edges:

@@ -20,7 +20,9 @@ level, where this is slower than a per-node loop.
 The warm start trains the backbone on the labeled nodes' cross-entropy.
 Its loss and its per-epoch validation read the scores of a few rows, so
 both run on those rows' receptive fields (`gcn.receptive_field`), which
-gives the full graph's loss, gradients and scores bit for bit.
+gives the full graph's loss, gradients and scores bit for bit. It stops
+after `patience` epochs in which neither validation accuracy nor
+validation cross-entropy improved; the loss falls on an accuracy plateau.
 
 The M-step fixes q and runs full-batch Adam ascent on the expected
 piecewise objective, updating the backbone weights together with K and
@@ -39,10 +41,9 @@ import scipy.sparse as sp
 
 from . import gcn
 from .data import Dataset, Split
-from .errors import (ConfigError, DegenerateInputError, NonFiniteObjectiveError,
-                     StructuralInputError)
-from .factors import (PairwiseParams, Redistribution, diagnose_non_finite, endpoint_rows,
-                      objective_and_gradients, COEFFICIENT_MODES, REDISTRIBUTION_SCHEMES)
+from .errors import ConfigError, DegenerateInputError, StructuralInputError
+from .factors import (PairwiseParams, Redistribution, endpoint_rows, objective_and_gradients,
+                      COEFFICIENT_MODES, REDISTRIBUTION_SCHEMES)
 from .graph import Graph, normalized_adjacency_operator
 from .numerics import AdamState, adam_step, softmax_rows, stream
 
@@ -305,7 +306,8 @@ def m_step(params: gcn.GcnParams, pp: PairwiseParams, q: Proposal, features,
     `features` and `norm_adj` are `scipy.sparse.csr_array`, as `forward`
     takes them. Returns (params, pp, objective_trace); q stays fixed, so r
     and its rows at the edge ends are built once. Fresh optimizer state is
-    used for each M-step.
+    used for each M-step. A non-finite objective ends the step with the
+    `NonFiniteObjectiveError` that `objective_and_gradients` raises.
     """
     r = make_r(q, labels, train_ids, pp.num_classes)
     r_ends = endpoint_rows(r, g)
@@ -320,10 +322,6 @@ def m_step(params: gcn.GcnParams, pp: PairwiseParams, q: Proposal, features,
                                     dropout_keep=config.dropout_keep, rng=rng_dropout)
         value, grad_scores, grad_raw, grad_alpha = objective_and_gradients(
             r, scores, pp, redist, g, r_ends)
-        if not np.isfinite(value):
-            node = diagnose_non_finite(g, scores, pp, redist)
-            raise NonFiniteObjectiveError(
-                f"piecewise objective became non-finite (piece at node {node})")
         gw0, gw1 = gcn.backward(params, cache, grad_scores)
         params = gcn.GcnParams(adam_step(params.w0, -gw0, st_w0),
                                adam_step(params.w1, -gw1, st_w1))
@@ -398,11 +396,16 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
     train_field = gcn.receptive_field(norm_adj, features, train_ids)
     val_field = gcn.receptive_field(norm_adj, features, split.val) if len(split.val) else None
 
-    def warm_val_accuracy(p):
+    def warm_validation(p):
+        """(accuracy, mean cross-entropy) on the validation nodes."""
         if val_field is None:
-            return float("nan")
+            return float("nan"), float("nan")
         s, _ = gcn.forward(p, features, norm_adj, field=val_field)
-        return float(np.mean(np.argmax(s[val_field.positions], axis=1) == labels[split.val]))
+        s, val_labels = s[val_field.positions], labels[split.val]
+        acc = float(np.mean(np.argmax(s, axis=1) == val_labels))
+        s -= s.max(axis=1, keepdims=True)
+        loss = np.log(np.exp(s).sum(axis=1)) - s[np.arange(len(s)), val_labels]
+        return acc, float(np.mean(loss))
 
     best: _Checkpoint | None = None
     use_selection = len(split.val) > 0
@@ -422,17 +425,20 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
     # ---- warm start: supervised training of the backbone on the train set
     st_w0 = AdamState.for_param(params.w0, lr=config.lr, weight_decay=config.weight_decay)
     st_w1 = AdamState.for_param(params.w1, lr=config.lr)
-    epochs_since_best = 0
+    epochs_since_best, best_val_loss = 0, float("inf")
     for epoch in range(config.warm_epochs):
         loss, gw0, gw1 = gcn.supervised_loss_and_grad(
             params, features, norm_adj, labels, train_ids, rng=rng_drop,
             dropout_keep=config.dropout_keep, field=train_field)
         params = gcn.GcnParams(adam_step(params.w0, gw0, st_w0),
                                adam_step(params.w1, gw1, st_w1))
-        acc = warm_val_accuracy(params)
+        acc, val_loss = warm_validation(params)
         report.add("warm", epoch, "supervised_loss", loss)
         report.add("warm", epoch, "val_accuracy", acc)
-        if consider(acc, f"warm:{epoch}", params, pp, None):
+        improved = consider(acc, f"warm:{epoch}", params, pp, None)
+        if val_loss < best_val_loss:
+            best_val_loss, improved = val_loss, True
+        if improved:
             epochs_since_best = 0
         else:
             epochs_since_best += 1

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from mrfgcn.data import (generate_synthetic, load_dataset, planetoid_split,
                          ratio_split, row_normalize_features)
-from mrfgcn.factors import PairwiseParams, Redistribution, objective_and_gradients
+from mrfgcn.factors import PAIR_EXP, PairwiseParams, Redistribution, objective_and_gradients
 from mrfgcn.gcn import GcnParams, backward, forward, init_params
 from mrfgcn.graph import build_graph, homophily_beta, normalized_adjacency_operator
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows, stream
@@ -283,7 +283,7 @@ def test_c07_redistribution_identity():
             slots = slice(g.indptr[node], g.indptr[node + 1])
             for leaf, a in zip(g.indices[slots], pp.alpha_at(g.slot_edge_ids[slots])):
                 total += redist.leaf_exp[leaf] * scores[leaf, assign[leaf]]
-                total += redist.pair_exp * a * pp.K[assign[node], assign[leaf]]
+                total += PAIR_EXP * a * pp.K[assign[node], assign[leaf]]
         direct = float(scores[np.arange(n), assign].sum())
         if g.num_edges:
             j, k = g.edges[:, 0], g.edges[:, 1]

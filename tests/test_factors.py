@@ -6,18 +6,25 @@ import numpy as np
 import pytest
 
 from mrfgcn import factors, selfcheck
-from mrfgcn.errors import ConfigError
-from mrfgcn.factors import (PairwiseParams, Redistribution, _leaf_major_pieces,
-                            endpoint_rows, objective_and_gradients)
+from mrfgcn.errors import ConfigError, NonFiniteObjectiveError
+from mrfgcn.factors import (PAIR_EXP, PairwiseParams, Redistribution, _leaf_major_pieces,
+                            endpoint_rows, objective_and_gradients, star_blocks)
+from mrfgcn.data import generate_synthetic
 from mrfgcn.graph import build_graph
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows
 from mrfgcn.selfcheck import (blocked_piece, fd_gradient, oracle_star_piece, random_graph,
                               random_instance, random_r, rel_error)
 
 
+def _whole_graph_pieces(g, scores, pp, redist):
+    """(log_z, mu_center, t, rim) of every piece: the walk in one block of 2E slots."""
+    [(_, _, pieces)] = star_blocks(g, scores, pp, redist, max(2 * g.num_edges, 1))
+    return pieces
+
+
 def _piece(g, node, scores, pp, redist):
     """The piece at `node`: (log_z, center, leaf and pairwise marginals) rows."""
-    log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist)
+    log_z, mu_center, t, rim = _whole_graph_pieces(g, scores, pp, redist)
     slots = slice(g.indptr[node], g.indptr[node + 1])
     return log_z[node], mu_center[node], rim[:, slots, 0].T, t[:, slots].transpose(1, 2, 0)
 
@@ -74,7 +81,7 @@ def test_redistribution_partition_of_unity(scheme):
             node_total[leaf] += redist.leaf_exp[leaf]
     assert np.allclose(node_total, 1.0, atol=1e-15)
     # every edge: exponent 1/2 in exactly two pieces
-    assert redist.pair_exp == 0.5
+    assert PAIR_EXP == 0.5
 
 
 def test_redistribution_unknown_scheme():
@@ -137,7 +144,7 @@ def test_piece_check_fails_on_a_perturbed_piece_stats(monkeypatch, field):
             t = t + 1e-8
         return log_z, mu_center, t, rim
 
-    monkeypatch.setattr(selfcheck, "_leaf_major_pieces", perturbed)
+    monkeypatch.setattr(factors, "_leaf_major_pieces", perturbed)
     results = selfcheck.check_piece_inference([4, 6], trials=6, seed=0)
     assert not all(r.passed for r in results)
 
@@ -284,7 +291,7 @@ def test_redistribution_identity_global_factor_sum(scheme):
             alphas = pp.alpha_at(g.slot_edge_ids[slots])
             for leaf, a in zip(g.indices[slots], alphas):
                 total += redist.leaf_exp[leaf] * scores[leaf, assign[leaf]]
-                total += redist.pair_exp * a * pp.K[assign[node], assign[leaf]]
+                total += PAIR_EXP * a * pp.K[assign[node], assign[leaf]]
         direct = float(scores[np.arange(n), assign].sum())
         if g.num_edges:
             j, k = g.edges[:, 0], g.edges[:, 1]
@@ -315,8 +322,8 @@ def test_mode_consistency_none_equals_edge_at_unit_alpha():
     assert objective_and_gradients(r, scores, pp_none, redist, g)[0] == \
         pytest.approx(objective_and_gradients(r, scores, pp_edge, redist, g)[0],
                       abs=1e-12)
-    stats_none = _leaf_major_pieces(g, scores, pp_none, redist)
-    stats_edge = _leaf_major_pieces(g, scores, pp_edge, redist)
+    stats_none = _whole_graph_pieces(g, scores, pp_none, redist)
+    stats_edge = _whole_graph_pieces(g, scores, pp_edge, redist)
     for a, b in zip(stats_none, stats_edge):
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
@@ -369,7 +376,7 @@ def test_objective_and_gradients_memory_does_not_grow_with_the_slot_label_tensor
     redist = Redistribution.for_graph(g, "average")
     pp = PairwiseParams(rng.normal(size=(c, c)), rng.normal(1.0, 0.5, g.num_edges), "edge")
     scores, r = rng.normal(size=(n, c)), softmax_rows(rng.normal(size=(n, c)))
-    assert len(factors.piece_blocks(g, c)[0]) >= 8
+    assert sum(1 for _ in star_blocks(g, scores, pp, redist)) >= 8
     objective_and_gradients(r, scores, pp, redist, g)
     tracemalloc.start()
     try:
@@ -391,7 +398,7 @@ def test_piece_stats_stable_at_large_scores(scheme, mode):
         scores = scores * 200.0                                  # std 300
         pp = PairwiseParams(raw=5.0 * pp.raw, alpha=rng.normal(0.0, 2.0, pp.alpha.shape),
                             mode=mode)
-        stats = _leaf_major_pieces(g, scores, pp, redist)
+        stats = _whole_graph_pieces(g, scores, pp, redist)
         log_z, mu_center, t, rim = stats
         assert all(np.isfinite(x).all() for x in stats)
         assert np.abs(t.sum(axis=0) - mu_center[g.slot_centers]).max(initial=0.0) <= 1e-12
@@ -401,7 +408,7 @@ def test_piece_stats_stable_at_large_scores(scheme, mode):
         # sum of m and leaves every marginal alone; shifted by thousands, the
         # unnormalized leaf and center terms are far outside exp's range
         m = rng.normal(0.0, 3000.0, size=n)
-        moved = _leaf_major_pieces(g, scores - m[:, None], pp, redist)
+        moved = _whole_graph_pieces(g, scores - m[:, None], pp, redist)
         shift = redist.center_exp * m + np.bincount(
             g.slot_centers, weights=(redist.leaf_exp * m)[g.indices], minlength=n)
         assert np.abs(log_z - moved[0] - shift).max() <= 1e-14 * np.abs(moved[0]).max()
@@ -439,7 +446,7 @@ def _reference_objective_and_gradients(r, scores, pp, redist, g):
     c, k = pp.num_classes, pp.K
     leaves = g.indices
     unary = (redist.leaf_exp[leaves][:, None] * scores[leaves]).T
-    pair = np.broadcast_to(redist.pair_exp * pp.alpha_at(g.slot_edge_ids), unary.shape)
+    pair = np.broadcast_to(PAIR_EXP * pp.alpha_at(g.slot_edge_ids), unary.shape)
     t = np.stack([unary, pair], axis=2) @ np.stack([np.ones((c, c)), k], axis=1)
     hi = t.max(axis=0)
     t = np.exp(t - hi)
@@ -459,10 +466,10 @@ def _reference_objective_and_gradients(r, scores, pp, redist, g):
     leaf_marg_at_leaf = rim[:, _reverse_slots(g), 0].T
     grad_scores = (r - redist.center_exp[:, None] * mu_center
                    - redist.leaf_exp[:, None] * _segment_sum(leaf_marg_at_leaf, g.indptr))
-    g_k = (r[j] * alphas_e[:, None]).T @ r[kk] - redist.pair_exp * (alphas_d @ t).T
+    g_k = (r[j] * alphas_e[:, None]).T @ r[kk] - PAIR_EXP * (alphas_d @ t).T
     grad_alpha = None
     if pp.mode != "none":
-        per_edge = pair_dots - redist.pair_exp * np.bincount(
+        per_edge = pair_dots - PAIR_EXP * np.bincount(
             g.slot_edge_ids, weights=rim[:, :, 1].sum(axis=0), minlength=g.num_edges)
         grad_alpha = per_edge if pp.mode == "edge" else np.array([per_edge.sum()])
     return value, grad_scores, 0.5 * (g_k + g_k.T), grad_alpha
@@ -547,11 +554,11 @@ def test_objective_in_blocks_matches_one_block_and_the_reference(monkeypatch, sc
     pp = PairwiseParams(raw=rng.normal(size=(c, c)), alpha=alpha, mode=mode)
     scores = rng.normal(0.0, 1.5, size=(g.num_nodes, c))
     r = softmax_rows(rng.normal(size=(g.num_nodes, c)))
-    assert len(factors.piece_blocks(g, c)[0]) == 1
+    assert sum(1 for _ in star_blocks(g, scores, pp, redist)) == 1
     whole = objective_and_gradients(r, scores, pp, redist, g)
 
     monkeypatch.setattr(factors, "SLOT_CLASS_BUDGET", 3 * c * c)
-    blocks = factors.piece_blocks(g, c)[0]
+    blocks = [block for block, _, _ in star_blocks(g, scores, pp, redist)]
     if g.num_edges:
         assert len(blocks) >= 4
     if kind == "hub":
@@ -583,8 +590,79 @@ def test_piece_check_reads_pieces_from_later_blocks(monkeypatch):
         log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist, block, out)
         return (log_z + (block.nodes.start > 0) * 1e-8), mu_center, t, rim
 
-    monkeypatch.setattr(selfcheck, "_leaf_major_pieces", perturbed)
+    monkeypatch.setattr(factors, "_leaf_major_pieces", perturbed)
     results = selfcheck.check_piece_inference([6, 8], trials=6, seed=0)
     assert not all(r.passed for r in results)
     monkeypatch.undo()
     assert all(r.passed for r in selfcheck.check_piece_inference([6, 8], trials=6, seed=0))
+
+
+# ---- the one walk: blocked_piece reads the objective's own pieces
+
+def _walk_graph(kind):
+    if kind == "path":
+        return build_graph(12, [(i, i + 1) for i in range(11)]), 2
+    if kind == "cora_shape":     # 540 nodes, 7 classes, average degree about 4
+        return generate_synthetic(540, 7, 2, 0.8, 7, 0.1, seed=11).graph, 7
+    # dense shape: 400 nodes, 10 classes, average degree about 20, several blocks
+    return generate_synthetic(400, 10, 10, 0.6, 10, 0.1, seed=11).graph, 10
+
+
+@pytest.mark.parametrize("budget", ["whole_graph", "3_slots", "default"])
+@pytest.mark.parametrize("kind", ["cora_shape", "dense_shape", "path"])
+def test_every_piece_the_walk_yields_equals_the_objectives_rows_bit_for_bit(monkeypatch,
+                                                                             kind, budget):
+    rng = np.random.default_rng(22)
+    g, c = _walk_graph(kind)
+    redist = Redistribution.for_graph(g, "average")
+    pp = PairwiseParams(rng.normal(size=(c, c)), rng.normal(1.0, 0.5, g.num_edges), "edge")
+    scores = rng.normal(0.0, 1.5, size=(g.num_nodes, c))
+    buffers = []
+
+    def kept(g, scores, pp, redist, block, out):
+        buffers.append(out)
+        return _leaf_major_pieces(g, scores, pp, redist, block, out)
+
+    monkeypatch.setattr(factors, "_leaf_major_pieces", kept)
+    objective_and_gradients(softmax_rows(scores), scores, pp, redist, g)
+    monkeypatch.undo()
+    out = buffers[0]
+    assert all(b is out for b in buffers)
+    if kind == "dense_shape":
+        assert len(buffers) >= 4
+
+    max_slots = {"whole_graph": 2 * g.num_edges, "3_slots": 3, "default": None}[budget]
+    blocks = 0
+    for block, _, (log_z, mu_center, _, _) in star_blocks(g, scores, pp, redist, max_slots):
+        assert np.array_equal(log_z, out.log_z[block.nodes])
+        assert np.array_equal(mu_center, out.mu_center[block.nodes])
+        blocks += 1
+    assert blocks == {"whole_graph": 1, "3_slots": len(g.slot_blocks(3)),
+                      "default": len(buffers)}[budget]
+    hub = int(np.argmax(g.degrees))
+    for node in sorted({0, hub, g.num_nodes // 2, g.num_nodes - 1}):
+        log_z, center, _, _ = blocked_piece(g, node, scores, pp, redist, max_slots)
+        assert log_z == out.log_z[node]
+        assert np.array_equal(center, out.mu_center[node])
+
+
+def test_non_finite_scores_name_their_first_bad_row():
+    rng = np.random.default_rng(23)
+    g, redist, scores, pp, labels, train = random_instance(rng, 8, 3)
+    r = random_r(rng, 8, 3, labels, train)
+    scores[5, 1] = np.nan
+    scores[3, 0] = -np.inf
+    with pytest.raises(NonFiniteObjectiveError,
+                       match=r"^piecewise objective became non-finite \(piece at node 3\)$"), \
+            np.errstate(invalid="ignore"):
+        objective_and_gradients(r, scores, pp, redist, g)
+
+
+def test_non_finite_value_with_finite_pieces_names_no_node():
+    # r enters the value but no piece: every score row and log partition is finite
+    rng = np.random.default_rng(24)
+    g, redist, scores, pp, labels, train = random_instance(rng, 6, 3)
+    r = random_r(rng, 6, 3, labels, train)
+    r[2] = np.nan
+    with pytest.raises(NonFiniteObjectiveError, match=r"\(piece at node None\)$"):
+        objective_and_gradients(r, scores, pp, redist, g)

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from conftest import dense_normalized_adjacency
 from mrfgcn.data import generate_synthetic
-from mrfgcn.errors import StaleCacheError
+from mrfgcn.errors import StaleCacheError, StructuralInputError
 from mrfgcn.gcn import (GcnParams, backward, forward, init_params, receptive_field,
                         supervised_loss_and_grad)
 from mrfgcn.graph import build_graph, normalized_adjacency_operator
@@ -507,3 +507,30 @@ def test_field_backward_with_dropout_matches_finite_differences():
                                            dropout_keep=0.7, field=field)
     assert _rel(gw0, _fd(lambda w: loss(w, params.w1), params.w0.copy())) <= 1e-6
     assert _rel(gw1, _fd(lambda w: loss(params.w0, w), params.w1.copy())) <= 1e-6
+
+
+@pytest.mark.parametrize("keep", [1.0, 0.5])
+@pytest.mark.parametrize("dense", ["norm_adj", "features"])
+@pytest.mark.parametrize("entry", ["forward", "receptive_field", "supervised_loss_and_grad"])
+def test_input_that_is_not_csr_is_a_structural_error(entry, dense, keep):
+    g = random_graph(np.random.default_rng(7), 10, 0.3)
+    features = sp.csr_array(np.random.default_rng(8).random((10, 4)))
+    params = init_params(4, 5, 3, seed=0)
+    labels, ids = np.zeros(10, dtype=np.int64), np.array([1, 4])
+
+    def run(norm_adj, features):
+        if entry == "forward":
+            return forward(params, features, norm_adj, dropout_keep=keep, rng=stream(0, "d"))
+        if entry == "receptive_field":
+            field = receptive_field(norm_adj, features, ids)
+            return forward(params, features, norm_adj, dropout_keep=keep, rng=stream(0, "d"),
+                           field=field)
+        return supervised_loss_and_grad(params, features, norm_adj, labels, ids,
+                                        rng=stream(0, "d"), dropout_keep=keep)
+
+    inputs = {"norm_adj": normalized_adjacency_operator(g), "features": features}
+    run(**{name: sp.csr_matrix(x) for name, x in inputs.items()})    # csr_matrix is CSR
+    inputs[dense] = inputs[dense].toarray()
+    with pytest.raises(StructuralInputError, match=rf"^{dense} must be a scipy\.sparse\."
+                                                   r"csr_array, got ndarray$"):
+        run(**inputs)

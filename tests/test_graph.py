@@ -124,23 +124,23 @@ def test_leaf_incidence_rows_list_the_reverse_slots_in_order():
                                              (3, [])])
 def test_slot_incidence_rows_hold_the_slots_at_each_node(num_nodes, edges):
     g = build_graph(num_nodes, edges)
-    slots = np.arange(2 * g.num_edges)
-    for name, node_of_slot in (("center_incidence", g.slot_centers),
-                               ("leaf_incidence", g.indices)):
-        inc = getattr(g, name)
-        assert inc.shape == (num_nodes, 2 * g.num_edges)
-        assert (inc.data == 1.0).all()
-        expected = np.zeros(inc.shape)
-        expected[node_of_slot, slots] = 1.0
-        assert np.array_equal(inc.toarray(), expected)
-        assert getattr(g, name) is inc          # built once per graph
+    inc = g.leaf_incidence
+    assert inc.shape == (num_nodes, 2 * g.num_edges)
+    assert (inc.data == 1.0).all()
+    expected = np.zeros(inc.shape)
+    expected[g.indices, np.arange(2 * g.num_edges)] = 1.0
+    assert np.array_equal(inc.toarray(), expected)
+    assert g.leaf_incidence is inc          # built once per graph
 
 
 @pytest.mark.parametrize("max_slots", [1, 3, 7, 1000])
 def test_slot_blocks_cut_the_csr_order_into_whole_pieces(max_slots):
     rng = np.random.default_rng(3)
     for g in (random_graph(rng, 15, 0.3), build_graph(6, [(2, 3)]), build_graph(4, []),
-              build_graph(9, [(4, k) for k in range(9) if k != 4])):
+              build_graph(9, [(4, k) for k in range(9) if k != 4]), build_graph(0, [])):
+        # row i holds the slots centered at i
+        center_incidence = np.zeros((g.num_nodes, 2 * g.num_edges))
+        center_incidence[g.slot_centers, np.arange(2 * g.num_edges)] = 1.0
         blocks = g.slot_blocks(max_slots)
         assert g.slot_blocks(max_slots) is blocks         # built once per size
         assert [b.nodes.start for b in blocks] == [0] + [b.nodes.stop for b in blocks[:-1]]
@@ -153,10 +153,7 @@ def test_slot_blocks_cut_the_csr_order_into_whole_pieces(max_slots):
             assert size <= max_slots or b.nodes.stop - b.nodes.start == 1
             if b.nodes.stop < g.num_nodes:
                 assert g.indptr[b.nodes.stop + 1] - b.slots.start > max_slots
-            assert np.array_equal(b.incidence.toarray(),
-                                  g.center_incidence.toarray()[b.nodes, b.slots])
-        if len(blocks) == 1:
-            assert blocks[0].incidence is g.center_incidence
+            assert np.array_equal(b.incidence.toarray(), center_incidence[b.nodes, b.slots])
 
 
 def test_normalized_adjacency_isolated_node():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mrfgcn.errors import EnumerationLimitError
-from mrfgcn.factors import PairwiseParams, Redistribution, _leaf_major_pieces
+from mrfgcn.factors import PairwiseParams, Redistribution, star_blocks
 from mrfgcn.graph import build_graph
 from mrfgcn.numerics import softmax_rows
 from mrfgcn.oracle import (OracleLimit, exact_elbo, exact_log_partition,
@@ -183,6 +183,8 @@ def test_lone_star_piece_with_unit_exponents_matches_exact():
     scores = rng.normal(size=(5, 3))
     pp = PairwiseParams(raw=rng.normal(size=(3, 3)), alpha=rng.normal(size=4),
                         mode="edge")
-    unit = Redistribution(center_exp=np.ones(5), leaf_exp=np.ones(5), pair_exp=1.0)
-    log_z, _, _, _ = _leaf_major_pieces(g, scores, pp, unit)
+    # unit unary exponents; doubled alpha at pair exponent 1/2 is the unit pair factor
+    unit = Redistribution(center_exp=np.ones(5), leaf_exp=np.ones(5))
+    doubled = PairwiseParams(pp.raw, 2.0 * pp.alpha, pp.mode)
+    [(_, _, (log_z, _, _, _))] = star_blocks(g, scores, doubled, unit, 2 * g.num_edges)
     assert log_z[0] == pytest.approx(exact_log_partition(g, scores, pp), abs=1e-10)

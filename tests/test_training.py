@@ -373,19 +373,22 @@ def test_m_step_non_finite_diagnostic():
                labels, np.array([0]), cfg, stream(0, "d"))
 
 
-def test_non_finite_piece_in_a_later_block_is_named_and_later_blocks_are_not_run(
-        monkeypatch):
-    # blocks of 2 slots on a 12-node path; the overflowing edge (8, 9) makes
-    # pieces 8 and 9 non-finite, and piece 8 comes first
+@pytest.mark.parametrize("budget", [None, 3, 2], ids=["default", "3_slots", "2_slots"])
+def test_non_finite_piece_in_a_later_block_is_named_at_every_block_budget(monkeypatch,
+                                                                          budget):
+    # a 12-node path; the overflowing edge (8, 9) makes pieces 8 and 9
+    # non-finite, and piece 8 comes first. The default budget holds the
+    # whole graph in one block; in blocks of 2 or 3 slots piece 8 sits in
+    # a later block
     g = build_graph(12, [(i, i + 1) for i in range(11)])
-    monkeypatch.setattr(factors, "SLOT_CLASS_BUDGET", 2 * 2 * 2)
-    blocks = factors.piece_blocks(g, 2)[0]
-    assert len(blocks) >= 6 and blocks[0].nodes.stop <= 8
+    if budget is not None:
+        monkeypatch.setattr(factors, "SLOT_CLASS_BUDGET", budget * 2 * 2)
+    blocks = g.slot_blocks(factors.SLOT_CLASS_BUDGET // 4)
+    assert len(blocks) == 1 if budget is None else blocks[0].nodes.stop <= 8
     alpha = np.ones(g.num_edges)
     alpha[8] = 1e308
     pp = PairwiseParams(raw=4.0 * np.eye(2), alpha=alpha, mode="edge")
     redist = Redistribution.for_graph(g, "average")
-    scores = np.zeros((12, 2))
     seen = []
     real = factors._leaf_major_pieces
 
@@ -393,19 +396,17 @@ def test_non_finite_piece_in_a_later_block_is_named_and_later_blocks_are_not_run
         seen.append(block.nodes.start)
         return real(g, scores, pp, redist, block, out)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        monkeypatch.setattr(factors, "_leaf_major_pieces", counted)
-        assert factors.diagnose_non_finite(g, scores, pp, redist) == 8
-        assert seen == [b.nodes.start for b in blocks if b.nodes.start <= 8]
-        monkeypatch.undo()
-        monkeypatch.setattr(factors, "SLOT_CLASS_BUDGET", 2 * 2 * 2)
-        params = GcnParams(np.zeros((1, 4)), np.zeros((4, 2)))
-        q = _uniform_q(np.arange(1, 12), 2, 12)
-        with pytest.raises(NonFiniteObjectiveError, match=r"piece at node 8\)"):
-            m_step(params, pp, q, sp.csr_array(np.ones((12, 1))),
-                   normalized_adjacency_operator(g), g, redist,
-                   np.zeros(12, dtype=np.int64), np.array([0]),
-                   TrainConfig(m_epochs=1, dropout_keep=1.0), stream(0, "d"))
+    monkeypatch.setattr(factors, "_leaf_major_pieces", counted)
+    params = GcnParams(np.zeros((1, 4)), np.zeros((4, 2)))
+    q = _uniform_q(np.arange(1, 12), 2, 12)
+    with pytest.raises(NonFiniteObjectiveError, match=r"non-finite \(piece at node 8\)$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        m_step(params, pp, q, sp.csr_array(np.ones((12, 1))),
+               normalized_adjacency_operator(g), g, redist,
+               np.zeros(12, dtype=np.int64), np.array([0]),
+               TrainConfig(m_epochs=1, dropout_keep=1.0), stream(0, "d"))
+    # the objective's one walk over the blocks is the only inference run
+    assert seen == [b.nodes.start for b in blocks]
 
 
 def _tiny_dataset(seed=0, n=150, target=0.85):
@@ -436,6 +437,37 @@ def test_train_zero_rounds_is_warm_baseline():
     expected[split.train] = ds.labels[split.train]
     assert np.array_equal(predicted, expected)
     assert np.array_equal(res.pairwise.raw, np.zeros((3, 3)))
+
+
+def test_warm_start_on_an_accuracy_plateau_runs_past_patience_while_its_loss_falls(
+        monkeypatch):
+    ds = row_normalize_features(generate_synthetic(150, 3, 3, 0.85, feature_dim=8,
+                                                   feature_noise=0.0, seed=0))
+    split = ratio_split(ds, 0.2, 0.2, 0.6, seed=0)
+    val_losses = []
+    real = gcn.forward
+
+    def recorded(params, features, norm_adj, dropout_keep=1.0, rng=None, field=None):
+        scores, cache = real(params, features, norm_adj, dropout_keep, rng, field)
+        if field is not None and np.array_equal(field.ids, split.val):
+            probs = softmax_rows(scores[field.positions])
+            val_losses.append(-np.log(probs[np.arange(len(field.ids)),
+                                            ds.labels[field.ids]]).mean())
+        return scores, cache
+
+    monkeypatch.setattr(gcn, "forward", recorded)
+    patience = 5
+    res = train(ds, split, _tiny_config(warm_epochs=60, patience=patience, em_rounds=0,
+                                        dropout_keep=1.0))
+    acc = res.report.trace("warm", "val_accuracy")
+    assert len(acc) == len(val_losses) == 60
+    # on accuracy alone the warm start would stop after `patience` epochs
+    # without a better accuracy, at `stop`; the loss fell on every one of them
+    best = np.maximum.accumulate(acc)
+    stop = next(e for e in range(patience, 60) if best[e] == best[e - patience])
+    assert stop < 30
+    assert all(b < a for a, b in zip(val_losses[stop - patience:stop + 1],
+                                     val_losses[stop - patience + 1:stop + 1]))
 
 
 def test_train_deterministic_reports():
