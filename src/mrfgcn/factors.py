@@ -50,7 +50,8 @@ pre-gathered (`endpoint_rows`) from a caller that holds r fixed.
 
 `objective_and_gradients` is the one implementation of this objective:
 training, the self-checks and the tests all read its value and
-gradients from it, and it names the first non-finite piece itself.
+gradients from it, and it names the first non-finite piece or gradient
+itself.
 """
 
 import math
@@ -242,15 +243,19 @@ def endpoint_rows(r, g: Graph):
     return r[g.edges[:, 0]], r[g.edges[:, 1]]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None):
     """Objective value plus exact gradients in one shared inference pass.
 
     Gradients are w.r.t. scores, the unconstrained K storage, and the
     alpha parameter vector (None in no-coefficient mode). `r_ends` is
     `endpoint_rows(r, g)`; a caller that holds r fixed over many calls
-    passes it in, and it is gathered here when omitted. A non-finite
-    value raises `NonFiniteObjectiveError` naming the first non-finite
-    score row, else the first non-finite piece log partition, else None.
+    passes it in, and it is gathered here when omitted. Nothing
+    non-finite leaves the call: overflow and invalid operations run
+    silently, and a non-finite value or gradient then raises
+    `NonFiniteObjectiveError` naming the first non-finite score row,
+    else the first non-finite piece log partition, else (for a
+    non-finite value) None, else the gradient at fault.
     """
     c = pp.num_classes
     alphas_d = pp.alpha_at(g.slot_edge_ids)
@@ -264,11 +269,6 @@ def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None):
     alphas_e = pp.alpha_at(np.arange(g.num_edges))
     pair_dots = np.einsum("ec,ec->e", r_j @ pp.K, r_k)     # <r_j, K r_k>
     value = float((r * scores).sum() + (alphas_e * pair_dots).sum() - log_z.sum())
-    if not np.isfinite(value):
-        bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
-        bad = bad if len(bad) else np.flatnonzero(~np.isfinite(log_z))
-        raise NonFiniteObjectiveError("piecewise objective became non-finite "
-                                      f"(piece at node {bad[0] if len(bad) else None})")
 
     # leaf contribution: the pieces where node i sits on the rim are those
     # of the slots whose leaf is i
@@ -285,5 +285,16 @@ def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None):
             g.slot_edge_ids, weights=dots, minlength=g.num_edges)
         grad_alpha = per_edge if pp.mode == "edge" else np.array([per_edge.sum()])
 
-    return value, grad_scores, grad_raw, grad_alpha
+    grads = {"scores": grad_scores, "K": grad_raw, "alpha": grad_alpha}
+    bad_grad = [name for name, grad in grads.items()
+                if grad is not None and not np.isfinite(grad).all()]
+    if np.isfinite(value) and not bad_grad:
+        return value, grad_scores, grad_raw, grad_alpha
+    bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+    bad = bad if len(bad) else np.flatnonzero(~np.isfinite(log_z))
+    if len(bad) or not np.isfinite(value):
+        at = f"piece at node {bad[0] if len(bad) else None}"
+    else:
+        at = f"{bad_grad[0]} gradient"
+    raise NonFiniteObjectiveError(f"piecewise objective became non-finite ({at})")
 

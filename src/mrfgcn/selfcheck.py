@@ -13,6 +13,12 @@ returns, the same call that supplies the analytic gradients; the
 backbone chain runs on the sparse adjacency operator and CSR features,
 as `train` does. The KL identity is checked against `direct_kl`, which
 sums the factors itself.
+
+The four suites are the one implementation of these checks: acceptance
+criteria 5, 6, 7 and the KL half of 9 call them with their own seeds,
+sizes and class counts. Central differences are exact only away from
+the backbone's ReLU kinks: an instance with a hidden pre-activation
+within about `FD_STEP` of zero fails the w0 or w1 check on correct code.
 """
 
 from dataclasses import dataclass

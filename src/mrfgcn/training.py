@@ -194,12 +194,14 @@ def mean_field_site_update(q: Proposal, node, scores, pp: PairwiseParams,
     return out
 
 
-def _dependency_levels(coupling) -> np.ndarray:
-    """Wavefront level of each row of a symmetric unlabeled coupling matrix.
+def _dependency_levels(coupling):
+    """Rows of a symmetric unlabeled coupling matrix in wavefront order.
 
     A row's level is 0 when it has no lower-numbered neighbour, else one
     more than the highest level among its lower-numbered neighbours. The
-    levels come from Kahn-style waves over the lower -> higher edges.
+    levels come from Kahn-style waves over the lower -> higher edges, each
+    wave in ascending row order. Returns (order, bounds): the waves
+    concatenated, so level d is order[bounds[d]:bounds[d + 1]].
     """
     m = coupling.shape[0]
     src = np.repeat(np.arange(m, dtype=np.int64), np.diff(coupling.indptr))
@@ -208,18 +210,17 @@ def _dependency_levels(coupling) -> np.ndarray:
     up_indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=m), out=up_indptr[1:])
     pending = np.bincount(dst, minlength=m)      # lower neighbours not yet placed
-    level = np.zeros(m, dtype=np.int64)
-    frontier, depth = np.flatnonzero(pending == 0), 0
+    frontier, waves = np.flatnonzero(pending == 0), []
     while frontier.size:
-        level[frontier] = depth
+        waves.append(frontier)
         starts = up_indptr[frontier]
         lengths = up_indptr[frontier + 1] - starts
         offsets = np.cumsum(lengths) - lengths
         slots = np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
         targets, hits = np.unique(dst[slots], return_counts=True)
         pending[targets] -= hits
-        frontier, depth = targets[pending[targets] == 0], depth + 1
-    return level
+        frontier = targets[pending[targets] == 0]
+    return np.concatenate(waves), np.cumsum([0] + [len(wave) for wave in waves])
 
 
 def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
@@ -265,14 +266,12 @@ def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
 
     # new row i is old row order[i]; the stored entries keep their order, so
     # every row sums its neighbours in the same order as before
-    level = _dependency_levels(coupling)
-    order = np.argsort(level, kind="stable")
+    order, bounds = _dependency_levels(coupling)
     rank = np.empty(m, dtype=np.int64)
     rank[order] = np.arange(m)
     permuted = coupling[order]
     permuted = sp.csr_array((permuted.data, rank[permuted.indices], permuted.indptr),
                             shape=(m, m))
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(level))])
     blocks = [(lo, hi, permuted[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     # class-major logits: every reduction over the classes runs along axis 0

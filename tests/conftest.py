@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from mrfgcn.checkpoint import _MAGIC, _VERSION
+from mrfgcn.gcn import GcnParams
+from mrfgcn.numerics import AdamState, adam_step, softmax_rows
 
 try:
     from hypothesis import settings
@@ -49,6 +51,29 @@ def dense_normalized_adjacency(g):
     idx = np.arange(g.num_nodes)
     a[idx, idx] = inv_sqrt * inv_sqrt
     return a
+
+
+def supervised_reference(params, features, adj, r, epochs, lr):
+    """Independent soft-target trajectory: Adam on the sum of r-weighted CE.
+
+    Full batch, no dropout and no weight decay, on dense features and a
+    dense A. The reference that an M-step with dead pairwise factors is
+    checked against.
+    """
+    st0 = AdamState.for_param(params.w0, lr=lr)
+    st1 = AdamState.for_param(params.w1, lr=lr)
+    for _ in range(epochs):
+        z1 = adj @ (features @ params.w0)
+        h1 = np.maximum(z1, 0.0)
+        scores = adj @ (h1 @ params.w1)
+        grad_scores = softmax_rows(scores) - r
+        ag = adj @ grad_scores
+        gw1 = h1.T @ ag
+        gz1 = (ag @ params.w1.T) * (z1 > 0)
+        gw0 = features.T @ (adj @ gz1)
+        params = GcnParams(adam_step(params.w0, gw0, st0),
+                           adam_step(params.w1, gw1, st1))
+    return params
 
 
 def write_citation(directory, name, content_rows, cite_rows):

@@ -5,11 +5,15 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Criteria 1-3, the dataset half of 4, and 11 replay published numbers on
 the public citation datasets and skip with instructions when the files
 are not installed (see README, MRFGCN_DATA). Everything else runs
-self-contained. MRFGCN_ACCEPT_SEEDS trims the seed counts of the
+self-contained. Criteria 5, 6, 7 and the KL half of 9 run the
+`oracle-check` suites of `mrfgcn.selfcheck`, the one implementation of
+those checks, with their own seeds, and hold each suite's worst error to
+the criterion's tolerance. MRFGCN_ACCEPT_SEEDS trims the seed counts of the
 dataset criteria for quick spot checks; the defaults match the stated
 criteria.
 """
 
+import itertools
 import os
 import time
 
@@ -19,17 +23,18 @@ import scipy.sparse as sp
 
 from mrfgcn.data import (generate_synthetic, load_dataset, planetoid_split,
                          ratio_split, row_normalize_features)
-from mrfgcn.factors import PAIR_EXP, PairwiseParams, Redistribution, objective_and_gradients
-from mrfgcn.gcn import GcnParams, backward, forward, init_params
+from mrfgcn.factors import PairwiseParams, Redistribution, objective_and_gradients
+from mrfgcn.gcn import forward, init_params
 from mrfgcn.graph import build_graph, homophily_beta, normalized_adjacency_operator
-from mrfgcn.numerics import AdamState, adam_step, softmax_rows, stream
+from mrfgcn.numerics import softmax_rows, stream
 from mrfgcn.oracle import exact_elbo, exact_observed_ll
-from mrfgcn.selfcheck import (blocked_piece, direct_kl, fd_gradient, oracle_star_piece,
-                              random_instance, random_r, rel_error)
+from mrfgcn.selfcheck import (check_elbo_identity, check_gradients, check_piece_inference,
+                              check_redistribution_identity, random_instance, random_r)
 from mrfgcn.training import (Proposal, TrainConfig, _e_step_stats, m_step, make_r,
                              mean_field_site_update, predict, train)
 
-from conftest import dataset_dir, dense_normalized_adjacency, require_dataset
+from conftest import (dataset_dir, dense_normalized_adjacency, require_dataset,
+                      supervised_reference)
 
 _SEEDS = int(os.environ.get("MRFGCN_ACCEPT_SEEDS", "0"))
 
@@ -181,119 +186,60 @@ def test_c04_disassortative_synthetic_report():
           f"parity within 0.5pt: {within}")
 
 
+# ------------------------------------------- criteria 5-7 and 9: the suites
+# The oracle-check suites are the one implementation of these checks. A
+# criterion runs a suite once per class count, or per (class count, hidden
+# width), with its own seeds, and holds the worst error of each of the
+# suite's checks to the criterion's own tolerance.
+
+_SIZES = list(range(2, 11))
+_CLASS_COUNTS = (2, 3, 4)
+
+
+def _suite_line(num, results, instances, tol):
+    """Print the criterion's line from its suite calls' CheckResults; True if it passes."""
+    worst = {}
+    for res in results:
+        worst[res.name] = max(worst.get(res.name, 0.0), res.worst)
+    ok = max(worst.values()) <= tol
+    _line(num, "PASS" if ok else "FAIL",
+          f"{instances} instances: "
+          + ", ".join(f"{name} {err:.2e}" for name, err in worst.items())
+          + f" (tol {tol:.0e})")
+    return ok
+
+
 # ---------------------------------------------------------------- criterion 5
 
 def test_c05_oracle_equivalence_on_random_pieces():
-    rng = stream(505, "acceptance")
-    worst_z = worst_m = 0.0
-    checked = 0
-    while checked < 100:
-        n = int(rng.integers(2, 11))
-        c = int(rng.integers(2, 5))
-        scheme = ("average", "center")[checked % 2]
-        mode = ("edge", "layer", "none")[checked % 3]
-        g, redist, scores, pp, _, _ = random_instance(
-            rng, n, c, mode=mode, scheme=scheme, edge_prob=0.35)
-        eligible = np.flatnonzero(g.degrees <= 6)
-        if not len(eligible):
-            continue
-        node = int(eligible[int(rng.integers(len(eligible)))])
-        ref_z, ref_center, ref_leaves, ref_pair = oracle_star_piece(
-            g, node, scores, pp, redist)
-        log_z, center, leaves, pair = blocked_piece(g, node, scores, pp, redist)
-        worst_z = max(worst_z, abs(log_z - ref_z))
-        worst_m = max(worst_m, np.abs(center - ref_center).max(initial=0.0),
-                      np.abs(leaves - ref_leaves).max(initial=0.0),
-                      np.abs(pair - ref_pair).max(initial=0.0))
-        checked += 1
-    ok = worst_z <= 1e-10 and worst_m <= 1e-10
-    _line(5, "PASS" if ok else "FAIL",
-          f"100 pieces: worst log-partition err {worst_z:.2e}, worst marginal "
-          f"err {worst_m:.2e} (tol 1e-10)")
-    assert ok
+    # 34 pieces per class count, sizes 2-10, all modes and schemes, any node
+    results = []
+    for c in _CLASS_COUNTS:
+        results += check_piece_inference(_SIZES, 34, seed=505 + c, num_classes=c)
+    assert _suite_line(5, results, 34 * len(_CLASS_COUNTS), 1e-10)
 
 
 # ---------------------------------------------------------------- criterion 6
 
 def test_c06_gradient_exactness():
-    rng = stream(606, "acceptance")
-    worst = {"scores": 0.0, "K": 0.0, "alpha": 0.0, "w0": 0.0, "w1": 0.0}
-    for trial in range(50):
-        n = int(rng.integers(2, 11))
-        c = int(rng.integers(2, 5))
-        hidden = int(rng.integers(2, 9))
-        scheme = ("average", "center")[trial % 2]
-        mode = ("edge", "layer", "none")[trial % 3]
-        g, redist, scores, pp, labels, train_ids = random_instance(
-            rng, n, c, mode=mode, scheme=scheme)
-        r = random_r(rng, n, c, labels, train_ids)
-
-        _, g_scores, g_raw, g_alpha = objective_and_gradients(r, scores, pp, redist, g)
-        worst["scores"] = max(worst["scores"], rel_error(g_scores, fd_gradient(
-            lambda s: objective_and_gradients(r, s, pp, redist, g)[0],
-            scores.copy())))
-        worst["K"] = max(worst["K"], rel_error(g_raw, fd_gradient(
-            lambda raw: objective_and_gradients(
-                r, scores, PairwiseParams(raw, pp.alpha, pp.mode), redist, g)[0],
-            pp.raw.copy())))
-        if mode != "none":
-            worst["alpha"] = max(worst["alpha"], rel_error(g_alpha, fd_gradient(
-                lambda al: objective_and_gradients(
-                    r, scores, PairwiseParams(pp.raw, al, pp.mode), redist, g)[0],
-                pp.alpha.copy())))
-
-        # the backbone chain on the operator and CSR features train uses
-        feats = sp.csr_array(rng.normal(size=(n, int(rng.integers(2, 5)))))
-        params = GcnParams(rng.normal(scale=0.8, size=(feats.shape[1], hidden)),
-                           rng.normal(scale=0.8, size=(hidden, c)))
-        adj = normalized_adjacency_operator(g)
-        s, cache = forward(params, feats, adj)
-        _, gs, _, _ = objective_and_gradients(r, s, pp, redist, g)
-        gw0, gw1 = backward(params, cache, gs)
-
-        def through(p):
-            out, _ = forward(p, feats, adj)
-            return objective_and_gradients(r, out, pp, redist, g)[0]
-
-        worst["w0"] = max(worst["w0"], rel_error(gw0, fd_gradient(
-            lambda w: through(GcnParams(w, params.w1)), params.w0.copy())))
-        worst["w1"] = max(worst["w1"], rel_error(gw1, fd_gradient(
-            lambda w: through(GcnParams(params.w0, w)), params.w1.copy())))
-    ok = max(worst.values()) <= 1e-6
-    _line(6, "PASS" if ok else "FAIL",
-          "50 instances, worst rel err per block: "
-          + ", ".join(f"{k} {v:.2e}" for k, v in worst.items()) + " (tol 1e-6)")
-    assert ok
+    # 3 instances per (class count, hidden width 2-8); each call starts the
+    # size cycle at another size, and each spans the three modes
+    combos = list(itertools.product(_CLASS_COUNTS, range(2, 9)))
+    results = []
+    for i, (c, hidden) in enumerate(combos):
+        sizes = _SIZES[i % len(_SIZES):] + _SIZES[:i % len(_SIZES)]
+        results += check_gradients(sizes, 3, seed=606 + i, num_classes=c, hidden=hidden)
+    assert _suite_line(6, results, 3 * len(combos), 1e-6)
 
 
 # ---------------------------------------------------------------- criterion 7
 
 def test_c07_redistribution_identity():
-    rng = stream(707, "acceptance")
-    worst = 0.0
-    for trial in range(100):
-        n = int(rng.integers(2, 11))
-        c = int(rng.integers(2, 5))
-        scheme = ("average", "center")[trial % 2]
-        g, redist, scores, pp, _, _ = random_instance(rng, n, c, scheme=scheme)
-        assign = rng.integers(0, c, size=n)
-        total = 0.0
-        for node in range(n):
-            total += redist.center_exp[node] * scores[node, assign[node]]
-            slots = slice(g.indptr[node], g.indptr[node + 1])
-            for leaf, a in zip(g.indices[slots], pp.alpha_at(g.slot_edge_ids[slots])):
-                total += redist.leaf_exp[leaf] * scores[leaf, assign[leaf]]
-                total += PAIR_EXP * a * pp.K[assign[node], assign[leaf]]
-        direct = float(scores[np.arange(n), assign].sum())
-        if g.num_edges:
-            j, k = g.edges[:, 0], g.edges[:, 1]
-            direct += float((pp.alpha_at(np.arange(g.num_edges))
-                             * pp.K[assign[j], assign[k]]).sum())
-        worst = max(worst, abs(total - direct))
-    ok = worst <= 1e-10
-    _line(7, "PASS" if ok else "FAIL",
-          f"100 assignments, both schemes: worst gap {worst:.2e} (tol 1e-10)")
-    assert ok
+    # 34 assignments per class count, sizes 2-10, both schemes
+    results = []
+    for c in _CLASS_COUNTS:
+        results += check_redistribution_identity(_SIZES, 34, seed=707 + c, num_classes=c)
+    assert _suite_line(7, results, 34 * len(_CLASS_COUNTS), 1e-10)
 
 
 # ---------------------------------------------------------------- criterion 8
@@ -321,7 +267,7 @@ def test_c08_shift_invariance():
 
 def test_c09_elbo_coordinate_ascent_and_kl_identity():
     rng = stream(909, "acceptance")
-    worst_drop, worst_gap, worst_sweep_drop = 0.0, 0.0, 0.0
+    worst_drop, worst_sweep_drop = 0.0, 0.0
     for _ in range(20):
         n, c = int(rng.integers(4, 11)), 3
         g, _, scores, pp, labels, train_ids = random_instance(
@@ -346,36 +292,17 @@ def test_c09_elbo_coordinate_ascent_and_kl_identity():
             cur = exact_elbo(g, scores, pp, labels, train_ids, q)
             worst_drop = max(worst_drop, prev - cur)
             prev = cur
-        gap = exact_observed_ll(g, scores, pp, labels, train_ids) \
-            - exact_elbo(g, scores, pp, labels, train_ids, q)
-        worst_gap = max(worst_gap, abs(gap - direct_kl(g, scores, pp, labels,
-                                                       train_ids, q)))
-    ok = worst_drop <= 1e-9 and worst_gap <= 1e-10 and worst_sweep_drop <= 1e-9
+    # the KL half: observed-ll minus ELBO against the direct KL, 20 instances
+    [kl] = check_elbo_identity(list(range(4, 11)), 20, seed=909, num_classes=3)
+    ok = worst_drop <= 1e-9 and kl.worst <= 1e-10 and worst_sweep_drop <= 1e-9
     _line(9, "PASS" if ok else "FAIL",
           f"20 instances: worst per-site ELBO drop {worst_drop:.2e} (tol 1e-9), "
-          f"worst KL-identity gap {worst_gap:.2e} (tol 1e-10), "
+          f"worst KL-identity gap {kl.worst:.2e} (tol 1e-10), "
           f"worst per-sweep ELBO drop of the E-step {worst_sweep_drop:.2e} (tol 1e-9)")
     assert ok
 
 
 # --------------------------------------------------------------- criterion 10
-
-def _supervised_reference(params, features, adj, r, epochs, lr):
-    st0 = AdamState.for_param(params.w0, lr=lr)
-    st1 = AdamState.for_param(params.w1, lr=lr)
-    for _ in range(epochs):
-        z1 = adj @ (features @ params.w0)
-        h1 = np.maximum(z1, 0.0)
-        scores = adj @ (h1 @ params.w1)
-        grad_scores = softmax_rows(scores) - r
-        ag = adj @ grad_scores
-        gw1 = h1.T @ ag
-        gz1 = (ag @ params.w1.T) * (z1 > 0)
-        gw0 = features.T @ (adj @ gz1)
-        params = GcnParams(adam_step(params.w0, gw0, st0),
-                           adam_step(params.w1, gw1, st1))
-    return params
-
 
 def test_c10_degenerate_reductions():
     rng = stream(1010, "acceptance")
@@ -411,7 +338,7 @@ def test_c10_degenerate_reductions():
     cfg = TrainConfig(m_epochs=30, dropout_keep=1.0, lr=0.03, weight_decay=0.0)
     stepped, pp_after, _ = m_step(params, pp2, q, sp.csr_array(feats), adj, g2, redist2,
                                   labels2, train_ids, cfg, stream(0, "d"))
-    ref = _supervised_reference(params, feats, dense_normalized_adjacency(g2),
+    ref = supervised_reference(params, feats, dense_normalized_adjacency(g2),
                                 make_r(q, labels2, train_ids, 3), 30, 0.03)
     traj_gap = max(np.abs(stepped.w0 - ref.w0).max(),
                    np.abs(stepped.w1 - ref.w1).max())

@@ -437,6 +437,21 @@ def test_floating_point_overflow_in_train_is_one_runtime_failure_line(tmp_path, 
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_non_finite_objective_gradient_in_train_is_the_objectives_one_line(tmp_path, capsys,
+                                                                           recwarn):
+    # K starts at 0, so alpha 1e308 leaves every piece and the objective's
+    # value finite, but its K gradient overflows; the M-step stops there
+    # with the objective's message, before Adam takes the step
+    ds_dir = _synth_dir(tmp_path)
+    code = main(["train", "--dataset", str(ds_dir), "--out", str(tmp_path / "runs"),
+                 "--seeds", "0", "--split", "ratio", "--warm-epochs", "2", "--em-rounds", "1",
+                 "--m-epochs", "1", "--alpha-init", "1e308", "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "runtime failure: piecewise objective became non-finite (K gradient)"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("flag, value, name", [("--lr", "nan", "lr"),
                                                ("--alpha-init", "inf", "alpha_init")])
 def test_train_non_finite_setting_exits_one(tmp_path, capsys, flag, value, name):

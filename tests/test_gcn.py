@@ -9,7 +9,7 @@ from mrfgcn.gcn import (GcnParams, backward, forward, init_params, receptive_fie
                         supervised_loss_and_grad)
 from mrfgcn.graph import build_graph, normalized_adjacency_operator
 from mrfgcn.numerics import dropout_mask, softmax_rows, stream
-from mrfgcn.selfcheck import random_graph
+from mrfgcn.selfcheck import fd_gradient, random_graph, rel_error
 
 
 def test_init_ranges():
@@ -141,50 +141,6 @@ def test_backward_single_node_closed_form():
     assert np.allclose(gw0, [[2.0 * 0.3]])    # x * W1[0, 0] through the relu
 
 
-def _fd(func, x, step=1e-5):
-    grad = np.zeros_like(x)
-    flat, xf = grad.reshape(-1), x.reshape(-1)
-    for i in range(xf.size):
-        saved = xf[i]
-        xf[i] = saved + step
-        hi = func(x)
-        xf[i] = saved - step
-        lo = func(x)
-        xf[i] = saved
-        flat[i] = (hi - lo) / (2 * step)
-    return grad
-
-
-def _rel(a, b):
-    scale = max(np.linalg.norm(a.ravel()), np.linalg.norm(b.ravel()), 1e-10)
-    return np.linalg.norm((a - b).ravel()) / scale
-
-
-def test_backward_matches_finite_differences():
-    rng = np.random.default_rng(6)
-    for trial in range(5):
-        g = random_graph(rng, int(rng.integers(2, 9)))
-        n = g.num_nodes
-        x = sp.csr_array(rng.normal(size=(n, 3)))
-        params = GcnParams(rng.normal(size=(3, 6)), rng.normal(size=(6, 2)))
-        adj = normalized_adjacency_operator(g)
-        upstream = rng.normal(size=(n, 2))
-
-        scores, cache = forward(params, x, adj)
-        gw0, gw1 = backward(params, cache, upstream)
-
-        def loss_w0(w):
-            s, _ = forward(GcnParams(w, params.w1), x, adj)
-            return float((upstream * s).sum())
-
-        def loss_w1(w):
-            s, _ = forward(GcnParams(params.w0, w), x, adj)
-            return float((upstream * s).sum())
-
-        assert _rel(gw0, _fd(loss_w0, params.w0.copy())) <= 1e-6
-        assert _rel(gw1, _fd(loss_w1, params.w1.copy())) <= 1e-6
-
-
 def test_backward_with_dropout_masks_cached():
     # the same rng stream regenerates the same masks, so FD stays exact
     rng = np.random.default_rng(7)
@@ -202,7 +158,7 @@ def test_backward_with_dropout_masks_cached():
                        rng=stream(0, "fd"))
         return float((upstream * s).sum())
 
-    assert _rel(gw0, _fd(loss_w0, params.w0.copy())) <= 1e-6
+    assert rel_error(gw0, fd_gradient(loss_w0, params.w0.copy())) <= 1e-6
 
 
 def _sparse_features(rng, n, f, density=0.3):
@@ -318,8 +274,8 @@ def test_backward_with_sparse_dropout_matches_finite_differences():
         s, _ = forward(GcnParams(w0, w1), x, adj, dropout_keep=0.7, rng=stream(1, "fd"))
         return float((upstream * s).sum())
 
-    assert _rel(gw0, _fd(lambda w: loss(w, params.w1), params.w0.copy())) <= 1e-6
-    assert _rel(gw1, _fd(lambda w: loss(params.w0, w), params.w1.copy())) <= 1e-6
+    assert rel_error(gw0, fd_gradient(lambda w: loss(w, params.w1), params.w0.copy())) <= 1e-6
+    assert rel_error(gw1, fd_gradient(lambda w: loss(params.w0, w), params.w1.copy())) <= 1e-6
 
 
 def test_backward_stale_cache():
@@ -385,10 +341,10 @@ def test_supervised_grads_match_finite_differences():
     def loss_of(w0, w1):
         return supervised_loss_and_grad(GcnParams(w0, w1), x, adj, labels, train_ids)[0]
 
-    fd0 = _fd(lambda w: loss_of(w, params.w1), params.w0.copy())
-    fd1 = _fd(lambda w: loss_of(params.w0, w), params.w1.copy())
-    assert _rel(gw0, fd0) <= 1e-6
-    assert _rel(gw1, fd1) <= 1e-6
+    fd0 = fd_gradient(lambda w: loss_of(w, params.w1), params.w0.copy())
+    fd1 = fd_gradient(lambda w: loss_of(params.w0, w), params.w1.copy())
+    assert rel_error(gw0, fd0) <= 1e-6
+    assert rel_error(gw1, fd1) <= 1e-6
 
 
 # ---- the receptive field: the supervised step and validation on A[rows] and X[inputs]
@@ -505,8 +461,8 @@ def test_field_backward_with_dropout_matches_finite_differences():
 
     _, gw0, gw1 = supervised_loss_and_grad(params, x, adj, labels, train, rng=stream(2, "fd"),
                                            dropout_keep=0.7, field=field)
-    assert _rel(gw0, _fd(lambda w: loss(w, params.w1), params.w0.copy())) <= 1e-6
-    assert _rel(gw1, _fd(lambda w: loss(params.w0, w), params.w1.copy())) <= 1e-6
+    assert rel_error(gw0, fd_gradient(lambda w: loss(w, params.w1), params.w0.copy())) <= 1e-6
+    assert rel_error(gw1, fd_gradient(lambda w: loss(params.w0, w), params.w1.copy())) <= 1e-6
 
 
 @pytest.mark.parametrize("keep", [1.0, 0.5])

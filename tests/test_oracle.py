@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from mrfgcn import selfcheck
 from mrfgcn.errors import EnumerationLimitError
 from mrfgcn.factors import PairwiseParams, Redistribution, star_blocks
 from mrfgcn.graph import build_graph
 from mrfgcn.numerics import softmax_rows
 from mrfgcn.oracle import (OracleLimit, exact_elbo, exact_log_partition,
                            exact_observed_ll, exact_posterior_marginals)
-from mrfgcn.selfcheck import direct_kl, random_instance
+from mrfgcn.selfcheck import random_instance
 from mrfgcn.training import Proposal
 
 
@@ -150,15 +151,14 @@ def test_elbo_point_mass_bound():
         exact_observed_ll(g, scores, pp, labels, train) + 1e-10
 
 
-def test_gap_equals_direct_kl():
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        g, _, scores, pp, labels, train = random_instance(rng, 6, 3, min_labeled=1)
-        free = np.setdiff1d(np.arange(6), train)
-        q = _rand_q(rng, free, 3, 6)
-        gap = exact_observed_ll(g, scores, pp, labels, train) \
-            - exact_elbo(g, scores, pp, labels, train, q)
-        assert gap == pytest.approx(direct_kl(g, scores, pp, labels, train, q), abs=1e-10)
+def test_elbo_check_fails_on_an_elbo_off_by_1e_8(monkeypatch):
+    real = selfcheck.exact_elbo
+    monkeypatch.setattr(selfcheck, "exact_elbo", lambda *args: real(*args) + 1e-8)
+    [result] = selfcheck.check_elbo_identity([4, 6], trials=6, seed=0)
+    assert not result.passed
+    monkeypatch.undo()
+    [result] = selfcheck.check_elbo_identity([4, 6], trials=6, seed=0)
+    assert result.passed
 
 
 def test_marginals_invariant_to_score_shifts():

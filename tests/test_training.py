@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import dense_normalized_adjacency
+from conftest import dense_normalized_adjacency, supervised_reference
 from mrfgcn import factors, gcn, training
 from mrfgcn.data import Split, generate_synthetic, ratio_split, row_normalize_features
 from mrfgcn.errors import ConfigError, DegenerateInputError, NonFiniteObjectiveError
 from mrfgcn.factors import PairwiseParams, Redistribution
 from mrfgcn.gcn import GcnParams, forward, init_params
 from mrfgcn.graph import build_graph, normalized_adjacency_operator
-from mrfgcn.numerics import AdamState, adam_step, softmax_rows, stream
+from mrfgcn.numerics import softmax_rows, stream
 from mrfgcn.oracle import exact_posterior_marginals
 from mrfgcn.selfcheck import random_graph, random_instance
 from mrfgcn.training import (Proposal, TrainConfig, _argmax_predictions, _dependency_levels,
@@ -162,7 +162,13 @@ def test_dependency_levels_follow_lower_neighbours(case):
     indices = np.array([v for nb in neighbours for v in nb], dtype=np.int64)
     coupling = sp.csr_array((np.ones(len(indices)), indices, indptr),
                             shape=(len(free), len(free)))
-    level = _dependency_levels(coupling)
+    order, bounds = _dependency_levels(coupling)
+    assert np.array_equal(np.sort(order), np.arange(len(free)))
+    assert bounds[0] == 0 and bounds[-1] == len(free)
+    level = np.empty(len(free), dtype=np.int64)
+    for depth, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        assert lo < hi and np.all(np.diff(order[lo:hi]) > 0)     # each wave ascending
+        level[order[lo:hi]] = depth
     for u, nb in enumerate(neighbours):
         lower = [level[v] for v in nb if v < u]
         assert level[u] == (1 + max(lower) if lower else 0)
@@ -195,9 +201,7 @@ def _row_major_e_step(q, scores, pp, g, labels, train_ids, sweeps, tolerance):
     u_indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(positions[centers[sel_u]], minlength=m), out=u_indptr[1:])
     coupling = sp.csr_array((alphas[sel_u], positions[leaves[sel_u]], u_indptr), shape=(m, m))
-    level = _dependency_levels(coupling)
-    order = np.argsort(level, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(level))])
+    order, bounds = _dependency_levels(coupling)
     permuted = coupling[order]
     blocks = [(order[lo:hi], base[order[lo:hi]], permuted[lo:hi])
               for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -269,24 +273,6 @@ def test_site_update_refuses_labeled_node():
                                np.array([0, 0]), np.array([0]))
 
 
-def _supervised_reference(params, features, adj, r, epochs, lr, weight_decay):
-    """Independent soft-target trajectory: Adam on sum of r-weighted CE."""
-    st0 = AdamState.for_param(params.w0, lr=lr, weight_decay=weight_decay)
-    st1 = AdamState.for_param(params.w1, lr=lr)
-    for _ in range(epochs):
-        z1 = adj @ (features @ params.w0)
-        h1 = np.maximum(z1, 0.0)
-        scores = adj @ (h1 @ params.w1)
-        grad_scores = softmax_rows(scores) - r
-        ag = adj @ grad_scores
-        gw1 = h1.T @ ag
-        gz1 = (ag @ params.w1.T) * (z1 > 0)
-        gw0 = features.T @ (adj @ gz1)
-        params = GcnParams(adam_step(params.w0, gw0, st0),
-                           adam_step(params.w1, gw1, st1))
-    return params
-
-
 def test_m_step_edgeless_reduces_to_supervised():
     rng = np.random.default_rng(4)
     g = build_graph(6, [])
@@ -307,8 +293,7 @@ def test_m_step_edgeless_reduces_to_supervised():
     assert np.array_equal(new_pp.raw, np.zeros((3, 3)))
     # identical to an independently coded supervised trajectory
     r = make_r(q, labels, train_ids, 3)
-    ref = _supervised_reference(params, features, dense_normalized_adjacency(g), r, 40, 0.05,
-                                0.0)
+    ref = supervised_reference(params, features, dense_normalized_adjacency(g), r, 40, 0.05)
     assert np.allclose(new_params.w0, ref.w0, atol=1e-12)
     assert np.allclose(new_params.w1, ref.w1, atol=1e-12)
 
@@ -334,8 +319,7 @@ def test_m_step_dead_pairwise_center_scheme_matches_supervised():
     assert np.array_equal(new_pp.raw, np.zeros((3, 3)))
     assert np.array_equal(new_pp.alpha, np.zeros(g.num_edges))
     r = make_r(q, labels, train_ids, 3)
-    ref = _supervised_reference(params, features, dense_normalized_adjacency(g), r, 25, 0.03,
-                                0.0)
+    ref = supervised_reference(params, features, dense_normalized_adjacency(g), r, 25, 0.03)
     assert np.allclose(new_params.w0, ref.w0, atol=1e-12)
     assert np.allclose(new_params.w1, ref.w1, atol=1e-12)
 
