@@ -13,19 +13,20 @@ Two on-disk layouts are supported:
 Files are UTF-8, whitespace-separated; blank lines and lines starting
 with ``#`` are ignored (a ``#`` later in a row is data, and an error).
 
-Every numeric table (feature columns, labels, edges) is parsed in
-blocks of about ``_BLOCK_VALUES`` values, each by one ``np.loadtxt``
-call. Reals take numpy's syntax: optional sign, digits with an optional
-point, optional exponent. Integers are decimal digits with an optional
-sign. Spellings only Python takes (``1_000``, non-ASCII digits) are
-errors, as is ``1.0`` where an integer is expected.
-Feature values must be finite: ``nan``, ``inf`` and overflowing values
-such as ``1e999`` are rejected with their line rather than trained on.
-When a block fails, the same call is repeated line by line to name the
-first bad line. Node features are held as a CSR matrix: each dense
-block's nonzeros are appended to its values and column arrays, which
-grow in place, so at most one dense block exists at a time and the CSR
-is built once, never copied.
+Every numeric table (feature columns, labels, edges, split ids) goes
+through one block reader, ``_read_table``: blocks of about
+``_BLOCK_VALUES`` values, each parsed by one ``np.loadtxt`` call. Reals
+take numpy's syntax: optional sign, digits with an optional point,
+optional exponent. Integers are decimal digits with an optional sign.
+Spellings only Python takes (``1_000``, non-ASCII digits) are errors, as
+is ``1.0`` where an integer is expected. Values must be finite: ``nan``,
+``inf`` and overflowing values such as ``1e999`` are rejected with their
+line rather than trained on. Node ids (edge endpoints, split ids) must
+also lie in [0, number of nodes). When a block breaks a rule, the same
+call is repeated line by line to name the first bad line. Node features
+are held as a CSR matrix: each dense block's nonzeros are appended to
+its values and column arrays, which grow in place, so at most one dense
+block exists at a time and the CSR is built once, never copied.
 """
 
 import logging
@@ -113,19 +114,24 @@ def _parse_line(path, line_no, text, dtype, what):
         raise ParseError(path, line_no, f"bad {what} ({detail})") from None
 
 
-def _read_table(path, rows, dtype, width, width_error, what):
+def _read_table(path, rows, dtype, width, width_error, what, upper=None):
     """Parse (line_no, text) rows of `width` numbers into 2-D blocks.
 
     `width` None takes the first row's token count. Each block of about
-    _BLOCK_VALUES values goes through one `_loadtxt` call. A block that
-    fails, comes back with another shape or holds a non-finite value is
+    _BLOCK_VALUES values goes through one `_loadtxt` call. Every value
+    must be finite and, when `upper` is given, lie in [0, upper). A block
+    that fails, comes back with another shape or breaks a value rule is
     parsed again line by line to raise the error of its first bad line:
     `width_error(line_no, found, width)`, or a ParseError for a value.
     """
+    def valid(values):
+        return np.isfinite(values).all() and (
+            upper is None or 0 <= values.min() and values.max() < upper)
+
     def parse(line_nos, lines):
         try:
             block = _loadtxt(lines, dtype)
-            if block.shape == (len(lines), width) and np.isfinite(block).all():
+            if block.shape == (len(lines), width) and valid(block):
                 return block
         except ValueError:
             pass
@@ -136,15 +142,19 @@ def _read_table(path, rows, dtype, width, width_error, what):
             row = _parse_line(path, line_no, text, dtype, what)
             if not np.isfinite(row).all():
                 raise ParseError(path, line_no, f"non-finite {what}")
+            if not valid(row):
+                value = row[(row < 0) | (row >= upper)][0]
+                raise ParseError(path, line_no, f"{what} {value} out of range")
         raise StructuralInputError(f"{path}:{line_nos[0]}: rows do not parse as one table")
 
-    line_nos, lines = [], []
+    line_nos, lines, block_rows = [], [], None
     for line_no, text in rows:
-        if width is None:
-            width = len(text.split())
+        if block_rows is None:
+            width = len(text.split()) if width is None else width
+            block_rows = -(-_BLOCK_VALUES // max(width, 1))
         line_nos.append(line_no)
         lines.append(text)
-        if len(lines) * max(width, 1) >= _BLOCK_VALUES:
+        if len(lines) >= block_rows:
             yield parse(line_nos, lines)
             line_nos, lines = [], []
     if lines:
@@ -171,11 +181,13 @@ def _read_features(path, rows, width_error) -> sp.csr_array | None:
     return sp.csr_array((values, columns, indptr), shape=(len(indptr) - 1, width))
 
 
-def _read_ints(path, width, what, message) -> np.ndarray:
-    """(rows, width) int64 table; a row of another width raises ParseError(message)."""
+def _read_ints(path, width, what, message, rows=None, upper=None) -> np.ndarray:
+    """(rows, width) int64 table of `rows` (default: the file's data lines);
+    a row of another width raises ParseError(message)."""
     def width_error(line_no, found, expected):
         return ParseError(path, line_no, message)
-    blocks = list(_read_table(path, _data_lines(path), np.int64, width, width_error, what))
+    rows = _data_lines(path) if rows is None else rows
+    blocks = list(_read_table(path, rows, np.int64, width, width_error, what, upper))
     return np.concatenate(blocks) if blocks else np.zeros((0, width), np.int64)
 
 
@@ -275,44 +287,27 @@ def ratio_split(ds: Dataset, train_frac, val_frac, test_frac, seed=0) -> Split:
 def load_split_file(path, num_nodes=None) -> Split:
     """Read a split.tsv of (node_id, train|val|test) rows; ids are read as in edges.tsv.
 
-    The ids of each block of _BLOCK_VALUES rows go through one `_loadtxt`
-    call. A block with a bad row is read again line by line, which raises
-    the error of its first bad row.
+    The ids go through the block reader, which holds them to [0, num_nodes)
+    when num_nodes is given. A row that is not `node_id train|val|test`
+    ends the ids, and is reported after the rows before it, which may hold
+    an earlier error.
     """
-    kinds = ("train", "val", "test")
+    message = "expected `node_id train|val|test`"
+    kinds, bad_rows = [], []
 
-    def parse(line_nos, rows):
-        try:
-            if all(len(parts) == 2 and parts[1] in kinds for parts in rows):
-                ids = _loadtxt([parts[0] for parts in rows], np.int64)[:, 0]
-                if num_nodes is None or ((ids >= 0) & (ids < num_nodes)).all():
-                    return ids
-        except ValueError:
-            pass
-        for line_no, parts in zip(line_nos, rows):
-            if len(parts) != 2 or parts[1] not in kinds:
-                raise ParseError(path, line_no, "expected `node_id train|val|test`")
-            node = int(_parse_line(path, line_no, parts[0], np.int64, "node id")[0, 0])
-            if num_nodes is not None and not 0 <= node < num_nodes:
-                raise ParseError(path, line_no, f"node id {node} out of range")
-        raise StructuralInputError(f"{path}:{line_nos[0]}: rows do not parse as one table")
-
-    def blocks():
-        line_nos, rows = [], []
+    def id_rows():
         for line_no, text in _data_lines(path):
-            line_nos.append(line_no)
-            rows.append(text.split())
-            if len(rows) == _BLOCK_VALUES:
-                yield line_nos, rows
-                line_nos, rows = [], []
-        if rows:
-            yield line_nos, rows
+            parts = text.split()
+            if len(parts) != 2 or parts[1] not in ("train", "val", "test"):
+                bad_rows.append(line_no)
+                return
+            kinds.append(parts[1])
+            yield line_no, parts[0]
 
-    ids, kind_of = [np.zeros(0, np.int64)], []
-    for line_nos, rows in blocks():
-        ids.append(parse(line_nos, rows))
-        kind_of += [parts[1] for parts in rows]
-    ids, kind_of = np.concatenate(ids), np.array(kind_of, dtype=str)
+    ids = _read_ints(path, 1, "node id", message, id_rows(), num_nodes)[:, 0]
+    if bad_rows:
+        raise ParseError(path, bad_rows[0], message)
+    kind_of = np.array(kinds, dtype=str)
     return Split(train=ids[kind_of == "train"], val=ids[kind_of == "val"],
                  test=ids[kind_of == "test"])
 
@@ -414,7 +409,8 @@ def load_generic(directory) -> Dataset:
         raise StructuralInputError(f"{directory}/features.tsv: no data rows")
     labels = _read_ints(directory / "labels.tsv", 1, "label", "expected one label per row")[:, 0]
     edges_path = directory / "edges.tsv"
-    edges = (_read_ints(edges_path, 2, "node id", "expected two integer columns")
+    edges = (_read_ints(edges_path, 2, "node id", "expected two integer columns",
+                        upper=features.shape[0])
              if edges_path.exists() else np.zeros((0, 2), np.int64))
 
     graph = build_graph(features.shape[0], edges)

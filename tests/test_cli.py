@@ -8,12 +8,13 @@ import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import mrfgcn
-from mrfgcn import cli, selfcheck, training
+from mrfgcn import cli, data, selfcheck, training
 from mrfgcn.checkpoint import load_checkpoint, save_checkpoint
 from mrfgcn.cli import RunConfig, main
 from mrfgcn.data import load_generic, planetoid_split, ratio_split, row_normalize_features
@@ -357,6 +358,18 @@ def test_non_integer_id_or_label_names_its_file_and_line(tmp_path, capsys, name,
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert f"{name}:{line_no}: bad" in captured.err
+
+
+def test_out_of_range_edge_endpoint_names_its_file_and_line(tmp_path, capsys):
+    ds_dir = _synth_dir(tmp_path, nodes=40)
+    _replace_line(ds_dir / "edges.tsv", 3, "0 999")
+    capsys.readouterr()
+    code = main(["train", "--dataset", str(ds_dir), "--out", str(tmp_path / "runs"),
+                 "--seeds", "0", *_FAST, "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"runtime failure: {ds_dir / 'edges.tsv'}:3: node id 999 out of range\n"
 
 
 def test_evaluate_truncated_checkpoint_exits_two(tmp_path, capsys):
@@ -873,23 +886,27 @@ def test_split_files_end_in_a_documented_exit_code(tmp_path_factory, lines):
                          "--seed", "0"]) == 0
     path = ds_dir / "split.tsv"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    stderr = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-        warnings.simplefilter("always")
-        code = main(["train", "--split", "file", "--dataset", str(ds_dir),
-                     "--out", str(root / "runs"), "--warm-epochs", "3", "--em-rounds", "1",
-                     "--m-epochs", "2", "--e-sweeps", "2", "--hidden", "4", "--quiet"])
-    err = stderr.getvalue()
-    assert code in (0, 1, 2)
-    assert len(err.splitlines()) == (code != 0)
-    assert "Traceback" not in err and "Warning" not in err
-    assert not caught, [str(w.message) for w in caught]
     expected = _first_split_error(lines)
-    if expected is not None:
-        line_no, message = expected
-        assert code == 2
-        assert err.startswith(f"runtime failure: {path}:{line_no}: {message}")
+    # the default block size reads the file in one block; 5 values cut it into
+    # blocks of 5 rows, so a bad row can fall before, in or after any block
+    for block_values in (data._BLOCK_VALUES, 5):
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(data, "_BLOCK_VALUES", block_values), \
+                contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["train", "--split", "file", "--dataset", str(ds_dir),
+                         "--out", str(root / "runs"), "--warm-epochs", "3", "--em-rounds", "1",
+                         "--m-epochs", "2", "--e-sweeps", "2", "--hidden", "4", "--quiet"])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2)
+        assert len(err.splitlines()) == (code != 0)
+        assert "Traceback" not in err and "Warning" not in err
+        assert not caught, [str(w.message) for w in caught]
+        if expected is not None:
+            line_no, message = expected
+            assert code == 2
+            assert err.startswith(f"runtime failure: {path}:{line_no}: {message}")
 
 
 @pytest.mark.parametrize("e_sweeps, cap", [(80, 80), (3, 50)])
@@ -945,6 +962,14 @@ def test_oracle_check_passes(capsys):
     assert main(["oracle-check", "--sizes", "4,5", "--trials", "4"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_oracle_check_passes_with_a_pre_activation_near_the_relu_kink(capsys):
+    # seed 502 draws a 9-node instance with a hidden pre-activation of 2.8e-6,
+    # inside the reach of a w0 step; its weights are drawn again
+    assert main(["oracle-check", "--sizes", "2,3,4,5,6,7,8,9,10", "--trials", "50",
+                 "--classes", "2", "--seed", "502"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_oracle_check_detects_injected_bug(capsys, monkeypatch):

@@ -271,6 +271,25 @@ def test_split_file_in_blocks_names_the_first_bad_row(tmp_path, monkeypatch, fau
     assert str(caught.value).startswith(f"{path}:{data_lines[row] + 1}: {message}")
 
 
+@pytest.mark.parametrize("row, text, value", [
+    (8, "0\t999", 999), (8, "-1\t3", -1), (8, "3\t-2", -2), (8, "-4\t12", -4), (0, "12\t2", 12)])
+def test_out_of_range_endpoint_in_blocks_names_its_line_and_value(tmp_path, monkeypatch,
+                                                                  row, text, value):
+    # 12 nodes, 2-value rows: with 5 values a block holds 3 rows, so row 8 is in block 3
+    directory = tmp_path / "ds"
+    directory.mkdir()
+    (directory / "features.tsv").write_text("1\t0\n" * 12, encoding="utf-8")
+    (directory / "labels.tsv").write_text("0\n" * 12, encoding="utf-8")
+    lines = ["# a\tb"] + [f"{i}\t{(i + 1) % 12}" for i in range(11)]
+    lines[row + 1] = text
+    (directory / "edges.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setattr(data, "_BLOCK_VALUES", 5)
+    with pytest.raises(ParseError) as caught:
+        load_generic(directory)
+    assert (caught.value.path, caught.value.line_no) == (directory / "edges.tsv", row + 2)
+    assert str(caught.value).endswith(f": node id {value} out of range")
+
+
 def _same_csr(a, b):
     return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
             and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
