@@ -12,8 +12,8 @@ from .data import (Dataset, Split, generate_synthetic, load_citation,
 from .factors import PairwiseParams, Redistribution, objective_and_gradients
 from .gcn import GcnParams, backward, init_params, supervised_loss_and_grad
 from .graph import Graph, build_graph, homophily_beta, normalized_adjacency_operator
-from .oracle import (OracleLimit, exact_elbo, exact_log_partition,
-                     exact_observed_ll, exact_posterior_marginals)
+from .oracle import (exact_elbo, exact_log_partition, exact_observed_ll,
+                     exact_posterior_marginals)
 from .training import (Proposal, TrainConfig, TrainReport, TrainResult,
                        evaluate, m_step, mean_field_site_update, predict, train)
 

@@ -2,11 +2,10 @@
 
 Layout: a 16-byte header (12-byte magic, uint32 version), a uint32
 record count, then one record per array: uint32 ndim, uint64 dims,
-float64 row-major data. The program writes W0, W1, the K storage, the
-alpha vector and a one-element coefficient-mode code; backbone-only
-files of W0 and W1 alone are read too. Every stored value must be
-finite and the shapes must fit together; records are numbered from 1
-in error messages.
+float64 row-major data. The program writes and reads five records: W0,
+W1, the K storage, the alpha vector and a one-element coefficient-mode
+code. Every stored value must be finite and the shapes must fit
+together; records are numbered from 1 in error messages.
 """
 
 import io
@@ -63,12 +62,7 @@ def save_checkpoint(path, params: GcnParams, pairwise: PairwiseParams):
 
 
 def load_checkpoint(path):
-    """Returns (GcnParams, PairwiseParams).
-
-    A backbone-only (2-record) file gets no-coefficient pairwise
-    parameters with K = 0, so its E-step leaves the softmax of the scores
-    as it is and predictions are the backbone's argmax.
-    """
+    """Returns (GcnParams, PairwiseParams) from the five records `save_checkpoint` writes."""
     fh = io.BytesIO(Path(path).read_bytes())
     magic = fh.read(len(_MAGIC))
     if magic != _MAGIC:
@@ -84,9 +78,9 @@ def load_checkpoint(path):
         # a nan or inf weight would evaluate to a plausible but wrong accuracy
         if not np.isfinite(arr).all():
             raise StructuralInputError(f"{path}: non-finite value in checkpoint record {number}")
-    if count not in (2, 5):
+    if count != 5:
         raise StructuralInputError(f"{path}: unexpected record count {count}")
-    w0, w1 = arrays[:2]
+    w0, w1, raw, alpha, code = arrays
     if w0.ndim != 2 or w1.ndim != 2:
         raise StructuralInputError(f"{path}: backbone weights must be matrices")
     if w1.shape[1] == 0:
@@ -95,9 +89,6 @@ def load_checkpoint(path):
         raise StructuralInputError(
             f"{path}: W1 has {w1.shape[0]} rows but W0 has {w0.shape[1]} columns")
     c = w1.shape[1]
-    if count == 2:
-        return GcnParams(w0, w1), PairwiseParams.init(c, 0, mode="none")
-    raw, alpha, code = arrays[2:]
     mode = _CODE_MODES.get(float(code[0])) if code.shape == (1,) else None
     if mode is None:
         raise StructuralInputError(f"{path}: unknown coefficient mode code")

@@ -29,7 +29,7 @@ from .data import (Dataset, Split, generate_synthetic, load_dataset,
 from .errors import ConfigError, EnumerationLimitError, StructuralInputError
 from .gcn import forward
 from .graph import homophily_beta, normalized_adjacency_operator
-from .oracle import OracleLimit
+from .oracle import MAX_CONFIGS
 from .selfcheck import run_selfchecks
 from .training import FINAL_E_SWEEPS, Proposal, TrainConfig, evaluate, predict, train
 
@@ -272,8 +272,7 @@ def cmd_oracle_check(sizes, trials, seed, num_classes, max_configs) -> int:
     # with one class every objective is constant, so no gradient can be checked
     _require_at_least(2, classes=num_classes)
     try:
-        results = run_selfchecks(sizes, trials, seed, num_classes=num_classes,
-                                 limit=OracleLimit(max_configs))
+        results = run_selfchecks(sizes, trials, seed, num_classes, max_configs)
     except EnumerationLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
@@ -380,7 +379,7 @@ def main(argv=None) -> int:
     p_oracle.add_argument("--trials", type=int, default=20)
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--classes", type=int, default=3)
-    p_oracle.add_argument("--max-configs", type=int, default=OracleLimit().max_configurations)
+    p_oracle.add_argument("--max-configs", type=int, default=MAX_CONFIGS)
 
     p_synth = sub.add_parser("synth")
     p_synth.add_argument("--out", required=True)

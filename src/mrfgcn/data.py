@@ -21,12 +21,14 @@ optional exponent. Integers are decimal digits with an optional sign.
 Spellings only Python takes (``1_000``, non-ASCII digits) are errors, as
 is ``1.0`` where an integer is expected. Values must be finite: ``nan``,
 ``inf`` and overflowing values such as ``1e999`` are rejected with their
-line rather than trained on. Node ids (edge endpoints, split ids) must
-also lie in [0, number of nodes). When a block breaks a rule, the same
-call is repeated line by line to name the first bad line. Node features
-are held as a CSR matrix: each dense block's nonzeros are appended to
-its values and column arrays, which grow in place, so at most one dense
-block exists at a time and the CSR is built once, never copied.
+line rather than trained on. Integers are never negative, and node ids
+(edge endpoints, split ids) lie in [0, number of nodes). When a block
+breaks a rule, the same call is repeated line by line to name the first
+bad line. ``labels.tsv`` holds one row per feature row, and ``split.tsv``
+lists each node at most once. Node features are held as a CSR matrix:
+each dense block's nonzeros are appended to its values and column
+arrays, which grow in place, so at most one dense block exists at a time
+and the CSR is built once, never copied.
 """
 
 import logging
@@ -181,9 +183,9 @@ def _read_features(path, rows, width_error) -> sp.csr_array | None:
     return sp.csr_array((values, columns, indptr), shape=(len(indptr) - 1, width))
 
 
-def _read_ints(path, width, what, message, rows=None, upper=None) -> np.ndarray:
-    """(rows, width) int64 table of `rows` (default: the file's data lines);
-    a row of another width raises ParseError(message)."""
+def _read_ints(path, width, what, message, rows=None, upper=np.inf) -> np.ndarray:
+    """(rows, width) int64 table of `rows` (default: the file's data lines),
+    each value in [0, upper); a row of another width raises ParseError(message)."""
     def width_error(line_no, found, expected):
         return ParseError(path, line_no, message)
     rows = _data_lines(path) if rows is None else rows
@@ -284,16 +286,17 @@ def ratio_split(ds: Dataset, train_frac, val_frac, test_frac, seed=0) -> Split:
                  test=perm[n_train + n_val:n_train + n_val + n_test])
 
 
-def load_split_file(path, num_nodes=None) -> Split:
+def load_split_file(path, num_nodes) -> Split:
     """Read a split.tsv of (node_id, train|val|test) rows; ids are read as in edges.tsv.
 
-    The ids go through the block reader, which holds them to [0, num_nodes)
-    when num_nodes is given. A row that is not `node_id train|val|test`
-    ends the ids, and is reported after the rows before it, which may hold
-    an earlier error.
+    The ids go through the block reader, which holds them to [0, num_nodes).
+    A row that is not `node_id train|val|test` ends the ids, and is
+    reported after the rows before it, which may hold an earlier error.
+    Once every id has parsed, the first row that lists a node again is
+    reported with the line that listed it first.
     """
     message = "expected `node_id train|val|test`"
-    kinds, bad_rows = [], []
+    kinds, line_nos, bad_rows = [], [], []
 
     def id_rows():
         for line_no, text in _data_lines(path):
@@ -302,11 +305,18 @@ def load_split_file(path, num_nodes=None) -> Split:
                 bad_rows.append(line_no)
                 return
             kinds.append(parts[1])
+            line_nos.append(line_no)
             yield line_no, parts[0]
 
     ids = _read_ints(path, 1, "node id", message, id_rows(), num_nodes)[:, 0]
     if bad_rows:
         raise ParseError(path, bad_rows[0], message)
+    unique, first = np.unique(ids, return_index=True)
+    if len(unique) < len(ids):
+        again = np.setdiff1d(np.arange(len(ids)), first)[0]
+        earlier = first[np.searchsorted(unique, ids[again])]
+        raise ParseError(path, line_nos[again], f"node {ids[again]} listed again "
+                                                f"(first on line {line_nos[earlier]})")
     kind_of = np.array(kinds, dtype=str)
     return Split(train=ids[kind_of == "train"], val=ids[kind_of == "val"],
                  test=ids[kind_of == "test"])
@@ -407,15 +417,16 @@ def load_generic(directory) -> Dataset:
     features = _read_features(features_path, _data_lines(features_path), width_error)
     if features is None:
         raise StructuralInputError(f"{directory}/features.tsv: no data rows")
+    n = features.shape[0]
     labels = _read_ints(directory / "labels.tsv", 1, "label", "expected one label per row")[:, 0]
+    if len(labels) != n:
+        raise StructuralInputError(
+            f"{directory}/labels.tsv: {len(labels)} label rows for {n} feature rows")
     edges_path = directory / "edges.tsv"
-    edges = (_read_ints(edges_path, 2, "node id", "expected two integer columns",
-                        upper=features.shape[0])
+    edges = (_read_ints(edges_path, 2, "node id", "expected two integer columns", upper=n)
              if edges_path.exists() else np.zeros((0, 2), np.int64))
-
-    graph = build_graph(features.shape[0], edges)
-    return Dataset(graph=graph, features=features, labels=labels,
-                   num_classes=int(labels.max()) + 1 if len(labels) else 0)
+    return Dataset(graph=build_graph(n, edges), features=features, labels=labels,
+                   num_classes=int(labels.max()) + 1)
 
 
 def load_dataset(path) -> Dataset:

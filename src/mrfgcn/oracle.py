@@ -8,8 +8,6 @@ self-checks run it on one piece as a graph of its own
 when the assignment count exceeds the configured limit.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EnumerationLimitError
@@ -17,6 +15,7 @@ from .graph import Graph
 from .training import Proposal
 
 _BLOCK = 1 << 14
+MAX_CONFIGS = 1 << 20   # the default enumeration limit, in assignments
 
 
 def _logsumexp(*args, **kwargs):
@@ -25,27 +24,21 @@ def _logsumexp(*args, **kwargs):
     return logsumexp(*args, **kwargs)
 
 
-@dataclass(frozen=True)
-class OracleLimit:
-    max_configurations: int = 1 << 20
-
-
-def _check_limit(num_free, num_classes, limit):
-    """Refuse num_classes ** num_free assignments above the limit.
+def _check_limit(num_free, num_classes, max_configs):
+    """Refuse num_classes ** num_free assignments above `max_configs`.
 
     The count stops growing once it passes the limit, so a huge num_free
     costs no huge power; at most one class gives at most one assignment.
     """
-    limit = limit or OracleLimit()
     configs = 1
     for _ in range(num_free if num_classes > 1 else 0):
-        if configs > limit.max_configurations:
+        if configs > max_configs:
             break
         configs *= num_classes
-    if configs > limit.max_configurations:
+    if configs > max_configs:
         raise EnumerationLimitError(
             f"{num_classes}^{num_free} assignments exceed the enumeration "
-            f"limit {limit.max_configurations}")
+            f"limit {max_configs}")
 
 
 def _blocks(num_free, num_classes):
@@ -71,11 +64,11 @@ def _factor_sum(assign, scores, pp, g):
     return vals
 
 
-def _clamped_blocks(g, labels, train_ids, num_classes, limit):
+def _clamped_blocks(g, labels, train_ids, num_classes, max_configs):
     """Assignments of the unlabeled nodes, embedded into full assignments."""
     train_ids = np.asarray(train_ids, dtype=np.int64)
     free = np.setdiff1d(np.arange(g.num_nodes), train_ids)
-    _check_limit(len(free), num_classes, limit)
+    _check_limit(len(free), num_classes, max_configs)
     template = np.zeros(g.num_nodes, dtype=np.int64)
     template[train_ids] = labels[train_ids]
     for block in _blocks(len(free), num_classes):
@@ -84,16 +77,16 @@ def _clamped_blocks(g, labels, train_ids, num_classes, limit):
         yield free, block, full
 
 
-def exact_log_partition(g: Graph, scores, pp, limit=None) -> float:
+def exact_log_partition(g: Graph, scores, pp, max_configs=MAX_CONFIGS) -> float:
     """log Z by summing every assignment of every node."""
     c = scores.shape[1]
-    _check_limit(g.num_nodes, c, limit)
+    _check_limit(g.num_nodes, c, max_configs)
     parts = [_logsumexp(_factor_sum(block, scores, pp, g))
              for block in _blocks(g.num_nodes, c)]
     return float(_logsumexp(parts))
 
 
-def exact_posterior_marginals(g: Graph, scores, pp, labels, train_ids, limit=None):
+def exact_posterior_marginals(g: Graph, scores, pp, labels, train_ids, max_configs=MAX_CONFIGS):
     """Per-unlabeled-node marginals of the label posterior given the train set.
 
     Returns (unlabeled_ids, marginals) with one row per unlabeled node.
@@ -101,7 +94,7 @@ def exact_posterior_marginals(g: Graph, scores, pp, labels, train_ids, limit=Non
     c = scores.shape[1]
     free = None
     acc = None
-    for free, block, full in _clamped_blocks(g, labels, train_ids, c, limit):
+    for free, block, full in _clamped_blocks(g, labels, train_ids, c, max_configs):
         logw = _factor_sum(full, scores, pp, g)
         if acc is None:
             acc = np.full((len(free), c), -np.inf)
@@ -113,20 +106,20 @@ def exact_posterior_marginals(g: Graph, scores, pp, labels, train_ids, limit=Non
     return free, np.exp(acc - _logsumexp(acc, axis=1, keepdims=True))
 
 
-def exact_observed_ll(g: Graph, scores, pp, labels, train_ids, limit=None) -> float:
+def exact_observed_ll(g: Graph, scores, pp, labels, train_ids, max_configs=MAX_CONFIGS) -> float:
     """log P(observed labels) = log-sum over completions minus log Z."""
     c = scores.shape[1]
     parts = [_logsumexp(_factor_sum(full, scores, pp, g))
-             for _, _, full in _clamped_blocks(g, labels, train_ids, c, limit)]
-    return float(_logsumexp(parts) - exact_log_partition(g, scores, pp, limit))
+             for _, _, full in _clamped_blocks(g, labels, train_ids, c, max_configs)]
+    return float(_logsumexp(parts) - exact_log_partition(g, scores, pp, max_configs))
 
 
 def exact_elbo(g: Graph, scores, pp, labels, train_ids, q: Proposal,
-               limit=None) -> float:
+               max_configs=MAX_CONFIGS) -> float:
     """Expected complete log-likelihood under q plus the entropy of q."""
     c = scores.shape[1]
     expect, entropy = 0.0, 0.0
-    for free, block, full in _clamped_blocks(g, labels, train_ids, c, limit):
+    for free, block, full in _clamped_blocks(g, labels, train_ids, c, max_configs):
         if not np.array_equal(free, q.node_ids):
             raise ValueError("proposal rows do not cover exactly the unlabeled nodes")
         logw = _factor_sum(full, scores, pp, g)
@@ -140,4 +133,4 @@ def exact_elbo(g: Graph, scores, pp, labels, train_ids, q: Proposal,
             weight = np.ones(1)
         expect += float((weight * logw).sum())
         entropy += float(-(weight[weight > 0] * logq[weight > 0]).sum())
-    return expect + entropy - exact_log_partition(g, scores, pp, limit)
+    return expect + entropy - exact_log_partition(g, scores, pp, max_configs)

@@ -33,7 +33,7 @@ from .factors import (PAIR_EXP, PairwiseParams, Redistribution, objective_and_gr
                       star_blocks)
 from .graph import build_graph, normalized_adjacency_operator
 from .numerics import stream
-from .oracle import (_check_limit, exact_elbo, exact_log_partition,
+from .oracle import (MAX_CONFIGS, _check_limit, exact_elbo, exact_log_partition,
                      exact_observed_ll, exact_posterior_marginals)
 from .training import Proposal
 
@@ -92,7 +92,7 @@ def random_r(rng, num_nodes, num_classes, labels, train_ids):
     return r
 
 
-def oracle_star_piece(g, node, scores, pp, redist, limit=None):
+def oracle_star_piece(g, node, scores, pp, redist, max_configs=MAX_CONFIGS):
     """The star piece at `node`, solved by the oracle as a graph of its own.
 
     Node 0 of the star is the center and node p its p-th CSR leaf, joined by
@@ -107,13 +107,13 @@ def oracle_star_piece(g, node, scores, pp, redist, limit=None):
                        redist.leaf_exp[leaves, None] * scores[leaves]])
     star_pp = PairwiseParams(
         pp.raw, PAIR_EXP * pp.alpha_at(g.slot_edge_ids[lo:hi]), "edge")
-    log_z = exact_log_partition(star, unary, star_pp, limit)
+    log_z = exact_log_partition(star, unary, star_pp, max_configs)
     labels = np.zeros(star.num_nodes, dtype=np.int64)
-    _, marg = exact_posterior_marginals(star, unary, star_pp, labels, [], limit)
+    _, marg = exact_posterior_marginals(star, unary, star_pp, labels, [], max_configs)
     pair = np.zeros((len(leaves), pp.num_classes, pp.num_classes))
     for a in range(pp.num_classes):
         labels[0] = a
-        _, given = exact_posterior_marginals(star, unary, star_pp, labels, [0], limit)
+        _, given = exact_posterior_marginals(star, unary, star_pp, labels, [0], max_configs)
         pair[:, a] = marg[0, a] * given
     return log_z, marg[0], marg[1:], pair
 
@@ -154,7 +154,7 @@ def rel_error(analytic, numeric):
     return float(np.linalg.norm((analytic - numeric).ravel()) / scale)
 
 
-def check_piece_inference(sizes, trials, seed, num_classes=3, limit=None):
+def check_piece_inference(sizes, trials, seed, num_classes=3, max_configs=MAX_CONFIGS):
     rng = stream(seed, "selfcheck_pieces")
     worst_z, worst_m = 0.0, 0.0
     for trial in range(trials):
@@ -164,7 +164,7 @@ def check_piece_inference(sizes, trials, seed, num_classes=3, limit=None):
         g, redist, scores, pp, _, _ = random_instance(
             rng, n, num_classes, mode=mode, scheme=scheme)
         node = int(rng.integers(n))
-        ref_z, ref_c, ref_l, ref_p = oracle_star_piece(g, node, scores, pp, redist, limit)
+        ref_z, ref_c, ref_l, ref_p = oracle_star_piece(g, node, scores, pp, redist, max_configs)
         log_z, center, leaves, pair = blocked_piece(g, node, scores, pp, redist)
         worst_z = max(worst_z, abs(log_z - ref_z))
         worst_m = max(worst_m, np.abs(center - ref_c).max(initial=0.0),
@@ -258,7 +258,7 @@ def check_redistribution_identity(sizes, trials, seed, num_classes=3):
     return [CheckResult("redistribution partition of unity", worst, ENUM_TOL)]
 
 
-def check_elbo_identity(sizes, trials, seed, num_classes=3, limit=None):
+def check_elbo_identity(sizes, trials, seed, num_classes=3, max_configs=MAX_CONFIGS):
     """observed_ll - ELBO must equal KL(q || posterior), computed directly."""
     rng = stream(seed, "selfcheck_elbo")
     worst = 0.0
@@ -269,8 +269,8 @@ def check_elbo_identity(sizes, trials, seed, num_classes=3, limit=None):
         q_rows = rng.random((len(free), num_classes)) + 0.05
         q_rows /= q_rows.sum(axis=1, keepdims=True)
         q = Proposal(free, q_rows, n)
-        gap = exact_observed_ll(g, scores, pp, labels, train_ids, limit) \
-            - exact_elbo(g, scores, pp, labels, train_ids, q, limit)
+        gap = exact_observed_ll(g, scores, pp, labels, train_ids, max_configs) \
+            - exact_elbo(g, scores, pp, labels, train_ids, q, max_configs)
         kl = direct_kl(g, scores, pp, labels, train_ids, q)
         worst = max(worst, abs(gap - kl))
     return [CheckResult("observed-ll minus ELBO equals KL", worst, ENUM_TOL)]
@@ -300,12 +300,12 @@ def direct_kl(g, scores, pp, labels, train_ids, q):
     return float((w * (logq - log_post)).sum())
 
 
-def run_selfchecks(sizes, trials, seed, num_classes=3, limit=None):
+def run_selfchecks(sizes, trials, seed, num_classes=3, max_configs=MAX_CONFIGS):
     """Run every suite; raises EnumerationLimitError for oversized requests."""
-    _check_limit(max(sizes), num_classes, limit)
+    _check_limit(max(sizes), num_classes, max_configs)
     results = []
-    results += check_piece_inference(sizes, trials, seed, num_classes, limit)
+    results += check_piece_inference(sizes, trials, seed, num_classes, max_configs)
     results += check_gradients(sizes, trials, seed, num_classes)
     results += check_redistribution_identity(sizes, trials, seed, num_classes)
-    results += check_elbo_identity(sizes, trials, seed, num_classes, limit)
+    results += check_elbo_identity(sizes, trials, seed, num_classes, max_configs)
     return results

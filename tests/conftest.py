@@ -23,9 +23,9 @@ else:
 def write_checkpoint_records(path, arrays):
     """A checkpoint holding `arrays` as its records, in the file layout.
 
-    For files the program does not write itself: backbone-only ones, and
-    ones whose records do not fit together. Unlike the program's writer it
-    keeps a 0-d array as a rank-0 record.
+    For files the program does not write itself: ones with another record
+    count than five, and ones whose records do not fit together. Unlike the
+    program's writer it keeps a 0-d array as a rank-0 record.
     """
     with open(path, "wb") as fh:
         fh.write(_MAGIC)

@@ -17,8 +17,9 @@ import mrfgcn
 from mrfgcn import cli, data, selfcheck, training
 from mrfgcn.checkpoint import load_checkpoint, save_checkpoint
 from mrfgcn.cli import RunConfig, main
-from mrfgcn.data import load_generic, planetoid_split, ratio_split, row_normalize_features
+from mrfgcn.data import load_generic, planetoid_split, row_normalize_features
 from mrfgcn.errors import ConfigError
+from mrfgcn.factors import PairwiseParams
 from mrfgcn.gcn import GcnParams, forward
 from mrfgcn.graph import homophily_beta, normalized_adjacency_operator
 
@@ -541,18 +542,12 @@ def test_split_without_train_or_test_nodes_exits_one_before_writing(tmp_path, ca
     assert not out.exists()
 
 
-def _random_backbone_checkpoint(path):
-    """A backbone-only checkpoint for `_synth_dir`'s 8 features and 3 classes."""
-    rng = np.random.default_rng(0)
-    params = GcnParams(rng.normal(size=(8, 4)), rng.normal(size=(4, 3)))
-    write_checkpoint_records(path, [params.w0, params.w1])
-    return params
-
-
 def test_evaluate_split_without_validation_or_test_nodes_exits_one(tmp_path, capsys):
     ds_dir = _synth_dir(tmp_path)
-    checkpoint = tmp_path / "backbone.bin"
-    _random_backbone_checkpoint(checkpoint)
+    checkpoint = tmp_path / "model.bin"
+    rng = np.random.default_rng(0)
+    save_checkpoint(checkpoint, GcnParams(rng.normal(size=(8, 4)), rng.normal(size=(4, 3))),
+                    PairwiseParams.init(3, 0, mode="none"))
     capsys.readouterr()
     code = main(["evaluate", "--dataset", str(ds_dir), "--split", "planetoid",
                  "--per-class", "5", "--num-val", "0", "--num-test", "0",
@@ -564,18 +559,21 @@ def test_evaluate_split_without_validation_or_test_nodes_exits_one(tmp_path, cap
         "config error: seed 0: the split has no validation or test nodes"]
 
 
-def test_evaluate_backbone_only_checkpoint_reports_the_backbone_argmax(tmp_path, capsys):
-    # a 2-record checkpoint has K = 0, so the E-step keeps softmax(scores)
+def test_evaluate_two_record_checkpoint_exits_two(tmp_path, capsys):
+    # W0 and W1 alone are no model the program writes; a bare backbone is
+    # the checkpoint of `train --em-rounds 0`
     ds_dir = _synth_dir(tmp_path)
     checkpoint = tmp_path / "backbone.bin"
-    params = _random_backbone_checkpoint(checkpoint)
-    assert main(["evaluate", "--dataset", str(ds_dir), "--split", "ratio", "--seeds", "0",
-                 "--checkpoint", str(checkpoint)]) == 0
-    ds = row_normalize_features(load_generic(ds_dir))
-    scores, _ = forward(params, ds.features, normalized_adjacency_operator(ds.graph))
-    test = ratio_split(ds, 0.2, 0.2, 0.6, seed=0).test
-    accuracy = np.mean(np.argmax(scores[test], axis=1) == ds.labels[test])
-    assert f"test accuracy: {accuracy:.4f}" in capsys.readouterr().out.splitlines()
+    rng = np.random.default_rng(0)
+    write_checkpoint_records(checkpoint, [rng.normal(size=(8, 4)), rng.normal(size=(4, 3))])
+    capsys.readouterr()
+    code = main(["evaluate", "--dataset", str(ds_dir), "--split", "ratio", "--seeds", "0",
+                 "--checkpoint", str(checkpoint)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"runtime failure: {checkpoint}: unexpected record count 2"]
 
 
 @pytest.mark.parametrize("raw, alpha, message", [
@@ -630,7 +628,7 @@ def test_evaluate_checkpoint_that_does_not_fit_the_dataset_exits_two(
 
 # a checkpoint that fits the dataset (8 features, 2 classes) except for its
 # hidden width, class count, mode code (none, layer, edge or unknown) and up
-# to two records redrawn with a rank of 0 to 3 and small dims; backbone-only
+# to two records redrawn with a rank of 0 to 3 and small dims; 2-record
 # files keep their first two records. The first example's 1-D K once failed
 # while the E-step formatted its own shape error
 _RECORD_SHAPES = st.lists(st.integers(0, 3), max_size=3).map(tuple)
@@ -844,31 +842,54 @@ _SPLIT_LINES = st.one_of(
 
 @st.composite
 def _split_files(draw):
-    """Rows assigning some nodes to one set each, with up to three lines added anywhere."""
+    """Rows assigning some nodes to one set each; up to two of those nodes
+    listed again, and up to three lines added, anywhere."""
     sets = draw(st.lists(st.sampled_from((None, *_SPLIT_SETS)),
                          min_size=_SPLIT_NODES, max_size=_SPLIT_NODES))
     lines = [f"{node}\t{name}" for node, name in enumerate(sets) if name]
+    for _ in range(draw(st.integers(0, 2)) if lines else 0):
+        node = draw(st.sampled_from(lines)).split()[0]
+        lines.insert(draw(st.integers(0, len(lines))),
+                     f"{node}\t{draw(st.sampled_from(_SPLIT_SETS))}")
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(_SPLIT_LINES))
     return lines
 
 
+def _int_error(text, what, upper):
+    """The reader's message start for an integer token, or None when it reads.
+
+    An integer is an optional sign and ASCII digits that fit in int64, and
+    lies in [0, upper).
+    """
+    if not re.fullmatch(r"[+-]?[0-9]+", text) or not -2**63 <= int(text) < 2**63:
+        return f"bad {what} ("
+    if not 0 <= int(text) < upper:
+        return f"{what} {int(text)} out of range"
+    return None
+
+
 def _first_split_error(lines):
     """(line number, message start) of the first bad row of a split file, or None.
 
-    An id is read as edges.tsv reads one: an optional sign and ASCII digits
-    that fit in int64.
+    An id is read as edges.tsv reads one. A node listed again is reported
+    only once every row has read.
     """
+    listings = {}
     for line_no, line in enumerate(lines, start=1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
         if len(parts) != 2 or parts[1] not in _SPLIT_SETS:
             return line_no, "expected `node_id train|val|test`"
-        if not re.fullmatch(r"[+-]?[0-9]+", parts[0]) or not -2**63 <= int(parts[0]) < 2**63:
-            return line_no, "bad node id ("
-        if not 0 <= int(parts[0]) < _SPLIT_NODES:
-            return line_no, f"node id {int(parts[0])} out of range"
+        error = _int_error(parts[0], "node id", _SPLIT_NODES)
+        if error:
+            return line_no, error
+        listings.setdefault(int(parts[0]), []).append(line_no)
+    repeats = [(at[1], node, at[0]) for node, at in listings.items() if len(at) > 1]
+    if repeats:
+        line_no, node, first = min(repeats)
+        return line_no, f"node {node} listed again (first on line {first})\n"
     return None
 
 
@@ -876,6 +897,8 @@ def _first_split_error(lines):
 @given(lines=_split_files())
 @example(lines=["0\ttrain", "1\ttest", "1_0\ttest"])
 @example(lines=["0\ttrain", "١٢\tval", "1\ttest"])
+@example(lines=["0\ttrain", "1\ttest", "0\tval"])
+@example(lines=["0\ttrain", "1\ttest", "+1\ttest", "1\tval"])
 def test_split_files_end_in_a_documented_exit_code(tmp_path_factory, lines):
     root = tmp_path_factory.getbasetemp() / "split_files"
     ds_dir = root / "ds"
@@ -903,10 +926,81 @@ def test_split_files_end_in_a_documented_exit_code(tmp_path_factory, lines):
         assert len(err.splitlines()) == (code != 0)
         assert "Traceback" not in err and "Warning" not in err
         assert not caught, [str(w.message) for w in caught]
-        if expected is not None:
+        if expected is None:
+            assert code in (0, 1)
+        else:
             line_no, message = expected
             assert code == 2
             assert err.startswith(f"runtime failure: {path}:{line_no}: {message}")
+
+
+_LABEL_NODES = 40
+_BAD_LABELS = ("-1", "-12", "1.0", "1e1", "x", "0x1", "1_0", "٣", "9" * 25, "1 2")
+
+
+@st.composite
+def _labels_files(draw):
+    """One label of 0-2 per node; up to two rows spoilt, and up to two dropped
+    or added, anywhere, with blank and comment lines between."""
+    lines = draw(st.lists(st.integers(0, 2).map(str), min_size=_LABEL_NODES,
+                          max_size=_LABEL_NODES))
+    for _ in range(draw(st.integers(0, 2))):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(_BAD_LABELS))
+    for _ in range(draw(st.integers(0, 2))):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["0", "2", "", "# 1", *_BAD_LABELS])))
+    return lines
+
+
+def _first_labels_error(lines):
+    """(line number or None, message start) of a labels.tsv's error, or None."""
+    rows = 0
+    for line_no, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        error = ("expected one label per row" if len(parts) != 1
+                 else _int_error(parts[0], "label", 2**63))
+        if error:
+            return line_no, error
+        rows += 1
+    if rows != _LABEL_NODES:
+        return None, f"{rows} label rows for {_LABEL_NODES} feature rows\n"
+    return None
+
+
+@settings(max_examples=60)
+@given(lines=_labels_files())
+@example(lines=["0", "-1", "1"] + ["0"] * (_LABEL_NODES - 3))
+@example(lines=["0", "1"])
+@example(lines=[])
+def test_labels_files_end_in_a_documented_exit_code(tmp_path_factory, lines):
+    root = tmp_path_factory.getbasetemp() / "labels_files"
+    ds_dir = root / "ds"
+    if not ds_dir.exists():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--out", str(ds_dir), "--nodes", str(_LABEL_NODES),
+                         "--classes", "3", "--edges-per-node", "2", "--feature-dim", "8",
+                         "--seed", "0"]) == 0
+    path = ds_dir / "labels.tsv"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    expected = _first_labels_error(lines)
+    for block_values in (data._BLOCK_VALUES, 5):
+        stderr = io.StringIO()
+        with mock.patch.object(data, "_BLOCK_VALUES", block_values), \
+                contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["homophily", "--dataset", str(ds_dir)])
+        err = stderr.getvalue()
+        if expected is None:
+            assert (code, err) == (0, "")
+            continue
+        line_no, message = expected
+        where = path if line_no is None else f"{path}:{line_no}"
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"runtime failure: {where}: {message}")
 
 
 @pytest.mark.parametrize("e_sweeps, cap", [(80, 80), (3, 50)])

@@ -9,8 +9,8 @@ from mrfgcn.errors import EnumerationLimitError
 from mrfgcn.factors import PairwiseParams, Redistribution, star_blocks
 from mrfgcn.graph import build_graph
 from mrfgcn.numerics import softmax_rows
-from mrfgcn.oracle import (OracleLimit, exact_elbo, exact_log_partition,
-                           exact_observed_ll, exact_posterior_marginals)
+from mrfgcn.oracle import (exact_elbo, exact_log_partition, exact_observed_ll,
+                           exact_posterior_marginals)
 from mrfgcn.selfcheck import random_instance
 from mrfgcn.training import Proposal
 
@@ -174,7 +174,7 @@ def test_enumeration_refused_above_limit():
     rng = np.random.default_rng(11)
     g, _, scores, pp, labels, train = random_instance(rng, 8, 3)
     with pytest.raises(EnumerationLimitError):
-        exact_log_partition(g, scores, pp, limit=OracleLimit(max_configurations=100))
+        exact_log_partition(g, scores, pp, max_configs=100)
 
 
 def test_lone_star_piece_with_unit_exponents_matches_exact():

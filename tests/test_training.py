@@ -96,8 +96,8 @@ def _e_step_case(name):
     every unlabeled node is on its own level, and in `one_level` unlabeled
     nodes only touch labeled ones. A `_c<k>` suffix sets k classes (else 3);
     10 is the class count of the `dense_train` benchmark workload. A `_layer`
-    or `_none` suffix sets that coefficient mode (else edge): `ablate` runs
-    layer mode, and `evaluate` runs none mode on a backbone-only checkpoint.
+    or `_none` suffix sets that coefficient mode (else edge), as `ablate`
+    and `--coefficient-mode` do.
     """
     if name == "draw8":
         rng = np.random.default_rng(1)
