@@ -6,9 +6,10 @@ flags win. Both are derived from RunConfig's fields: the key is the
 field's name, the flag is that name in kebab case (`em_rounds` is
 `--em-rounds`), and a flag's text is read as the config line's value is.
 A bool field's flag takes no value and sets the opposite of its default.
-The exceptions are `--config`, the short aliases `--coeff` and `--redist`,
-and `--fixed-split` and `--no-row-normalize`, which turn off
-`resplit_per_seed` and `row_normalize`. The settings are all checked
+The exceptions are `--config` and the switches `--fixed-split` and
+`--no-row-normalize`, which turn off `resplit_per_seed` and
+`row_normalize`. A prefix that no other flag shares names a flag too
+(`--coeff` is `--coefficient-mode`). The settings are all checked
 when they are built, before a command reads data or writes a file. Exit
 codes: 0 success, 1 configuration error, 2 runtime failure, 3
 self-check failure.
@@ -31,7 +32,7 @@ from .gcn import forward
 from .graph import homophily_beta, normalized_adjacency_operator
 from .oracle import MAX_CONFIGS
 from .selfcheck import run_selfchecks
-from .training import FINAL_E_SWEEPS, Proposal, TrainConfig, evaluate, predict, train
+from .training import Proposal, TrainConfig, evaluate, final_sweep_cap, predict, train
 
 _SPLIT_KINDS = ("planetoid", "ratio", "file")
 
@@ -245,7 +246,7 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_path) -> int:
     unlabeled = np.setdiff1d(np.arange(ds.graph.num_nodes), split.train)
     q = Proposal.from_scores(scores, unlabeled, ds.graph.num_nodes)
     predictions = predict(scores, pp, q, ds.graph, ds.labels, split.train,
-                          max(FINAL_E_SWEEPS, cfg.e_sweeps), cfg.e_tolerance)
+                          final_sweep_cap(cfg.e_sweeps), cfg.e_tolerance)
     for name, ids in (("val", split.val), ("test", split.test)):
         if len(ids):
             print(f"{name} accuracy: {evaluate(predictions, ds.labels, ids):.4f}")
@@ -326,11 +327,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# the flags not spelled as their setting's name in kebab case: two short
-# aliases, and the switches that turn off a setting that is on by default
-_FLAG_SPELLINGS = {"coefficient_mode": ("--coefficient-mode", "--coeff"),
-                   "redistribution": ("--redistribution", "--redist"),
-                   "resplit_per_seed": ("--fixed-split",),
+# the flags not spelled as their setting's name in kebab case: the switches
+# that turn off a setting that is on by default
+_FLAG_SPELLINGS = {"resplit_per_seed": ("--fixed-split",),
                    "row_normalize": ("--no-row-normalize",)}
 
 

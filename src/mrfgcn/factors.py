@@ -248,7 +248,7 @@ def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None):
     """Objective value plus exact gradients in one shared inference pass.
 
     Gradients are w.r.t. scores, the unconstrained K storage, and the
-    alpha parameter vector (None in no-coefficient mode). `r_ends` is
+    alpha parameter vector (empty in no-coefficient mode). `r_ends` is
     `endpoint_rows(r, g)`; a caller that holds r fixed over many calls
     passes it in, and it is gathered here when omitted. Nothing
     non-finite leaves the call: overflow and invalid operations run
@@ -279,15 +279,14 @@ def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None):
     g_k -= PAIR_EXP * pair_sum.T
     grad_raw = 0.5 * (g_k + g_k.T)
 
-    grad_alpha = None
+    grad_alpha = np.zeros(0)
     if pp.mode != "none":
         per_edge = pair_dots - PAIR_EXP * np.bincount(
             g.slot_edge_ids, weights=dots, minlength=g.num_edges)
         grad_alpha = per_edge if pp.mode == "edge" else np.array([per_edge.sum()])
 
     grads = {"scores": grad_scores, "K": grad_raw, "alpha": grad_alpha}
-    bad_grad = [name for name, grad in grads.items()
-                if grad is not None and not np.isfinite(grad).all()]
+    bad_grad = [name for name, grad in grads.items() if not np.isfinite(grad).all()]
     if np.isfinite(value) and not bad_grad:
         return value, grad_scores, grad_raw, grad_alpha
     bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))

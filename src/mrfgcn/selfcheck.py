@@ -196,12 +196,11 @@ def check_gradients(sizes, trials, seed, num_classes=3, hidden=6):
             pp.raw.copy())
         worst["K"] = max(worst["K"], rel_error(g_raw, fd))
 
-        if pp.mode != "none":
-            fd = fd_gradient(
-                lambda al: objective_and_gradients(
-                    r, scores, PairwiseParams(pp.raw, al, pp.mode), redist, g)[0],
-                pp.alpha.copy())
-            worst["alpha"] = max(worst["alpha"], rel_error(g_alpha, fd))
+        fd = fd_gradient(
+            lambda al: objective_and_gradients(
+                r, scores, PairwiseParams(pp.raw, al, pp.mode), redist, g)[0],
+            pp.alpha.copy())
+        worst["alpha"] = max(worst["alpha"], rel_error(g_alpha, fd))
 
         # backbone chain: finite-difference the weights through the same objective
         num_feats = int(rng.integers(2, 5))

@@ -1,21 +1,21 @@
 """EM training loop: warm start, mean-field E-step, piecewise M-step.
 
 The E-step updates one unlabeled node at a time, in ascending node
-order, against the original (un-redistributed) factors:
+order, against the original (un-redistributed) factors. It sweeps r, the
+table the M-step reads (`make_r`), whose labeled rows are clamped one-hot
+rows, so a labeled neighbour enters as an unlabeled one does:
 
-    log q_i(y) <- s_i(y) + sum_{j in N(i) labeled} a_ij K[y, y_j]
-                         + sum_{k in N(i) unlabeled} a_ik (K q_k)[y]
+    log q_i(y) <- s_i(y) + sum_{k in N(i)} a_ik (K r_k)[y]
 
 That ascending Gauss-Seidel order is run by dependency level, as level
 scheduling runs a sparse triangular solve: a node's level is one more
 than the highest level among its lower-numbered unlabeled neighbours,
 and one vectorized update per level reproduces the node-by-node sweep.
-The unlabeled rows are renumbered level by level for the E-step, so a
-level is one contiguous slice of the table, and each level's logits are
-computed class-major, (c, L), so that max, sum and TV reduce down axis 0
-rather than along the short class axis. A numbering that chains the
-unlabeled nodes (a path numbered end to end) puts every node on its own
-level, where this is slower than a per-node loop.
+Each level's logits are computed class-major, (c, L), so that max, sum
+and TV reduce down axis 0 rather than along the short class axis. A
+numbering that chains the unlabeled nodes (a path numbered end to end)
+puts every node on its own level, where this is slower than a per-node
+loop.
 
 The warm start trains the backbone on the labeled nodes' cross-entropy.
 Its loss and its per-epoch validation read the scores of a few rows, so
@@ -194,23 +194,22 @@ def mean_field_site_update(q: Proposal, node, scores, pp: PairwiseParams,
     return out
 
 
-def _dependency_levels(coupling):
-    """Rows of a symmetric unlabeled coupling matrix in wavefront order.
+def _dependency_levels(g: Graph, free):
+    """The free nodes in wavefront order, wave by wave.
 
-    A row's level is 0 when it has no lower-numbered neighbour, else one
-    more than the highest level among its lower-numbered neighbours. The
-    levels come from Kahn-style waves over the lower -> higher edges, each
-    wave in ascending row order. Returns (order, bounds): the waves
-    concatenated, so level d is order[bounds[d]:bounds[d + 1]].
+    A free node's level is 0 when it has no lower-numbered free neighbour,
+    else one more than the highest level among those neighbours. The
+    levels come from Kahn-style waves over the graph's lower -> higher
+    slots between free nodes, each wave in ascending node order. Returns
+    (order, bounds): node ids, so level d is order[bounds[d]:bounds[d + 1]].
     """
-    m = coupling.shape[0]
-    src = np.repeat(np.arange(m, dtype=np.int64), np.diff(coupling.indptr))
-    up = coupling.indices > src
-    src, dst = src[up], coupling.indices[up].astype(np.int64)
-    up_indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=m), out=up_indptr[1:])
-    pending = np.bincount(dst, minlength=m)      # lower neighbours not yet placed
-    frontier, waves = np.flatnonzero(pending == 0), []
+    src, dst = g.slot_centers, g.indices
+    up = free[src] & free[dst] & (dst > src)
+    src, dst = src[up], dst[up].astype(np.int64)     # src stays sorted, as the slots are
+    up_indptr = np.zeros(g.num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=g.num_nodes), out=up_indptr[1:])
+    pending = np.bincount(dst, minlength=g.num_nodes)   # lower neighbours not yet placed
+    frontier, waves = np.flatnonzero(free & (pending == 0)), []
     while frontier.size:
         waves.append(frontier)
         starts = up_indptr[frontier]
@@ -227,18 +226,19 @@ def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
                   train_ids, sweeps, tolerance):
     """Sequential sweeps in ascending node order; returns (q, sweeps_run, tv).
 
-    Each sweep runs one dependency level at a time. No two nodes on a level
-    are adjacent, and every lower-numbered neighbour sits on a lower level,
-    so a level reads this sweep's values below it and last sweep's values
-    above it, exactly as the one-node-at-a-time ascending sweep does.
+    The sweeps update r = make_r(q, ...) in place: the labeled rows are
+    their clamped one-hot rows, so a labeled neighbour enters a node's
+    logits as an unlabeled one does, through its row of r. Each sweep runs
+    one dependency level at a time. No two nodes on a level are adjacent,
+    and every lower-numbered neighbour sits on a lower level, so a level
+    reads this sweep's values below it and last sweep's values above it,
+    exactly as the one-node-at-a-time ascending sweep does.
 
-    Within the call the rows are renumbered level by level (ascending within
-    a level) and the renumbering is undone on return. Up to 7 classes the
-    result is bit-identical to row-major (L, c) logits; from 8 on numpy sums
-    a row pairwise, so the class-major sums differ in the last bits.
-
-    Both the fixed labeled-neighbour term and the unlabeled coupling are
-    slices of one alpha-weighted adjacency, one row per unlabeled node.
+    The alpha-weighted adjacency's rows are gathered once, in level order.
+    A level's logits are computed class-major, (c, L), and its rows of r
+    are read and written class-major through r's flat view. Up to 7 classes
+    the result is bit-identical to row-major (L, c) logits; from 8 on numpy
+    sums a row pairwise, so the class-major sums differ in the last bits.
     """
     k, c = pp.K, scores.shape[1]
     train_ids = np.asarray(train_ids, dtype=np.int64)
@@ -253,48 +253,35 @@ def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
         raise StructuralInputError(
             f"pairwise parameters hold {len(pp.alpha)} edge coefficients "
             f"but the graph has {g.num_edges} edges")
-    m = len(q.node_ids)
-    if m == 0:
+    if len(q.node_ids) == 0:
         return q.copy(), 0, 0.0
-    weights = sp.csr_array((pp.alpha_at(g.slot_edge_ids), g.indices, g.indptr),
-                           shape=(g.num_nodes, g.num_nodes))
-    rows = weights[q.node_ids]
-    # contributions from labeled neighbors never change during the E-step
-    base = scores[q.node_ids] + rows[:, train_ids] @ k[train_labels]
-    # unlabeled-to-unlabeled coupling, one CSR row per unlabeled node
-    coupling = rows[:, q.node_ids]
-
-    # new row i is old row order[i]; the stored entries keep their order, so
-    # every row sums its neighbours in the same order as before
-    order, bounds = _dependency_levels(coupling)
-    rank = np.empty(m, dtype=np.int64)
-    rank[order] = np.arange(m)
-    permuted = coupling[order]
-    permuted = sp.csr_array((permuted.data, rank[permuted.indices], permuted.indptr),
-                            shape=(m, m))
-    blocks = [(lo, hi, permuted[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    # class-major logits: every reduction over the classes runs along axis 0
-    base_t = np.ascontiguousarray(base[order].T)
-    table = q.q[order]
+    free = np.zeros(g.num_nodes, dtype=bool)
+    free[q.node_ids] = True
+    order, bounds = _dependency_levels(g, free)
+    rows = sp.csr_array((pp.alpha_at(g.slot_edge_ids), g.indices, g.indptr),
+                        shape=(g.num_nodes, g.num_nodes))[order]
+    # class-major: every reduction over the classes runs along axis 0, and
+    # r[ids[i], y] is entry ids[i] * c + y of r's flat view
+    scores_t = np.ascontiguousarray(scores[order].T)
+    levels = [(order[lo:hi] * c + np.arange(c)[:, None], rows[lo:hi], scores_t[:, lo:hi])
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    r = make_r(q, labels, train_ids, c)
+    entries = r.reshape(-1)
     sweeps_run, max_tv = 0, 0.0
     for _ in range(sweeps):
         max_tv = 0.0
-        for lo, hi, block in blocks:
-            new = k @ (block @ table).T
-            new += base_t[:, lo:hi]
+        for level_at, block, level_scores in levels:
+            new = k @ (block @ r).T
+            new += level_scores
             new -= new.max(axis=0)
             np.exp(new, out=new)
             new /= new.sum(axis=0)
-            prev = table[lo:hi].T
-            max_tv = max(max_tv, float(0.5 * np.abs(new - prev).sum(axis=0).max()))
-            prev[...] = new
+            max_tv = max(max_tv, float(0.5 * np.abs(new - entries[level_at]).sum(axis=0).max()))
+            entries[level_at] = new
         sweeps_run += 1
         if max_tv < tolerance:
             break
-    out = np.empty_like(table)
-    out[order] = table
-    return Proposal(q.node_ids.copy(), out, q.num_nodes), sweeps_run, max_tv
+    return Proposal(q.node_ids.copy(), r[q.node_ids], q.num_nodes), sweeps_run, max_tv
 
 
 def m_step(params: gcn.GcnParams, pp: PairwiseParams, q: Proposal, features,
@@ -313,7 +300,7 @@ def m_step(params: gcn.GcnParams, pp: PairwiseParams, q: Proposal, features,
     st_w0 = AdamState.for_param(params.w0, lr=config.lr, weight_decay=config.weight_decay)
     st_w1 = AdamState.for_param(params.w1, lr=config.lr)
     st_raw = AdamState.for_param(pp.raw, lr=config.lr)
-    st_alpha = AdamState.for_param(pp.alpha, lr=config.lr) if pp.mode != "none" else None
+    st_alpha = AdamState.for_param(pp.alpha, lr=config.lr)
 
     trace = []
     for _ in range(config.m_epochs):
@@ -324,10 +311,15 @@ def m_step(params: gcn.GcnParams, pp: PairwiseParams, q: Proposal, features,
         gw0, gw1 = gcn.backward(params, cache, grad_scores)
         params = gcn.GcnParams(adam_step(params.w0, -gw0, st_w0),
                                adam_step(params.w1, -gw1, st_w1))
-        new_alpha = pp.alpha if st_alpha is None else adam_step(pp.alpha, -grad_alpha, st_alpha)
-        pp = PairwiseParams(adam_step(pp.raw, -grad_raw, st_raw), new_alpha, pp.mode)
+        pp = PairwiseParams(adam_step(pp.raw, -grad_raw, st_raw),
+                            adam_step(pp.alpha, -grad_alpha, st_alpha), pp.mode)
         trace.append(value)
     return params, pp, trace
+
+
+def final_sweep_cap(e_sweeps) -> int:
+    """Sweep cap of the E-step that predictions are read from."""
+    return max(FINAL_E_SWEEPS, e_sweeps)
 
 
 def predict(scores, pp: PairwiseParams, q: Proposal, g: Graph, labels, train_ids,
@@ -472,7 +464,7 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
             Proposal.from_scores(scores, unlabeled, g.num_nodes)
 
     q, sweeps_run, final_tv = _e_step_stats(q, scores, pp, g, labels, train_ids,
-                                            max(FINAL_E_SWEEPS, config.e_sweeps),
+                                            final_sweep_cap(config.e_sweeps),
                                             config.e_tolerance)
     predictions = _argmax_predictions(q, labels, train_ids)
     report.best_phase = best.phase if best is not None else "last"

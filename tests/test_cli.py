@@ -709,7 +709,7 @@ def test_train_and_evaluate_start_their_final_e_step_from_different_proposals(
 
     def accuracy_from(start):
         q, _, _ = real(start, scores, pp, g, labels, split.train,
-                       max(training.FINAL_E_SWEEPS, cfg.e_sweeps), cfg.e_tolerance)
+                       training.final_sweep_cap(cfg.e_sweeps), cfg.e_tolerance)
         predictions = labels.copy()         # labeled nodes report their own label
         predictions[q.node_ids] = np.argmax(q.q, axis=1)
         return training.evaluate(predictions, labels, split.test)
@@ -1154,7 +1154,7 @@ def test_python_dash_m_runs_the_cli():
     done = _python("-m", "mrfgcn", "train", "--help")
     assert done.returncode == 0
     for flag in ("--weight-decay", "--dropout-keep", "--e-tolerance", "--split-seed",
-                 "--coeff"):
+                 "--coefficient-mode"):
         assert flag in done.stdout
 
 

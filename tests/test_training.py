@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,71 +155,53 @@ def test_e_step_matches_sequential_site_updates(case):
 @pytest.mark.parametrize("case", _E_STEP_CASES)
 def test_dependency_levels_follow_lower_neighbours(case):
     _, g, _, _, _, train = _e_step_case(case)
-    free = np.setdiff1d(np.arange(g.num_nodes), train)
-    position = {int(node): i for i, node in enumerate(free)}
-    neighbours = [[position[int(v)] for v in g.indices[g.indptr[u]:g.indptr[u + 1]]
-                   if int(v) in position] for u in free]
-    indptr = np.concatenate([[0], np.cumsum([len(nb) for nb in neighbours])])
-    indices = np.array([v for nb in neighbours for v in nb], dtype=np.int64)
-    coupling = sp.csr_array((np.ones(len(indices)), indices, indptr),
-                            shape=(len(free), len(free)))
-    order, bounds = _dependency_levels(coupling)
-    assert np.array_equal(np.sort(order), np.arange(len(free)))
-    assert bounds[0] == 0 and bounds[-1] == len(free)
-    level = np.empty(len(free), dtype=np.int64)
+    free = ~training._labeled_mask(g.num_nodes, train)
+    neighbours = {int(u): [int(v) for v in g.indices[g.indptr[u]:g.indptr[u + 1]] if free[v]]
+                  for u in np.flatnonzero(free)}
+    order, bounds = _dependency_levels(g, free)
+    assert np.array_equal(np.sort(order), np.flatnonzero(free))
+    assert bounds[0] == 0 and bounds[-1] == free.sum()
+    level = {}
     for depth, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         assert lo < hi and np.all(np.diff(order[lo:hi]) > 0)     # each wave ascending
-        level[order[lo:hi]] = depth
-    for u, nb in enumerate(neighbours):
+        level.update((int(u), depth) for u in order[lo:hi])
+    for u, nb in neighbours.items():
         lower = [level[v] for v in nb if v < u]
         assert level[u] == (1 + max(lower) if lower else 0)
     if case.startswith("path"):
-        assert level.max() + 1 == len(free)
+        assert max(level.values()) + 1 == free.sum()
     if case.startswith("one_level"):
-        assert level.max() == 0
+        assert max(level.values()) == 0
 
 
 def _row_major_e_step(q, scores, pp, g, labels, train_ids, sweeps, tolerance):
-    """Reference: the level-scheduled sweep with row-major (L, c) logits.
+    """Reference: the level-scheduled sweep over r with row-major (L, c) logits.
 
-    Rows stay in node order and each level's rows are gathered and scattered
-    by index. Returns (table, sweeps_run, max_tv).
+    The levels' rows of the alpha-weighted adjacency are taken one level at
+    a time, and each level's rows of r are gathered and scattered by index.
+    Returns (q table, sweeps_run, max_tv).
     """
-    k = pp.K
-    labeled = training._labeled_mask(g.num_nodes, train_ids)
-    m = len(q.node_ids)
-    centers, leaves = g.slot_centers, g.indices
-    alphas = pp.alpha_at(g.slot_edge_ids)
-    positions = np.full(g.num_nodes, -1, dtype=np.int64)
-    positions[q.node_ids] = np.arange(m)
-    base = scores[q.node_ids].astype(np.float64).copy()
-    sel = ~labeled[centers] & labeled[leaves]
-    if sel.any():
-        full = np.zeros((g.num_nodes, k.shape[0]))
-        np.add.at(full, centers[sel], alphas[sel, None] * k[:, labels[leaves[sel]]].T)
-        base += full[q.node_ids]
-    sel_u = ~labeled[centers] & ~labeled[leaves]
-    u_indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(positions[centers[sel_u]], minlength=m), out=u_indptr[1:])
-    coupling = sp.csr_array((alphas[sel_u], positions[leaves[sel_u]], u_indptr), shape=(m, m))
-    order, bounds = _dependency_levels(coupling)
-    permuted = coupling[order]
-    blocks = [(order[lo:hi], base[order[lo:hi]], permuted[lo:hi])
-              for lo, hi in zip(bounds[:-1], bounds[1:])]
-    table, kt = q.q.copy(), k.T
+    kt = pp.K.T
+    free = np.zeros(g.num_nodes, dtype=bool)
+    free[q.node_ids] = True
+    order, bounds = _dependency_levels(g, free)
+    weights = sp.csr_array((pp.alpha_at(g.slot_edge_ids), g.indices, g.indptr),
+                           shape=(g.num_nodes, g.num_nodes))
+    blocks = [(order[lo:hi], weights[order[lo:hi]]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    r = make_r(q, labels, train_ids, scores.shape[1])
     sweeps_run, max_tv = 0, 0.0
     for _ in range(sweeps):
         max_tv = 0.0
-        for rows, base_rows, block in blocks:
-            logits = base_rows + (block @ table) @ kt
+        for rows, block in blocks:
+            logits = scores[rows] + (block @ r) @ kt
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             new = e / e.sum(axis=1, keepdims=True)
-            max_tv = max(max_tv, float(0.5 * np.abs(new - table[rows]).sum(axis=1).max()))
-            table[rows] = new
+            max_tv = max(max_tv, float(0.5 * np.abs(new - r[rows]).sum(axis=1).max()))
+            r[rows] = new
         sweeps_run += 1
         if max_tv < tolerance:
             break
-    return table, sweeps_run, max_tv
+    return r[q.node_ids], sweeps_run, max_tv
 
 
 @pytest.mark.parametrize("case", _E_STEP_CASES)
@@ -262,6 +245,31 @@ def test_e_step_rows_stay_normalized():
     free = np.setdiff1d(np.arange(10), train)
     q = _e_step_stats(_uniform_q(free, 4, 10), scores, pp, g, labels, train, 7, 1e-4)[0]
     assert np.abs(q.q.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_e_step_transient_memory_is_a_few_tables():
+    # the sweeps hold r and the alpha-weighted adjacency's rows, gathered in
+    # level order and sliced per level: about 2.9 times the bytes of r and
+    # the graph's slot arrays. A second, column-sliced copy of the adjacency
+    # would pass the bound.
+    rng = np.random.default_rng(4)
+    n, c = 5000, 3
+    g = build_graph(n, [(int(j), int(k)) for j, k in rng.integers(0, n, size=(2 * n, 2))
+                        if j != k])
+    train = np.sort(rng.choice(n, size=60, replace=False))
+    pp = PairwiseParams(rng.normal(0.0, 0.6, size=(c, c)),
+                        rng.normal(1.0, 0.5, size=g.num_edges), "edge")
+    scores, labels = rng.normal(size=(n, c)), rng.integers(0, c, size=n)
+    q = _uniform_q(np.setdiff1d(np.arange(n), train), c, n)
+    _e_step_stats(q, scores, pp, g, labels, train, 3, 0.0)
+    tracemalloc.start()
+    try:
+        _e_step_stats(q, scores, pp, g, labels, train, 3, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = n * c * 8 + g.indptr.nbytes + g.indices.nbytes + g.slot_edge_ids.nbytes
+    assert peak <= 3.5 * held
 
 
 def test_site_update_refuses_labeled_node():
