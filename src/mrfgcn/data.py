@@ -54,9 +54,7 @@ class Dataset:
     features: sp.csr_array   # (n, f) float64 CSR; dense input is converted
     labels: np.ndarray       # (n,) int64 in [0, num_classes)
     num_classes: int
-    node_names: list | None = None
     num_citation_rows: int | None = None   # raw resolved cite lines, pre-dedup
-    skipped_citations: int = 0
 
     def __post_init__(self):
         self.features = sp.csr_array(self.features, dtype=np.float64)
@@ -242,8 +240,7 @@ def load_citation(content_file, cites_file) -> Dataset:
     graph = build_graph(len(names), edges)
     return Dataset(graph=graph, features=features,
                    labels=np.asarray(class_ids, dtype=np.int64),
-                   num_classes=len(class_map), node_names=names,
-                   num_citation_rows=raw_rows, skipped_citations=skipped)
+                   num_classes=len(class_map), num_citation_rows=raw_rows)
 
 
 def planetoid_split(ds: Dataset, per_class=20, num_val=500, num_test=1000, seed=0) -> Split:

@@ -30,8 +30,10 @@ alpha. Each EM round is one M-step on q, then one E-step on the new
 scores; the round is validated once, on the argmax of that E-step's q.
 The warm start's softmax(scores) is the first q: with K still zero an
 E-step would return it unchanged. Labeled nodes stay clamped throughout;
-model selection keeps the checkpoint (parameters, and the validated q of
-a round) with the best validation accuracy of any warm epoch or round.
+model selection keeps the phase (parameters, and the validated q of a
+round) with the best validation accuracy of any warm epoch or round, the
+earliest on a tie. With no validation nodes nothing is selected or
+stopped early, and the last state is kept.
 """
 
 from dataclasses import dataclass, field
@@ -159,9 +161,15 @@ class TrainResult:
 
 
 def make_r(q: Proposal, labels, train_ids, num_classes) -> np.ndarray:
-    """Full per-node label distribution table: point masses on labeled rows."""
-    r = np.zeros((q.num_nodes, num_classes))
+    """Full per-node label distribution table: point masses on labeled rows.
+
+    The proposal must list every node outside `train_ids` once, in order,
+    and no other node: the E-step, the M-step and `predict` all read r.
+    """
     train_ids = np.asarray(train_ids, dtype=np.int64)
+    if not np.array_equal(q.node_ids, np.flatnonzero(~_labeled_mask(q.num_nodes, train_ids))):
+        raise StructuralInputError("proposal rows do not cover exactly the unlabeled nodes")
+    r = np.zeros((q.num_nodes, num_classes))
     r[train_ids, labels[train_ids]] = 1.0
     r[q.node_ids] = q.q
     return r
@@ -253,6 +261,7 @@ def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
         raise StructuralInputError(
             f"pairwise parameters hold {len(pp.alpha)} edge coefficients "
             f"but the graph has {g.num_edges} edges")
+    r = make_r(q, labels, train_ids, c)
     if len(q.node_ids) == 0:
         return q.copy(), 0, 0.0
     free = np.zeros(g.num_nodes, dtype=bool)
@@ -265,7 +274,6 @@ def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
     scores_t = np.ascontiguousarray(scores[order].T)
     levels = [(order[lo:hi] * c + np.arange(c)[:, None], rows[lo:hi], scores_t[:, lo:hi])
               for lo, hi in zip(bounds[:-1], bounds[1:])]
-    r = make_r(q, labels, train_ids, c)
     entries = r.reshape(-1)
     sweeps_run, max_tv = 0, 0.0
     for _ in range(sweeps):
@@ -348,19 +356,10 @@ def evaluate(predictions, labels, node_set) -> float:
     return float(np.mean(predictions[node_set] == labels[node_set]))
 
 
-@dataclass
-class _Checkpoint:
-    val_accuracy: float
-    phase: str
-    params: gcn.GcnParams
-    pairwise: PairwiseParams
-    proposal: Proposal | None
-
-
 def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
     """Warm start, then alternate E- and M-steps; return the best checkpoint."""
     g = ds.graph
-    labels, train_ids = ds.labels, split.train
+    labels, train_ids, val_ids = ds.labels, split.train, split.val
     if len(train_ids) == 0:
         raise ConfigError("the train split is empty")
     norm_adj = normalized_adjacency_operator(g)
@@ -374,44 +373,20 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
     redist = Redistribution.for_graph(g, config.redistribution)
     report = TrainReport()
 
-    def eval_scores(p):
-        s, _ = gcn.forward(p, features, norm_adj)
-        return s
-
-    def val_accuracy_of(predictions):
-        if len(split.val) == 0:
-            return float("nan")
-        return evaluate(predictions, labels, split.val)
-
-    # the warm start's loss and validation read only their receptive fields
+    # the warm start's loss and validation read only their receptive fields;
+    # with no validation nodes nothing is selected and nothing stops early
     train_field = gcn.receptive_field(norm_adj, features, train_ids)
-    val_field = gcn.receptive_field(norm_adj, features, split.val) if len(split.val) else None
+    val_field = gcn.receptive_field(norm_adj, features, val_ids) if len(val_ids) else None
+    val_labels = labels[val_ids]
+    best = None   # (val accuracy, phase, params, pairwise, validated q or None)
 
-    def warm_validation(p):
-        """(accuracy, mean cross-entropy) on the validation nodes."""
-        if val_field is None:
-            return float("nan"), float("nan")
-        s, _ = gcn.forward(p, features, norm_adj, field=val_field)
-        s, val_labels = s[val_field.positions], labels[split.val]
-        acc = float(np.mean(np.argmax(s, axis=1) == val_labels))
-        s -= s.max(axis=1, keepdims=True)
-        loss = np.log(np.exp(s).sum(axis=1)) - s[np.arange(len(s)), val_labels]
-        return acc, float(np.mean(loss))
-
-    best: _Checkpoint | None = None
-    use_selection = len(split.val) > 0
-
-    def consider(acc, phase, p, pw, q):
-        # with no validation nodes there is nothing to select on; keep the
-        # final state instead of a checkpoint
+    def select(acc, phase, p, pw, q):
+        """Keep this phase if it is the first or beats the best; the earliest wins a tie."""
         nonlocal best
-        if not use_selection:
-            return True
-        if best is None or acc > best.val_accuracy:
-            best = _Checkpoint(acc, phase, p.copy(), pw.copy(),
-                               None if q is None else q.copy())
-            return True
-        return False
+        if best is not None and not acc > best[0]:
+            return False
+        best = (acc, phase, p, pw, q)
+        return True
 
     # ---- warm start: supervised training of the backbone on the train set
     st_w0 = AdamState.for_param(params.w0, lr=config.lr, weight_decay=config.weight_decay)
@@ -423,55 +398,61 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
             dropout_keep=config.dropout_keep, field=train_field)
         params = gcn.GcnParams(adam_step(params.w0, gw0, st_w0),
                                adam_step(params.w1, gw1, st_w1))
-        acc, val_loss = warm_validation(params)
         report.add("warm", epoch, "supervised_loss", loss)
+        if val_field is None:
+            report.add("warm", epoch, "val_accuracy", float("nan"))
+            continue
+        s, _ = gcn.forward(params, features, norm_adj, field=val_field)
+        s = s[val_field.positions]
+        acc = float(np.mean(np.argmax(s, axis=1) == val_labels))
+        s -= s.max(axis=1, keepdims=True)
+        val_loss = float(np.mean(np.log(np.exp(s).sum(axis=1)) - s[np.arange(len(s)), val_labels]))
         report.add("warm", epoch, "val_accuracy", acc)
-        improved = consider(acc, f"warm:{epoch}", params, pp, None)
+        improved = select(acc, f"warm:{epoch}", params, pp, None)
         if val_loss < best_val_loss:
             best_val_loss, improved = val_loss, True
-        if improved:
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= config.patience:
-                break
+        epochs_since_best = 0 if improved else epochs_since_best + 1
+        if epochs_since_best >= config.patience:
+            break
 
-    scores = eval_scores(params)
+    scores, _ = gcn.forward(params, features, norm_adj)
     q = Proposal.from_scores(scores, unlabeled, g.num_nodes)
 
-    # ---- EM rounds
+    # ---- EM rounds, each validated on the argmax of its E-step's q
     for rnd in range(1, config.em_rounds + 1):
         params, pp, trace = m_step(params, pp, q, features, norm_adj, g, redist,
                                    labels, train_ids, config, rng_drop)
-        scores = eval_scores(params)
+        scores, _ = gcn.forward(params, features, norm_adj)
         q, sweeps_run, final_tv = _e_step_stats(q, scores, pp, g, labels, train_ids,
                                                 config.e_sweeps, config.e_tolerance)
-        acc = val_accuracy_of(_argmax_predictions(q, labels, train_ids))
         phase = f"round{rnd}"
         for step, value in enumerate(trace):
             report.add(phase, step, "objective", value)
         report.add(phase, 0, "sweeps_run", sweeps_run)
         report.add(phase, 0, "final_tv", final_tv)
+        acc = float("nan")
+        if val_field is not None:
+            acc = evaluate(_argmax_predictions(q, labels, train_ids), labels, val_ids)
+            select(acc, phase, params, pp, q)
         report.add(phase, 0, "val_accuracy", acc)
-        consider(acc, phase, params, pp, q)
 
-    # ---- restore the selected checkpoint and make final predictions; with
-    # none selected, scores and q already belong to the final parameters
+    # ---- restore the selected phase and make final predictions; with none
+    # selected, scores and q already belong to the final parameters
+    report.best_phase = "last"
     if best is not None:
-        params, pp = best.params, best.pairwise
-        scores = eval_scores(params)
-        q = best.proposal if best.proposal is not None else \
+        _, report.best_phase, params, pp, validated = best
+        scores, _ = gcn.forward(params, features, norm_adj)
+        q = validated if validated is not None else \
             Proposal.from_scores(scores, unlabeled, g.num_nodes)
 
     q, sweeps_run, final_tv = _e_step_stats(q, scores, pp, g, labels, train_ids,
                                             final_sweep_cap(config.e_sweeps),
                                             config.e_tolerance)
     predictions = _argmax_predictions(q, labels, train_ids)
-    report.best_phase = best.phase if best is not None else "last"
     report.add("final", 0, "sweeps_run", sweeps_run)
     report.add("final", 0, "final_tv", final_tv)
-    if len(split.val):
-        report.add("final", 0, "val_accuracy", evaluate(predictions, labels, split.val))
+    if len(val_ids):
+        report.add("final", 0, "val_accuracy", evaluate(predictions, labels, val_ids))
     if len(split.test):
         report.test_accuracy = evaluate(predictions, labels, split.test)
         report.add("final", 0, "test_accuracy", report.test_accuracy)

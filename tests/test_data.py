@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 from dataclasses import replace
 
@@ -41,11 +42,13 @@ def test_load_citation_class_order_and_features(tmp_path):
     assert ds.num_citation_rows == 4            # raw resolved rows keep the duplicate
 
 
-def test_load_citation_unknown_ids_skipped(tmp_path):
+def test_load_citation_unknown_ids_skipped(tmp_path, caplog):
     d = write_citation(tmp_path, "t", [("a", [1], "x"), ("b", [1], "x")],
                        [("a", "b"), ("a", "zzz")])
-    ds = load_citation(d / "t.content", d / "t.cites")
-    assert ds.skipped_citations == 1
+    with caplog.at_level(logging.WARNING, logger="mrfgcn.data"):
+        ds = load_citation(d / "t.content", d / "t.cites")
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{d / 't.cites'}: skipped 1 citation rows with unknown node ids"]
     assert ds.graph.num_edges == 1
 
 

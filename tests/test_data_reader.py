@@ -88,7 +88,7 @@ def _reference_citation(content_file, cites_file):
     edges = [(index[a], index[b]) for _, (a, b) in _reference_lines(cites_file)]
     return Dataset(graph=build_graph(len(names), edges), features=rows.tocsr(width),
                    labels=np.asarray(class_ids, dtype=np.int64),
-                   num_classes=len(class_map), node_names=names)
+                   num_classes=len(class_map))
 
 
 def _reference_generic(directory):
@@ -124,7 +124,6 @@ def _assert_same_arrays(got, expected):
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
     assert got.num_classes == expected.num_classes
-    assert got.node_names == expected.node_names
 
 
 # ---- random token grids

@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from conftest import dense_normalized_adjacency, supervised_reference
 from mrfgcn import factors, gcn, training
 from mrfgcn.data import Split, generate_synthetic, ratio_split, row_normalize_features
-from mrfgcn.errors import ConfigError, DegenerateInputError, NonFiniteObjectiveError
+from mrfgcn.errors import (ConfigError, DegenerateInputError, NonFiniteObjectiveError,
+                           StructuralInputError)
 from mrfgcn.factors import PairwiseParams, Redistribution
 from mrfgcn.gcn import GcnParams, forward, init_params
 from mrfgcn.graph import build_graph, normalized_adjacency_operator
@@ -306,6 +307,30 @@ def test_m_step_edgeless_reduces_to_supervised():
     assert np.allclose(new_params.w1, ref.w1, atol=1e-12)
 
 
+@pytest.mark.parametrize("case", ["labeled_rows", "missing_row", "repeated_row", "no_rows"])
+def test_a_proposal_that_is_not_exactly_the_unlabeled_nodes_is_refused(case):
+    # the E-step, the M-step and predict all read make_r's table: a row on a
+    # labeled node would overwrite its clamped one-hot row, and a missing row
+    # would stay all zeros
+    g, redist, scores, pp, labels, train_ids = random_instance(stream(3, "probe"), 8, 3,
+                                                               min_labeled=3)
+    free = np.setdiff1d(np.arange(8), train_ids)
+    assert len(free) == 2
+    node_ids = {"labeled_rows": np.arange(8), "missing_row": free[1:],
+                "repeated_row": free[[0, 0]], "no_rows": free[:0]}[case]
+    q = Proposal.from_scores(scores, node_ids, 8)
+    features = sp.csr_array(np.eye(8))
+    calls = [lambda: make_r(q, labels, train_ids, 3),
+             lambda: predict(scores, pp, q, g, labels, train_ids),
+             lambda: _e_step_stats(q, scores, pp, g, labels, train_ids, 5, 1e-4),
+             lambda: m_step(init_params(8, 4, 3, seed=0), pp, q, features,
+                            normalized_adjacency_operator(g), g, redist, labels, train_ids,
+                            TrainConfig(m_epochs=1), stream(0, "d"))]
+    for call in calls:
+        with pytest.raises(StructuralInputError, match="exactly the unlabeled nodes"):
+            call()
+
+
 def test_m_step_dead_pairwise_center_scheme_matches_supervised():
     # K frozen at 0 via alpha = 0 and zero K-gradient at the stationary point
     rng = np.random.default_rng(5)
@@ -573,6 +598,56 @@ def test_final_e_step_starts_from_the_validated_proposal(monkeypatch):
     (recorded,) = report.trace(report.best_phase, "val_accuracy")
     predictions = _argmax_predictions(handed[-1], ds.labels, split.train)
     assert evaluate(predictions, ds.labels, split.val) == recorded
+
+
+def _validated_phases(report):
+    """(phase, val_accuracy) in the order the phases ran: warm epochs, then rounds."""
+    return [(f"warm:{step}" if phase == "warm" else phase, value)
+            for phase, step, metric, value in report.records
+            if metric == "val_accuracy" and phase != "final"]
+
+
+@pytest.mark.parametrize("data_seed, winner", [(1, "warm"), (0, "round")])
+def test_the_earliest_phase_with_the_best_validation_accuracy_is_kept(data_seed, winner):
+    # at both draws the best accuracy is reached again by a later phase
+    ds = _tiny_dataset(seed=data_seed)
+    split = ratio_split(ds, 0.2, 0.2, 0.6, seed=0)
+    report = train(ds, split, _tiny_config(seed=1)).report
+    phases = _validated_phases(report)
+    best = max(acc for _, acc in phases)
+    tied = [phase for phase, acc in phases if acc == best]
+    assert len(tied) > 1
+    assert report.best_phase == tied[0]
+    assert report.best_phase.startswith(winner)
+
+
+def test_a_split_without_validation_nodes_keeps_the_last_state(monkeypatch):
+    ds = _tiny_dataset(seed=0)
+    ratio = ratio_split(ds, 0.2, 0.2, 0.6, seed=0)
+    split = Split(train=ratio.train, val=np.array([], dtype=np.int64), test=ratio.test)
+    stepped, real = [], training.m_step
+
+    def recording(*args):
+        stepped.append(real(*args))
+        return stepped[-1]
+
+    monkeypatch.setattr(training, "m_step", recording)
+    config = _tiny_config(seed=1, patience=1)
+    result = train(ds, split, config)
+    report = result.report
+    assert report.best_phase == "last"
+    # nothing to stop on: the warm start runs every epoch
+    assert len(report.trace("warm", "supervised_loss")) == config.warm_epochs
+    phases = _validated_phases(report)
+    assert len(phases) == config.warm_epochs + config.em_rounds
+    assert all(math.isnan(acc) for _, acc in phases)
+    assert report.trace("final", "val_accuracy") == []
+    assert len(stepped) == config.em_rounds
+    params, pairwise, _ = stepped[-1]
+    for got, last in [(result.params.w0, params.w0), (result.params.w1, params.w1),
+                      (result.pairwise.raw, pairwise.raw),
+                      (result.pairwise.alpha, pairwise.alpha)]:
+        assert np.array_equal(got, last)
 
 
 def test_different_starts_reach_different_fixed_points():
