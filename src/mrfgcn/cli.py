@@ -255,13 +255,14 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_path) -> int:
 
 def cmd_homophily(cfg: RunConfig) -> int:
     ds = _load_prepared(cfg)
+    beta = homophily_beta(ds.graph, ds.labels)    # an edgeless graph fails before any line
     print(f"nodes: {ds.graph.num_nodes}")
     print(f"edges (unique undirected): {ds.graph.num_edges}")
     if ds.num_citation_rows is not None:
         print(f"citation rows: {ds.num_citation_rows}")
     print(f"features: {ds.num_features}")
     print(f"classes: {ds.num_classes}")
-    print(f"homophily beta: {homophily_beta(ds.graph, ds.labels):.4f}")
+    print(f"homophily beta: {beta:.4f}")
     return 0
 
 

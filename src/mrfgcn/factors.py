@@ -33,16 +33,20 @@ of its own with the exact oracle.
 
 `star_blocks` is the one walk over the pieces, and
 `objective_and_gradients` and `selfcheck.blocked_piece` its consumers.
-It cuts the graph into blocks of at most `SLOT_CLASS_BUDGET` slot-class
-pairs (m * c**2), 1 MB per float64 tensor, unless one piece alone holds
-more; a piece is never split. Each block's operand and slot-label
-tensor come from scratch buffers (`PieceBuffers`) allocated once per
-walk and reused by every block, so the objective's memory is these
-block-sized tensors plus O(n * c + 2E * c) of per-node rows, per-slot
-leaf marginals and <t, K> dots; it never holds the whole (c, 2E, c)
-tensor. The K gradient adds the blocks' pair-marginal sums in block
-order, so results are deterministic. Sums over slots per node are
-products with slot incidence matrices: a block's incidence sums each
+It walks the blocks of a workspace (`PieceBuffers`), which cuts the
+graph into blocks of at most `SLOT_CLASS_BUDGET` slot-class pairs
+(m * c**2), 1 MB per float64 tensor, unless one piece alone holds more;
+a piece is never split. Once per walk it writes the class-major leaf
+term, PAIR_EXP * alpha per slot and the stacked [1, K] operands into
+the workspace, and every block slices them and overwrites the
+workspace's one operand and slot-label tensor. `training.m_step` builds
+one workspace per M-step and passes it to all of its epochs' calls; the
+self-checks and tests build one per walk. The objective's memory is
+these block-sized tensors plus O(n * c + 2E * c) of per-node rows,
+per-slot leaf marginals and <t, K> dots; it never holds the whole
+(c, 2E, c) tensor. The K gradient adds the blocks' pair-marginal sums
+in block order, so results are deterministic. Sums over slots per node
+are products with slot incidence matrices: a block's incidence sums each
 piece's leaf messages, and `leaf_incidence` sums each node's leaf
 marginals over the pieces it sits on the rim of. The pair terms read r
 only at the edge ends, so `objective_and_gradients` takes them
@@ -54,7 +58,6 @@ gradients from it, and it names the first non-finite piece or gradient
 itself.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,77 +150,70 @@ SLOT_CLASS_BUDGET = 1 << 17
 
 
 class PieceBuffers:
-    """Outputs of star inference over a graph, and the scratch its blocks share.
+    """The workspace of star inference over one graph and class count.
 
-    log_z (n,) and mu_center (n, c) hold every piece's row, and the
-    slot-major leaf marginals (2E, c) and <t, K> dots (2E,) every slot's;
-    each block writes its own centers and slots. The slot-label tensor
-    t (c, m, c) and the (c, m, 2) operand it is built from, which then
-    holds rim, with m the largest block's slot count, are overwritten by
-    every block. All of them are views of one allocation: as the largest
-    array a call frees, it raises glibc's dynamic trim threshold above
-    the call's other temporaries, so the heap is not returned to the
-    system and faulted back in on every call.
+    `blocks` cuts the graph into runs of at most `max_slots` slots, by
+    default SLOT_CLASS_BUDGET // c² read when the workspace is built.
+    Each walk of `star_blocks` writes its inputs here: the class-major
+    leaf term leaf_exp * s (c, n), PAIR_EXP * alpha per slot (2E,) and
+    the stacked [1, K] operands. Its blocks write every piece's rows,
+    log_z (n,) and mu_center (n, c), and every slot's leaf marginal
+    leaf_marg (2E, c) and <t, K> dot (2E,), and each overwrites the
+    slot-label tensor (c, m, c) and the (c, m, 2) operand it is built
+    from, which then holds rim, with m the largest block's slot count.
+    Nothing carries from one walk to the next, so a caller that holds
+    the graph and c fixed builds one workspace for all of its walks.
     """
 
-    def __init__(self, g: Graph, num_classes, blocks):
-        c, m = num_classes, max(b.slots.stop - b.slots.start for b in blocks)
-        n, slots = g.num_nodes, len(g.indices)
-        shapes = {"log_z": (n,), "mu_center": (n, c), "leaf_marg": (slots, c), "dots": (slots,),
-                  "operand": (c, m, 2), "tensor": (c, m, c)}
-        # each part starts on a 64-byte boundary; packed parts made the
-        # one-block call measurably slower
-        padded = [-(-math.prod(shape) // 8) * 8 for shape in shapes.values()]
-        arena = np.empty(sum(padded) + 8)
-        start = -(arena.ctypes.data // 8) % 8
-        for (name, shape), size in zip(shapes.items(), padded):
-            setattr(self, name, arena[start:start + math.prod(shape)].reshape(shape))
-            start += size
+    def __init__(self, g: Graph, num_classes, max_slots=None):
+        c, n, slots = num_classes, g.num_nodes, len(g.indices)
+        if max_slots is None:
+            max_slots = max(SLOT_CLASS_BUDGET // c ** 2, 1)
+        self.blocks = g.slot_blocks(max_slots)
+        m = max(b.slots.stop - b.slots.start for b in self.blocks)
+        self.log_z, self.mu_center = np.empty(n), np.empty((n, c))
+        self.leaf_marg, self.dots = np.empty((slots, c)), np.empty(slots)
+        self.operand, self.tensor = np.empty((c, m, 2)), np.empty((c, m, c))
+        self.leaf_term, self.pair = np.empty((c, n)), np.empty(slots)
+        self.build, self.read = np.ones((c, 2, c)), np.ones((c, c, 2))
 
 
-def star_blocks(g: Graph, scores, pp, redist, max_slots=None):
-    """Infer every piece of `g` in blocks of `max_slots` slots, in CSR order.
+def star_blocks(g: Graph, scores, pp, redist, out: PieceBuffers):
+    """Infer every piece of `g` in the blocks of the workspace `out`, in CSR order.
 
-    Yields (block, out, block's `_leaf_major_pieces`) per block, with `out`
-    the one `PieceBuffers`, which holds every piece's rows once the walk
-    ends. `max_slots` defaults to SLOT_CLASS_BUDGET // c², read at call
-    time; a piece with more slots is a block of its own.
+    Yields (block, block's `_leaf_major_pieces`) per block; `out` holds
+    every piece's rows once the walk ends. A piece with more slots than
+    a block holds is a block of its own.
     """
-    c = pp.num_classes
-    if max_slots is None:
-        max_slots = max(SLOT_CLASS_BUDGET // c ** 2, 1)
-    blocks = g.slot_blocks(max_slots)
-    out = PieceBuffers(g, c, blocks)
-    for block in blocks:
-        yield block, out, _leaf_major_pieces(g, scores, pp, redist, block, out)
+    np.multiply(scores.T, redist.leaf_exp, out=out.leaf_term)
+    np.multiply(PAIR_EXP, pp.alpha_at(g.slot_edge_ids), out=out.pair)
+    out.build[:, 1] = out.read[:, :, 1] = pp.K
+    for block in out.blocks:
+        yield block, _leaf_major_pieces(g, scores, redist, block, out)
 
 
-def _leaf_major_pieces(g: Graph, scores, pp, redist, block, out):
+def _leaf_major_pieces(g: Graph, scores, redist, block, out):
     """Batched star inference over the pieces of one block, in the leaf-major layout.
 
-    `block` is a `SlotBlock` of `g` and `out` the `PieceBuffers` it
-    writes into. Returns (log_z, mu_center, t, rim) over the block: views
-    of `out`'s rows for its centers, and of its scratch, which the next
-    block overwrites. t[b, d, a] is the joint marginal of leaf label b and
-    center label a on the block's slot d (slot indptr[lo] + d of the
-    graph) under the piece of center(d), and
+    `block` is a `SlotBlock` of `g` and `out` the `PieceBuffers` whose
+    walk inputs `star_blocks` has written. Returns (log_z, mu_center, t,
+    rim) over the block: views of `out`'s rows for its centers, and of
+    its scratch, which the next block overwrites. t[b, d, a] is the joint
+    marginal of leaf label b and center label a on the block's slot d
+    (slot indptr[lo] + d of the graph) under the piece of center(d), and
     rim[b, d] = (sum_a t[b, d, a], sum_a t[b, d, a] K[b, a]). The block's
     slots of `out.leaf_marg` and `out.dots` get rim[:, d, 0] and
     sum_b rim[b, d, 1].
     """
-    c = pp.num_classes
-    k = pp.K
     nodes, slots = block.nodes, block.slots
     m = slots.stop - slots.start
-    leaves = g.indices[slots]
     # t[b, d, a] = leaf_exp * s[leaf(d), b] + PAIR_EXP * alpha_d * K[b, a] for leaf
     # label b, slot d and center label a (K is symmetric), built as one batched
     # rank-2 product: (c, m, 2) @ (c, 2, c)
     operand = out.operand[:, :m]
-    np.multiply(np.take(scores.T, leaves, axis=1), redist.leaf_exp[leaves],
-                out=operand[:, :, 0])
-    operand[:, :, 1] = PAIR_EXP * pp.alpha_at(g.slot_edge_ids[slots])
-    t = np.matmul(operand, np.stack([np.ones((c, c)), k], axis=1), out=out.tensor[:, :m])
+    np.take(out.leaf_term, g.indices[slots], axis=1, out=operand[:, :, 0])
+    operand[:, :, 1] = out.pair[slots]
+    t = np.matmul(operand, out.build, out=out.tensor[:, :m])
     hi = t.max(axis=0)
     t -= hi
     np.exp(t, out=t)
@@ -232,7 +228,7 @@ def _leaf_major_pieces(g: Graph, scores, pp, redist, block, out):
 
     # exp(b[centers] - msgs + hi - log_z[centers]) == mu_center[centers] / mass <= 1
     t *= np.take(out.mu_center, g.slot_centers[slots], axis=0) / mass
-    rim = np.matmul(t, np.stack([np.ones((c, c)), k], axis=2), out=operand)
+    rim = np.matmul(t, out.read, out=operand)
     out.leaf_marg[slots] = rim[:, :, 0].T
     out.dots[slots] = rim[:, :, 1].sum(axis=0)
     return log_z, mu_center, t, rim
@@ -244,45 +240,44 @@ def endpoint_rows(r, g: Graph):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None):
+def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None, workspace=None):
     """Objective value plus exact gradients in one shared inference pass.
 
     Gradients are w.r.t. scores, the unconstrained K storage, and the
     alpha parameter vector (empty in no-coefficient mode). `r_ends` is
-    `endpoint_rows(r, g)`; a caller that holds r fixed over many calls
-    passes it in, and it is gathered here when omitted. Nothing
-    non-finite leaves the call: overflow and invalid operations run
-    silently, and a non-finite value or gradient then raises
-    `NonFiniteObjectiveError` naming the first non-finite score row,
-    else the first non-finite piece log partition, else (for a
-    non-finite value) None, else the gradient at fault.
+    `endpoint_rows(r, g)` and `workspace` a `PieceBuffers(g, c)`; a caller
+    that holds r fixed over many calls passes both in, and each is built
+    here when omitted. Nothing non-finite leaves the call: overflow and
+    invalid operations run silently, and a non-finite value or gradient
+    then raises `NonFiniteObjectiveError` naming the first non-finite
+    score row, else the first non-finite piece log partition, else (for
+    a non-finite value) None, else the gradient at fault.
     """
     c = pp.num_classes
-    alphas_d = pp.alpha_at(g.slot_edge_ids)
-    pair_sum = np.zeros((c, c))                            # sum_d alpha_d t[:, d, :]
-    for block, out, (_, _, t, _) in star_blocks(g, scores, pp, redist):
-        pair_sum += alphas_d[block.slots] @ t              # t is leaf-major
-    log_z, mu_center, leaf_marg, dots = out.log_z, out.mu_center, out.leaf_marg, out.dots
+    out = workspace or PieceBuffers(g, c)
+    pair_sum = np.zeros((c, c))                            # sum_d PAIR_EXP alpha_d t[:, d, :]
+    for block, (_, _, t, _) in star_blocks(g, scores, pp, redist, out):
+        pair_sum += out.pair[block.slots] @ t              # t is leaf-major
     if r_ends is None:
         r_ends = endpoint_rows(r, g)
     r_j, r_k = r_ends
     alphas_e = pp.alpha_at(np.arange(g.num_edges))
     pair_dots = np.einsum("ec,ec->e", r_j @ pp.K, r_k)     # <r_j, K r_k>
-    value = float((r * scores).sum() + (alphas_e * pair_dots).sum() - log_z.sum())
+    value = float((r * scores).sum() + (alphas_e * pair_dots).sum() - out.log_z.sum())
 
     # leaf contribution: the pieces where node i sits on the rim are those
     # of the slots whose leaf is i
-    grad_scores = (r - redist.center_exp[:, None] * mu_center
-                   - redist.leaf_exp[:, None] * (g.leaf_incidence @ leaf_marg))
+    grad_scores = (r - redist.center_exp[:, None] * out.mu_center
+                   - redist.leaf_exp[:, None] * (g.leaf_incidence @ out.leaf_marg))
 
     g_k = (r_j * alphas_e[:, None]).T @ r_k
-    g_k -= PAIR_EXP * pair_sum.T
+    g_k -= pair_sum.T
     grad_raw = 0.5 * (g_k + g_k.T)
 
     grad_alpha = np.zeros(0)
     if pp.mode != "none":
         per_edge = pair_dots - PAIR_EXP * np.bincount(
-            g.slot_edge_ids, weights=dots, minlength=g.num_edges)
+            g.slot_edge_ids, weights=out.dots, minlength=g.num_edges)
         grad_alpha = per_edge if pp.mode == "edge" else np.array([per_edge.sum()])
 
     grads = {"scores": grad_scores, "K": grad_raw, "alpha": grad_alpha}
@@ -290,7 +285,7 @@ def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None):
     if np.isfinite(value) and not bad_grad:
         return value, grad_scores, grad_raw, grad_alpha
     bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
-    bad = bad if len(bad) else np.flatnonzero(~np.isfinite(log_z))
+    bad = bad if len(bad) else np.flatnonzero(~np.isfinite(out.log_z))
     if len(bad) or not np.isfinite(value):
         at = f"piece at node {bad[0] if len(bad) else None}"
     else:

@@ -6,8 +6,8 @@ worst discrepancy seen. Star pieces are checked through the oracle: a
 piece read from its block of `factors.star_blocks`, the walk that the
 objective runs, against the exact oracle run on that piece as a star
 graph of its own. The piece check's blocks hold `PIECE_CHECK_SLOTS`
-slots, so an instance spans several blocks that share one set of
-buffers, and a piece with more slots is a block of its own. The finite
+slots, so an instance spans several blocks that share one workspace
+per walk, and a piece with more slots is a block of its own. The finite
 differences are taken of the value that `objective_and_gradients`
 returns, the same call that supplies the analytic gradients; the
 backbone chain runs on the sparse adjacency operator and CSR features,
@@ -29,8 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import gcn
-from .factors import (PAIR_EXP, PairwiseParams, Redistribution, objective_and_gradients,
-                      star_blocks)
+from .factors import (PAIR_EXP, PairwiseParams, PieceBuffers, Redistribution,
+                      objective_and_gradients, star_blocks)
 from .graph import build_graph, normalized_adjacency_operator
 from .numerics import stream
 from .oracle import (MAX_CONFIGS, _check_limit, exact_elbo, exact_log_partition,
@@ -124,7 +124,8 @@ def blocked_piece(g, node, scores, pp, redist, max_slots=PIECE_CHECK_SLOTS):
     The walk runs up to the block holding `node`, and the piece is read
     from that block's results. Returns what `oracle_star_piece` returns.
     """
-    for block, _, (log_z, mu_center, t, rim) in star_blocks(g, scores, pp, redist, max_slots):
+    out = PieceBuffers(g, pp.num_classes, max_slots)
+    for block, (log_z, mu_center, t, rim) in star_blocks(g, scores, pp, redist, out):
         if node < block.nodes.stop:
             i, lo = node - block.nodes.start, block.slots.start
             slots = slice(g.indptr[node] - lo, g.indptr[node + 1] - lo)

@@ -44,8 +44,8 @@ import scipy.sparse as sp
 from . import gcn
 from .data import Dataset, Split
 from .errors import ConfigError, DegenerateInputError, StructuralInputError
-from .factors import (PairwiseParams, Redistribution, endpoint_rows, objective_and_gradients,
-                      COEFFICIENT_MODES, REDISTRIBUTION_SCHEMES)
+from .factors import (PairwiseParams, PieceBuffers, Redistribution, endpoint_rows,
+                      objective_and_gradients, COEFFICIENT_MODES, REDISTRIBUTION_SCHEMES)
 from .graph import Graph, normalized_adjacency_operator
 from .numerics import AdamState, adam_step, softmax_rows, stream
 
@@ -298,13 +298,14 @@ def m_step(params: gcn.GcnParams, pp: PairwiseParams, q: Proposal, features,
     """Full-batch Adam ascent on the expected piecewise objective.
 
     `features` and `norm_adj` are `scipy.sparse.csr_array`, as `forward`
-    takes them. Returns (params, pp, objective_trace); q stays fixed, so r
-    and its rows at the edge ends are built once. Fresh optimizer state is
-    used for each M-step. A non-finite objective ends the step with the
-    `NonFiniteObjectiveError` that `objective_and_gradients` raises.
+    takes them. Returns (params, pp, objective_trace); q stays fixed, so r,
+    its rows at the edge ends and the objective's workspace are built once.
+    Fresh optimizer state is used for each M-step. A non-finite objective
+    ends the step with the `NonFiniteObjectiveError` it raises.
     """
     r = make_r(q, labels, train_ids, pp.num_classes)
     r_ends = endpoint_rows(r, g)
+    workspace = PieceBuffers(g, pp.num_classes)
     st_w0 = AdamState.for_param(params.w0, lr=config.lr, weight_decay=config.weight_decay)
     st_w1 = AdamState.for_param(params.w1, lr=config.lr)
     st_raw = AdamState.for_param(pp.raw, lr=config.lr)
@@ -315,7 +316,7 @@ def m_step(params: gcn.GcnParams, pp: PairwiseParams, q: Proposal, features,
         scores, cache = gcn.forward(params, features, norm_adj,
                                     dropout_keep=config.dropout_keep, rng=rng_dropout)
         value, grad_scores, grad_raw, grad_alpha = objective_and_gradients(
-            r, scores, pp, redist, g, r_ends)
+            r, scores, pp, redist, g, r_ends, workspace)
         gw0, gw1 = gcn.backward(params, cache, grad_scores)
         params = gcn.GcnParams(adam_step(params.w0, -gw0, st_w0),
                                adam_step(params.w1, -gw1, st_w1))

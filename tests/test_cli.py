@@ -68,6 +68,16 @@ def test_homophily_command(tmp_path, capsys):
     assert "homophily beta: 1.0000" in out
 
 
+def test_homophily_on_an_edgeless_graph_prints_no_partial_report(tmp_path, capsys):
+    ds_dir = _synth_dir(tmp_path, nodes=60, edges_per_node=0)
+    capsys.readouterr()
+    assert main(["homophily", "--dataset", str(ds_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "runtime failure: homophily is undefined on a graph with no edges"]
+
+
 def test_train_happy_path_with_sweep(tmp_path):
     ds_dir = _synth_dir(tmp_path)
     out = tmp_path / "runs"

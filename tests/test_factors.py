@@ -7,8 +7,9 @@ import pytest
 
 from mrfgcn import factors, gcn, selfcheck
 from mrfgcn.errors import ConfigError, NonFiniteObjectiveError
-from mrfgcn.factors import (PAIR_EXP, PairwiseParams, Redistribution, _leaf_major_pieces,
-                            endpoint_rows, objective_and_gradients, star_blocks)
+from mrfgcn.factors import (PAIR_EXP, PairwiseParams, PieceBuffers, Redistribution,
+                            _leaf_major_pieces, endpoint_rows, objective_and_gradients,
+                            star_blocks)
 from mrfgcn.data import generate_synthetic
 from mrfgcn.graph import build_graph
 from mrfgcn.numerics import AdamState, adam_step, softmax_rows
@@ -18,7 +19,8 @@ from mrfgcn.selfcheck import (blocked_piece, fd_gradient, random_graph, random_i
 
 def _whole_graph_pieces(g, scores, pp, redist):
     """(log_z, mu_center, t, rim) of every piece: the walk in one block of 2E slots."""
-    [(_, _, pieces)] = star_blocks(g, scores, pp, redist, max(2 * g.num_edges, 1))
+    out = PieceBuffers(g, pp.num_classes, max(2 * g.num_edges, 1))
+    [(_, pieces)] = star_blocks(g, scores, pp, redist, out)
     return pieces
 
 
@@ -336,7 +338,7 @@ def test_objective_and_gradients_memory_does_not_grow_with_the_slot_label_tensor
     redist = Redistribution.for_graph(g, "average")
     pp = PairwiseParams(rng.normal(size=(c, c)), rng.normal(1.0, 0.5, g.num_edges), "edge")
     scores, r = rng.normal(size=(n, c)), softmax_rows(rng.normal(size=(n, c)))
-    assert sum(1 for _ in star_blocks(g, scores, pp, redist)) >= 8
+    assert len(PieceBuffers(g, c).blocks) >= 8
     objective_and_gradients(r, scores, pp, redist, g)
     tracemalloc.start()
     try:
@@ -510,11 +512,11 @@ def test_objective_in_blocks_matches_one_block_and_the_reference(monkeypatch, sc
     pp = PairwiseParams(raw=rng.normal(size=(c, c)), alpha=alpha, mode=mode)
     scores = rng.normal(0.0, 1.5, size=(g.num_nodes, c))
     r = softmax_rows(rng.normal(size=(g.num_nodes, c)))
-    assert sum(1 for _ in star_blocks(g, scores, pp, redist)) == 1
+    assert len(PieceBuffers(g, c).blocks) == 1
     whole = objective_and_gradients(r, scores, pp, redist, g)
 
     monkeypatch.setattr(factors, "SLOT_CLASS_BUDGET", 3 * c * c)
-    blocks = [block for block, _, _ in star_blocks(g, scores, pp, redist)]
+    blocks = PieceBuffers(g, c).blocks
     if g.num_edges:
         assert len(blocks) >= 4
     if kind == "hub":
@@ -524,6 +526,53 @@ def test_objective_in_blocks_matches_one_block_and_the_reference(monkeypatch, sc
     for a, b in zip(got[1:], whole[1:]):
         assert rel_error(a, b) <= 1e-13
     _assert_matches_reference(r, scores, pp, redist, g)
+
+
+@pytest.mark.parametrize("mode", ["edge", "layer", "none"])
+@pytest.mark.parametrize("c", [3, 7, 10])
+def test_one_workspace_over_successive_calls_equals_fresh_calls(monkeypatch, c, mode):
+    # nothing carries from one walk to the next: calls with other scores, K
+    # and alpha that share one workspace, as an M-step's epochs do, give the
+    # bits of calls that each build their own
+    rng = np.random.default_rng(25)
+    g = random_graph(rng, 40, 0.15)
+    monkeypatch.setattr(factors, "SLOT_CLASS_BUDGET", 12 * c * c)
+    redist = Redistribution.for_graph(g, "average")
+    workspace = PieceBuffers(g, c)
+    assert len(workspace.blocks) >= 3
+    r = softmax_rows(rng.normal(size=(g.num_nodes, c)))
+    r_ends = endpoint_rows(r, g)
+    for _ in range(3):
+        alpha = {"edge": rng.normal(1.0, 0.5, g.num_edges), "layer": rng.normal(1.0, 0.5, 1),
+                 "none": np.zeros(0)}[mode]
+        pp = PairwiseParams(rng.normal(size=(c, c)), alpha, mode)
+        scores = rng.normal(0.0, 1.5, size=(g.num_nodes, c))
+        shared = objective_and_gradients(r, scores, pp, redist, g, r_ends, workspace)
+        fresh = objective_and_gradients(r, scores, pp, redist, g)
+        assert shared[0] == fresh[0]
+        for a, b in zip(shared[1:], fresh[1:]):
+            assert np.array_equal(a, b)
+
+
+def test_a_call_given_a_workspace_allocates_less_than_one_slot_label_tensor():
+    # the workspace holds every block-sized and per-slot array of the walk;
+    # what a call still allocates is per-edge and per-node rows
+    rng = np.random.default_rng(15)
+    n, c = 300, 10
+    g = build_graph(n, rng.integers(0, n, size=(6000, 2)))
+    redist = Redistribution.for_graph(g, "average")
+    pp = PairwiseParams(rng.normal(size=(c, c)), rng.normal(1.0, 0.5, g.num_edges), "edge")
+    scores, r = rng.normal(size=(n, c)), softmax_rows(rng.normal(size=(n, c)))
+    workspace, r_ends = PieceBuffers(g, c), endpoint_rows(r, g)
+    assert len(workspace.blocks) >= 8
+    objective_and_gradients(r, scores, pp, redist, g, r_ends, workspace)
+    tracemalloc.start()
+    try:
+        objective_and_gradients(r, scores, pp, redist, g, r_ends, workspace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < workspace.tensor.nbytes
 
 
 @pytest.mark.parametrize("kind", ["random", "isolated_nodes", "hub"])
@@ -542,8 +591,8 @@ def test_each_piece_read_from_its_block_equals_the_whole_graph_piece(kind):
 
 def test_piece_check_reads_pieces_from_later_blocks(monkeypatch):
     # an error confined to the blocks after the first must fail the check
-    def perturbed(g, scores, pp, redist, block, out):
-        log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, pp, redist, block, out)
+    def perturbed(g, scores, redist, block, out):
+        log_z, mu_center, t, rim = _leaf_major_pieces(g, scores, redist, block, out)
         return (log_z + (block.nodes.start > 0) * 1e-8), mu_center, t, rim
 
     monkeypatch.setattr(factors, "_leaf_major_pieces", perturbed)
@@ -575,9 +624,9 @@ def test_every_piece_the_walk_yields_equals_the_objectives_rows_bit_for_bit(monk
     scores = rng.normal(0.0, 1.5, size=(g.num_nodes, c))
     buffers = []
 
-    def kept(g, scores, pp, redist, block, out):
+    def kept(g, scores, redist, block, out):
         buffers.append(out)
-        return _leaf_major_pieces(g, scores, pp, redist, block, out)
+        return _leaf_major_pieces(g, scores, redist, block, out)
 
     monkeypatch.setattr(factors, "_leaf_major_pieces", kept)
     objective_and_gradients(softmax_rows(scores), scores, pp, redist, g)
@@ -589,7 +638,8 @@ def test_every_piece_the_walk_yields_equals_the_objectives_rows_bit_for_bit(monk
 
     max_slots = {"whole_graph": 2 * g.num_edges, "3_slots": 3, "default": None}[budget]
     blocks = 0
-    for block, _, (log_z, mu_center, _, _) in star_blocks(g, scores, pp, redist, max_slots):
+    walk = star_blocks(g, scores, pp, redist, PieceBuffers(g, c, max_slots))
+    for block, (log_z, mu_center, _, _) in walk:
         assert np.array_equal(log_z, out.log_z[block.nodes])
         assert np.array_equal(mu_center, out.mu_center[block.nodes])
         blocks += 1

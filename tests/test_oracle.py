@@ -6,7 +6,7 @@ import pytest
 
 from mrfgcn import selfcheck
 from mrfgcn.errors import EnumerationLimitError
-from mrfgcn.factors import PairwiseParams, Redistribution, star_blocks
+from mrfgcn.factors import PairwiseParams, PieceBuffers, Redistribution, star_blocks
 from mrfgcn.graph import build_graph
 from mrfgcn.numerics import softmax_rows
 from mrfgcn.oracle import (exact_elbo, exact_log_partition, exact_observed_ll,
@@ -186,5 +186,6 @@ def test_lone_star_piece_with_unit_exponents_matches_exact():
     # unit unary exponents; doubled alpha at pair exponent 1/2 is the unit pair factor
     unit = Redistribution(center_exp=np.ones(5), leaf_exp=np.ones(5))
     doubled = PairwiseParams(pp.raw, 2.0 * pp.alpha, pp.mode)
-    [(_, _, (log_z, _, _, _))] = star_blocks(g, scores, doubled, unit, 2 * g.num_edges)
+    out = PieceBuffers(g, 3, 2 * g.num_edges)
+    [(_, (log_z, _, _, _))] = star_blocks(g, scores, doubled, unit, out)
     assert log_z[0] == pytest.approx(exact_log_partition(g, scores, pp), abs=1e-10)

@@ -409,9 +409,9 @@ def test_non_finite_piece_in_a_later_block_is_named_at_every_block_budget(monkey
     seen = []
     real = factors._leaf_major_pieces
 
-    def counted(g, scores, pp, redist, block, out):
+    def counted(g, scores, redist, block, out):
         seen.append(block.nodes.start)
-        return real(g, scores, pp, redist, block, out)
+        return real(g, scores, redist, block, out)
 
     monkeypatch.setattr(factors, "_leaf_major_pieces", counted)
     params = GcnParams(np.zeros((1, 4)), np.zeros((4, 2)))
@@ -424,6 +424,35 @@ def test_non_finite_piece_in_a_later_block_is_named_at_every_block_budget(monkey
                TrainConfig(m_epochs=1, dropout_keep=1.0), stream(0, "d"))
     # the objective's one walk over the blocks is the only inference run
     assert seen == [b.nodes.start for b in blocks]
+
+
+def test_m_step_builds_one_workspace_for_all_its_epochs(monkeypatch):
+    built, passed = [], []
+    real_init, real_objective = factors.PieceBuffers.__init__, training.objective_and_gradients
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    def recorded(*args):
+        passed.append(args[-1])
+        return real_objective(*args)
+
+    monkeypatch.setattr(factors.PieceBuffers, "__init__", counted_init)
+    monkeypatch.setattr(training, "objective_and_gradients", recorded)
+    ds = _tiny_dataset()
+    g, c = ds.graph, ds.num_classes
+    train_ids = np.arange(0, ds.graph.num_nodes, 10)
+    free = np.setdiff1d(np.arange(g.num_nodes), train_ids)
+    params = init_params(ds.num_features, 8, c, seed=0)
+    for _ in range(2):
+        built.clear()
+        passed.clear()
+        m_step(params, PairwiseParams.init(c, g.num_edges), _uniform_q(free, c, g.num_nodes),
+               ds.features, normalized_adjacency_operator(g),
+               g, Redistribution.for_graph(g, "average"), ds.labels, train_ids,
+               TrainConfig(m_epochs=4), stream(0, "d"))
+        assert len(built) == 1 and passed == built * 4
 
 
 def _tiny_dataset(seed=0, n=150, target=0.85):
