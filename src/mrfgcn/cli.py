@@ -70,6 +70,10 @@ class _RunSettings:
                             ("seeds", min(self.seeds))):
             if value < 0:
                 raise ConfigError(f"{name} must be non-negative, got {value}")
+        # each seed names its own report and checkpoint, so a repeat would overwrite one
+        repeated = next((s for i, s in enumerate(self.seeds) if s in self.seeds[:i]), None)
+        if repeated is not None:
+            raise ConfigError(f"seeds must be distinct, got {repeated} more than once")
         # built once here, so a bad train setting fails before any file is touched
         self._train = TrainConfig(**{name: getattr(self, name) for name in _TRAIN_KEYS})
 

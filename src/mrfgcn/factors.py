@@ -102,9 +102,6 @@ class PairwiseParams:
             return np.full(edge_ids.shape, self.alpha[0])
         return np.ones(edge_ids.shape)
 
-    def copy(self):
-        return PairwiseParams(self.raw.copy(), self.alpha.copy(), self.mode)
-
     @classmethod
     def init(cls, num_classes, num_edges, mode="edge", alpha_init=1.0):
         if mode == "edge":

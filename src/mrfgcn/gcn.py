@@ -37,9 +37,6 @@ class GcnParams:
     w0: np.ndarray   # (num_features, hidden)
     w1: np.ndarray   # (hidden, num_classes)
 
-    def copy(self):
-        return GcnParams(self.w0.copy(), self.w1.copy())
-
 
 @dataclass
 class GcnCache:

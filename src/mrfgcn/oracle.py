@@ -2,8 +2,10 @@
 
 Everything here enumerates label assignments directly (in blocks, in
 log space) and is deliberately independent of the piecewise inference
-code it is used to check. Star pieces are checked through it too: the
-self-checks run it on one piece as a graph of its own
+code it is used to check: it imports nothing from `training`, and
+`exact_elbo` reads q from r, the (n, c) table whose unlabeled rows are
+q, as the E-step and the M-step do. Star pieces are checked through it
+too: the self-checks run it on one piece as a graph of its own
 (`selfcheck.oracle_star_piece`). Enumeration is refused, not truncated,
 when the assignment count exceeds the configured limit.
 """
@@ -12,7 +14,6 @@ import numpy as np
 
 from .errors import EnumerationLimitError
 from .graph import Graph
-from .training import Proposal
 
 _BLOCK = 1 << 14
 MAX_CONFIGS = 1 << 20   # the default enumeration limit, in assignments
@@ -114,17 +115,19 @@ def exact_observed_ll(g: Graph, scores, pp, labels, train_ids, max_configs=MAX_C
     return float(_logsumexp(parts) - exact_log_partition(g, scores, pp, max_configs))
 
 
-def exact_elbo(g: Graph, scores, pp, labels, train_ids, q: Proposal,
+def exact_elbo(g: Graph, scores, pp, labels, train_ids, r,
                max_configs=MAX_CONFIGS) -> float:
-    """Expected complete log-likelihood under q plus the entropy of q."""
+    """Expected complete log-likelihood under q plus the entropy of q.
+
+    q is read from r, the (num_nodes, c) table of `training.make_r`, as
+    its rows on the nodes outside `train_ids`; the labeled rows are unread.
+    """
     c = scores.shape[1]
     expect, entropy = 0.0, 0.0
     for free, block, full in _clamped_blocks(g, labels, train_ids, c, max_configs):
-        if not np.array_equal(free, q.node_ids):
-            raise ValueError("proposal rows do not cover exactly the unlabeled nodes")
         logw = _factor_sum(full, scores, pp, g)
         if len(free):
-            probs = q.q[np.arange(len(free))[None, :], block]
+            probs = r[free[None, :], block]
             with np.errstate(divide="ignore"):
                 logq = np.log(probs).sum(axis=1)
             weight = np.exp(logq)

@@ -12,7 +12,9 @@ differences are taken of the value that `objective_and_gradients`
 returns, the same call that supplies the analytic gradients; the
 backbone chain runs on the sparse adjacency operator and CSR features,
 as `train` does. The KL identity is checked against `direct_kl`, which
-sums the factors itself.
+sums the factors itself. The ELBO and the KL read q as the unlabeled
+rows of r, the (n, c) table that training's `make_r` builds, and
+nothing here imports from `training`, the code these checks check.
 
 The four suites are the one implementation of these checks: acceptance
 criteria 5, 6, 7 and the KL half of 9 call them with their own seeds,
@@ -35,7 +37,6 @@ from .graph import build_graph, normalized_adjacency_operator
 from .numerics import stream
 from .oracle import (MAX_CONFIGS, _check_limit, exact_elbo, exact_log_partition,
                      exact_observed_ll, exact_posterior_marginals)
-from .training import Proposal
 
 FD_STEP = 1e-5
 GRAD_TOL = 1e-6
@@ -268,19 +269,22 @@ def check_elbo_identity(sizes, trials, seed, num_classes=3, max_configs=MAX_CONF
         free = np.setdiff1d(np.arange(n), train_ids)
         q_rows = rng.random((len(free), num_classes)) + 0.05
         q_rows /= q_rows.sum(axis=1, keepdims=True)
-        q = Proposal(free, q_rows, n)
+        r = np.zeros((n, num_classes))
+        r[train_ids, labels[train_ids]] = 1.0
+        r[free] = q_rows
         gap = exact_observed_ll(g, scores, pp, labels, train_ids, max_configs) \
-            - exact_elbo(g, scores, pp, labels, train_ids, q, max_configs)
-        kl = direct_kl(g, scores, pp, labels, train_ids, q)
+            - exact_elbo(g, scores, pp, labels, train_ids, r, max_configs)
+        kl = direct_kl(g, scores, pp, labels, train_ids, r)
         worst = max(worst, abs(gap - kl))
     return [CheckResult("observed-ll minus ELBO equals KL", worst, ENUM_TOL)]
 
 
-def direct_kl(g, scores, pp, labels, train_ids, q):
+def direct_kl(g, scores, pp, labels, train_ids, r):
     """KL(q || exact posterior) by enumerating the free nodes' assignments.
 
-    It sums the factors itself, so it checks the oracle's ELBO and
-    observed log-likelihood without sharing their code.
+    q is read as r's rows on the nodes outside `train_ids`. It sums the
+    factors itself, so it checks the oracle's ELBO and observed
+    log-likelihood without sharing their code.
     """
     n, c = scores.shape
     free = np.setdiff1d(np.arange(n), train_ids)
@@ -294,8 +298,7 @@ def direct_kl(g, scores, pp, labels, train_ids, q):
         alphas = pp.alpha_at(np.arange(g.num_edges))
         logw = logw + (alphas[None, :] * pp.K[full[:, j], full[:, k]]).sum(axis=1)
     log_post = logw - (logw.max() + np.log(np.exp(logw - logw.max()).sum()))
-    rows = q.q[[q.position(node) for node in free]]
-    logq = np.log(rows[np.arange(len(free))[None, :], block]).sum(axis=1)
+    logq = np.log(r[free[None, :], block]).sum(axis=1)
     w = np.exp(logq)
     return float((w * (logq - log_post)).sum())
 

@@ -77,16 +77,6 @@ class Proposal:
             if np.abs(row_sums - 1.0).max() > _ROW_SUM_TOL:
                 raise ConfigError("proposal rows must sum to 1")
 
-    def position(self, node) -> int:
-        """Row of `node` in the table; a labeled node has none."""
-        pos = int(np.searchsorted(self.node_ids, node))
-        if pos == len(self.node_ids) or self.node_ids[pos] != node:
-            raise ConfigError(f"node {node} has no row in the proposal")
-        return pos
-
-    def copy(self):
-        return Proposal(self.node_ids.copy(), self.q.copy(), self.num_nodes)
-
     @classmethod
     def from_scores(cls, scores, unlabeled_ids, num_nodes):
         unlabeled_ids = np.sort(np.asarray(unlabeled_ids, dtype=np.int64))
@@ -167,7 +157,9 @@ def make_r(q: Proposal, labels, train_ids, num_classes) -> np.ndarray:
     and no other node: the E-step, the M-step and `predict` all read r.
     """
     train_ids = np.asarray(train_ids, dtype=np.int64)
-    if not np.array_equal(q.node_ids, np.flatnonzero(~_labeled_mask(q.num_nodes, train_ids))):
+    labeled = np.zeros(q.num_nodes, dtype=bool)
+    labeled[train_ids] = True
+    if not np.array_equal(q.node_ids, np.flatnonzero(~labeled)):
         raise StructuralInputError("proposal rows do not cover exactly the unlabeled nodes")
     r = np.zeros((q.num_nodes, num_classes))
     r[train_ids, labels[train_ids]] = 1.0
@@ -175,30 +167,20 @@ def make_r(q: Proposal, labels, train_ids, num_classes) -> np.ndarray:
     return r
 
 
-def _labeled_mask(num_nodes, train_ids):
-    mask = np.zeros(num_nodes, dtype=bool)
-    mask[np.asarray(train_ids, dtype=np.int64)] = True
-    return mask
+def mean_field_site_update(r, node, scores, pp: PairwiseParams, g: Graph) -> np.ndarray:
+    """Closed-form update of row `node` of r; reference implementation.
 
-
-def mean_field_site_update(q: Proposal, node, scores, pp: PairwiseParams,
-                           g: Graph, labels, train_ids) -> Proposal:
-    """Closed-form update of one proposal row; reference implementation."""
-    labeled = _labeled_mask(g.num_nodes, train_ids)
-    if labeled[node]:
-        raise ConfigError(f"node {node} is labeled and cannot be updated")
+    Every neighbour enters through its row of r, a labeled one through its
+    clamped one-hot row. Returns a new table; r is left as it is.
+    """
     k = pp.K
     lo, hi = g.indptr[node], g.indptr[node + 1]
     logits = scores[node].astype(np.float64).copy()
     for leaf, eid in zip(g.indices[lo:hi], g.slot_edge_ids[lo:hi]):
-        a = pp.alpha_at(np.array([eid]))[0]
-        if labeled[leaf]:
-            logits += a * k[:, labels[leaf]]
-        else:
-            logits += a * (k @ q.q[q.position(leaf)])
-    out = q.copy()
+        logits += pp.alpha_at(np.array([eid]))[0] * (k @ r[leaf])
+    out = r.copy()
     shifted = np.exp(logits - logits.max())
-    out.q[q.position(node)] = shifted / shifted.sum()
+    out[node] = shifted / shifted.sum()
     return out
 
 
@@ -263,7 +245,7 @@ def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
             f"but the graph has {g.num_edges} edges")
     r = make_r(q, labels, train_ids, c)
     if len(q.node_ids) == 0:
-        return q.copy(), 0, 0.0
+        return q, 0, 0.0
     free = np.zeros(g.num_nodes, dtype=bool)
     free[q.node_ids] = True
     order, bounds = _dependency_levels(g, free)

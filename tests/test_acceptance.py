@@ -277,20 +277,22 @@ def test_c09_elbo_coordinate_ascent_and_kl_identity():
         rows = rng.random((len(free), c)) + 0.05
         rows /= rows.sum(axis=1, keepdims=True)
         q = Proposal(free, rows, n)
-        start = exact_elbo(g, scores, pp, labels, train_ids, q)
+        r = make_r(q, labels, train_ids, c)
+        start = exact_elbo(g, scores, pp, labels, train_ids, r)
         # the production E-step, one full sweep at a time from the same q
         swept, prev = q, start
         for _ in range(3):
             swept, _, _ = _e_step_stats(swept, scores, pp, g, labels, train_ids,
                                         sweeps=1, tolerance=0.0)
-            cur = exact_elbo(g, scores, pp, labels, train_ids, swept)
+            cur = exact_elbo(g, scores, pp, labels, train_ids,
+                             make_r(swept, labels, train_ids, c))
             worst_sweep_drop = max(worst_sweep_drop, prev - cur)
             prev = cur
         # the per-site reference, one node at a time
         prev = start
         for node in free:
-            q = mean_field_site_update(q, node, scores, pp, g, labels, train_ids)
-            cur = exact_elbo(g, scores, pp, labels, train_ids, q)
+            r = mean_field_site_update(r, node, scores, pp, g)
+            cur = exact_elbo(g, scores, pp, labels, train_ids, r)
             worst_drop = max(worst_drop, prev - cur)
             prev = cur
     # the KL half: observed-ll minus ELBO against the direct KL, 20 instances

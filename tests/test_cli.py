@@ -240,6 +240,22 @@ def test_train_split_file_mode(tmp_path, capsys):
     assert not negative.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate", "evaluate"])
+def test_repeated_seed_is_refused_before_any_file(tmp_path, capsys, command):
+    # each seed writes its own report and checkpoint, so a repeat would
+    # overwrite one and count its accuracy twice in aggregate.tsv
+    ds_dir = _synth_dir(tmp_path)
+    out = tmp_path / "runs"
+    extra = ["--checkpoint", str(out / "checkpoint_seed0.bin")] if command == "evaluate" else []
+    capsys.readouterr()
+    code = main([command, "--dataset", str(ds_dir), "--out", str(out),
+                 "--seeds", "0,1,0", "--quiet", *extra])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: seeds must be distinct, got 0 more than once"]
+    assert not out.exists()
+
+
 def test_evaluate_command(tmp_path, capsys):
     ds_dir = _synth_dir(tmp_path)
     out = tmp_path / "runs"
@@ -692,7 +708,7 @@ def test_train_and_evaluate_start_their_final_e_step_from_different_proposals(
     starts, real = [], training._e_step_stats
 
     def recording(q, *args):
-        starts.append(q.copy())
+        starts.append(q)
         return real(q, *args)
 
     monkeypatch.setattr(training, "_e_step_stats", recording)

@@ -1,10 +1,12 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mrfgcn import selfcheck
+from mrfgcn import oracle, selfcheck
 from mrfgcn.errors import EnumerationLimitError
 from mrfgcn.factors import PairwiseParams, PieceBuffers, Redistribution, star_blocks
 from mrfgcn.graph import build_graph
@@ -12,7 +14,6 @@ from mrfgcn.numerics import softmax_rows
 from mrfgcn.oracle import (exact_elbo, exact_log_partition, exact_observed_ll,
                            exact_posterior_marginals)
 from mrfgcn.selfcheck import random_instance
-from mrfgcn.training import Proposal
 
 
 def _linear_space_posterior(g, scores, pp, labels, train_ids):
@@ -37,10 +38,18 @@ def _linear_space_posterior(g, scores, pp, labels, train_ids):
     return np.array(free), marg
 
 
-def _rand_q(rng, free, c, n):
+def _r(free, rows, labels, train):
+    """The (n, c) table the ELBO reads: q on the free rows, one-hot labels elsewhere."""
+    r = np.zeros((len(labels), rows.shape[1]))
+    r[train, labels[train]] = 1.0
+    r[free] = rows
+    return r
+
+
+def _rand_r(rng, free, labels, train, c):
     rows = rng.random((len(free), c)) + 0.05
     rows /= rows.sum(axis=1, keepdims=True)
-    return Proposal(free, rows, n)
+    return _r(free, rows, labels, train)
 
 
 def test_log_partition_single_node():
@@ -115,7 +124,7 @@ def test_observed_ll_upper_bounds_elbo():
     free = np.setdiff1d(np.arange(6), train)
     obs = exact_observed_ll(g, scores, pp, labels, train)
     for _ in range(100):
-        elbo = exact_elbo(g, scores, pp, labels, train, _rand_q(rng, free, 3, 6))
+        elbo = exact_elbo(g, scores, pp, labels, train, _rand_r(rng, free, labels, train, 3))
         assert elbo <= obs + 1e-10
 
 
@@ -125,15 +134,15 @@ def test_elbo_equals_observed_when_q_is_posterior():
     g, _, scores, _, labels, train = random_instance(rng, 6, 3, min_labeled=1)
     pp = PairwiseParams(raw=np.zeros((3, 3)), alpha=np.ones(g.num_edges), mode="edge")
     free, marg = exact_posterior_marginals(g, scores, pp, labels, train)
-    q = Proposal(free, marg, 6)
-    assert exact_elbo(g, scores, pp, labels, train, q) == \
+    r = _r(free, marg, labels, train)
+    assert exact_elbo(g, scores, pp, labels, train, r) == \
         pytest.approx(exact_observed_ll(g, scores, pp, labels, train), abs=1e-10)
     # single unlabeled node: posterior trivially factorizes even with coupling
     g2, _, scores2, pp2, labels2, _ = random_instance(rng, 5, 3)
     train2 = np.array([0, 1, 2, 3])
     free2, marg2 = exact_posterior_marginals(g2, scores2, pp2, labels2, train2)
-    q2 = Proposal(free2, marg2, 5)
-    assert exact_elbo(g2, scores2, pp2, labels2, train2, q2) == \
+    r2 = _r(free2, marg2, labels2, train2)
+    assert exact_elbo(g2, scores2, pp2, labels2, train2, r2) == \
         pytest.approx(exact_observed_ll(g2, scores2, pp2, labels2, train2), abs=1e-10)
 
 
@@ -146,8 +155,7 @@ def test_elbo_point_mass_bound():
     free_ids, marg = exact_posterior_marginals(g, scores, pp, labels, train)
     rows = np.zeros((len(free), 3))
     rows[np.arange(len(free)), np.argmax(marg, axis=1)] = 1.0
-    q = Proposal(free, rows, 5)
-    assert exact_elbo(g, scores, pp, labels, train, q) <= \
+    assert exact_elbo(g, scores, pp, labels, train, _r(free, rows, labels, train)) <= \
         exact_observed_ll(g, scores, pp, labels, train) + 1e-10
 
 
@@ -189,3 +197,15 @@ def test_lone_star_piece_with_unit_exponents_matches_exact():
     out = PieceBuffers(g, 3, 2 * g.num_edges)
     [(_, (log_z, _, _, _))] = star_blocks(g, scores, doubled, unit, out)
     assert log_z[0] == pytest.approx(exact_log_partition(g, scores, pp), abs=1e-10)
+
+
+@pytest.mark.parametrize("module", [oracle, selfcheck], ids=["oracle", "selfcheck"])
+def test_references_import_nothing_from_training(module):
+    # the references check training's code, so they must not share it
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    parts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+            parts.update(part for name in names for part in name.split("."))
+    assert "training" not in parts
