@@ -5,14 +5,14 @@ Run settings come from an optional key=value config file plus flags;
 flags win. Both are derived from RunConfig's fields: the key is the
 field's name, the flag is that name in kebab case (`em_rounds` is
 `--em-rounds`), and a flag's text is read as the config line's value is.
-A bool field's flag takes no value and sets the opposite of its default.
-The exceptions are `--config` and the switches `--fixed-split` and
-`--no-row-normalize`, which turn off `resplit_per_seed` and
-`row_normalize`. A prefix that no other flag shares names a flag too
-(`--coeff` is `--coefficient-mode`). The settings are all checked
-when they are built, before a command reads data or writes a file. Exit
-codes: 0 success, 1 configuration error, 2 runtime failure, 3
-self-check failure.
+A bool field's flag takes no value: `--<key>` turns on a setting that is
+off by default, `--no-<key>` turns off one that is on. An empty value
+leaves `split_seed` unset, so each run seed draws its own split; set to
+N, it gives every seed, and `evaluate`, the split drawn from N. A prefix
+that no other flag shares names a flag too (`--coeff` is
+`--coefficient-mode`). The settings are all checked when they are built,
+before a command reads data or writes a file. Exit codes: 0 success, 1
+configuration error, 2 runtime failure, 3 self-check failure.
 """
 
 import argparse
@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (Dataset, Split, generate_synthetic, load_dataset,
-                   load_split_file, planetoid_split, ratio_split,
+from .data import (Dataset, Split, check_ratio_fractions, generate_synthetic,
+                   load_dataset, load_split_file, planetoid_split, ratio_split,
                    row_normalize_features, save_generic)
 from .errors import ConfigError, EnumerationLimitError, StructuralInputError
 from .gcn import forward
@@ -49,8 +49,7 @@ class _RunSettings:
     train_frac: float = 0.2
     val_frac: float = 0.2
     test_frac: float = 0.6
-    split_seed: int = 0
-    resplit_per_seed: bool = True
+    split_seed: int | None = None
     row_normalize: bool = True
     seeds: tuple = (0,)
     out: str = "runs"
@@ -62,13 +61,15 @@ class _RunSettings:
         for name in ("train_frac", "val_frac", "test_frac"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.split == "ratio":
+            check_ratio_fractions(self.train_frac, self.val_frac, self.test_frac)
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         for name, value in (("per_class", self.per_class), ("num_val", self.num_val),
                             ("num_test", self.num_test), ("split_seed", self.split_seed),
                             ("seeds", min(self.seeds))):
-            if value < 0:
+            if value is not None and value < 0:
                 raise ConfigError(f"{name} must be non-negative, got {value}")
         # each seed names its own report and checkpoint, so a repeat would overwrite one
         repeated = next((s for i, s in enumerate(self.seeds) if s in self.seeds[:i]), None)
@@ -86,7 +87,7 @@ class _RunSettings:
 
     @classmethod
     def from_text(cls, text):
-        values = {}
+        values, first_lines = {}, {}
         types = {f.name: f for f in fields(cls)}
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -97,6 +98,10 @@ class _RunSettings:
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in types:
                 raise ConfigError(f"config line {line_no}: unknown key {key!r}")
+            if key in first_lines:
+                raise ConfigError(f"config line {line_no}: {key} set again "
+                                  f"(first on line {first_lines[key]})")
+            first_lines[key] = line_no
             try:
                 values[key] = _parse_value(types[key], value)
             except ConfigError as exc:
@@ -120,25 +125,30 @@ RunConfig.__module__ = __name__
 
 
 def _text(value):
-    """A setting's value as a config line writes it."""
+    """A setting's value as a config line writes it; an unset one is empty."""
+    if value is None:
+        return ""
     return ",".join(str(s) for s in value) if isinstance(value, tuple) else str(value)
 
 
 def _parse_value(f, text):
     """The value of setting `f` from its text, in a config line or a flag."""
-    if f.type is tuple:
+    kind = int if f.type == int | None else f.type
+    if kind is not f.type and not text:
+        return None                     # an empty text leaves an optional int unset
+    if kind is tuple:
         return _int_list(text, f.name)
-    if f.type is bool:
+    if kind is bool:
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"bad boolean value {text!r} for {f.name}")
-    if f.type in (int, float):
+    if kind in (int, float):
         try:
-            return f.type(text)
+            return kind(text)
         except ValueError:
-            noun = "an int" if f.type is int else "a float"
+            noun = "an int" if kind is int else "a float"
             raise ConfigError(f"{f.name} expects {noun}, got {text!r}") from None
     return text
 
@@ -158,7 +168,7 @@ def _require_at_least(lowest, **values):
 
 
 def _make_split(ds: Dataset, cfg: RunConfig, seed) -> Split:
-    split_seed = seed if cfg.resplit_per_seed else cfg.split_seed
+    split_seed = seed if cfg.split_seed is None else cfg.split_seed
     if cfg.split == "planetoid":
         return planetoid_split(ds, cfg.per_class, cfg.num_val, cfg.num_test,
                                seed=split_seed)
@@ -332,21 +342,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# the flags not spelled as their setting's name in kebab case: the switches
-# that turn off a setting that is on by default
-_FLAG_SPELLINGS = {"resplit_per_seed": ("--fixed-split",),
-                   "row_normalize": ("--no-row-normalize",)}
-
-
 def _add_run_flags(p):
     p.add_argument("--config", help="key=value settings file")
     for f in fields(RunConfig):
-        names = _FLAG_SPELLINGS.get(f.name, (f"--{f.name.replace('_', '-')}",))
+        flag = ("--no-" if f.type is bool and f.default else "--") + f.name.replace("_", "-")
         if f.type is bool:
-            p.add_argument(*names, dest=f.name, action="store_const", const=str(not f.default),
+            p.add_argument(flag, dest=f.name, action="store_const", const=str(not f.default),
                            default=argparse.SUPPRESS, help=f"{f.name} = {not f.default}")
         else:
-            p.add_argument(*names, dest=f.name, default=argparse.SUPPRESS,
+            p.add_argument(flag, dest=f.name, default=argparse.SUPPRESS,
                            help=f"default: {_text(f.default) or 'none'}")
 
 

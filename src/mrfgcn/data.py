@@ -266,14 +266,20 @@ def planetoid_split(ds: Dataset, per_class=20, num_val=500, num_test=1000, seed=
     return Split(train=train, val=perm[:num_val], test=perm[num_val:num_val + num_test])
 
 
-def ratio_split(ds: Dataset, train_frac, val_frac, test_frac, seed=0) -> Split:
-    """Unstratified uniform split; floors each count, remainder goes to test."""
-    fracs = (train_frac, val_frac, test_frac)
+def check_ratio_fractions(*fracs) -> float:
+    """The sum of a ratio split's fractions: each must be positive, the sum at most 1."""
     if min(fracs) <= 0:
         raise ConfigError(f"split fractions must be positive, got {fracs}")
     total = sum(fracs)
     if total > 1.0 + 1e-9:
         raise ConfigError(f"split fractions sum to {total} > 1")
+    return total
+
+
+def ratio_split(ds: Dataset, train_frac, val_frac, test_frac, seed=0) -> Split:
+    """Unstratified uniform split; floors each count, remainder goes to test."""
+    fracs = (train_frac, val_frac, test_frac)
+    total = check_ratio_fractions(*fracs)
     n = ds.graph.num_nodes
     n_train, n_val, n_test = (int(np.floor(n * f)) for f in fracs)
     if abs(total - 1.0) <= 1e-9:

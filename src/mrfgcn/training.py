@@ -314,7 +314,7 @@ def final_sweep_cap(e_sweeps) -> int:
 
 
 def predict(scores, pp: PairwiseParams, q: Proposal, g: Graph, labels, train_ids,
-            sweeps=FINAL_E_SWEEPS, tolerance=1e-4) -> np.ndarray:
+            sweeps=FINAL_E_SWEEPS, tolerance=TrainConfig.e_tolerance) -> np.ndarray:
     """Converge the proposal under fixed factors, then take per-node argmax.
 
     Labeled nodes report their own label.

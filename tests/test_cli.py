@@ -106,6 +106,41 @@ def test_train_effective_config_round_trips(tmp_path):
     assert RunConfig.from_text(emitted.to_text()) == emitted
 
 
+@pytest.mark.parametrize("split_seed", [None, 7], ids=["unset", "set"])
+def test_effective_config_re_reads_split_seed_set_or_unset(tmp_path, monkeypatch, split_seed):
+    built, real_train = [], cli.cmd_train
+    monkeypatch.setattr(cli, "cmd_train", lambda cfg: built.append(cfg) or real_train(cfg))
+    ds_dir = _synth_dir(tmp_path)
+    out = tmp_path / "runs"
+    pin = [] if split_seed is None else ["--split-seed", str(split_seed)]
+    assert main(["train", "--dataset", str(ds_dir), "--out", str(out), *_FAST,
+                 "--em-rounds", "0", "--quiet", *pin]) == 0
+    text = (out / "effective_config.txt").read_text(encoding="utf-8")
+    assert f"split_seed = {'' if split_seed is None else split_seed}" in text.splitlines()
+    assert RunConfig.from_text(text) == built[0]
+    assert built[0].split_seed == split_seed
+
+
+def test_split_seed_alone_pins_the_split_of_every_seed(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "cmd_train", lambda cfg: built.append(cfg) or 0)
+    ds_dir = _synth_dir(tmp_path)
+    counts = ["--per-class", "5", "--num-val", "20", "--num-test", "40"]
+    for pin in (["--split-seed", "7"], []):
+        assert main(["train", "--dataset", str(ds_dir), "--seeds", "0,1", *counts, *pin]) == 0
+    pinned, per_seed = built
+    ds = cli._load_prepared(pinned)
+
+    def same(a, b):
+        return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("train", "val", "test"))
+
+    drawn = planetoid_split(ds, 5, 20, 40, seed=7)
+    assert all(same(split, drawn) for _, split in cli._checked_splits(ds, pinned))
+    for seed, split in cli._checked_splits(ds, per_seed):
+        assert same(split, planetoid_split(ds, 5, 20, 40, seed=seed))
+        assert not same(split, drawn)
+
+
 def test_train_missing_dataset_exits_one(tmp_path, capsys):
     code = main(["train", "--out", str(tmp_path / "x"), "--quiet"])
     assert code == 1
@@ -121,6 +156,45 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     cfg.write_text("warm_epochs = 5\nwibble = 3\n", encoding="utf-8")
     assert main(["train", "--config", str(cfg)]) == 1
     assert "wibble" in capsys.readouterr().err
+
+
+def test_config_key_set_twice_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("warm_epochs = 5\nem_rounds = 3\nem_rounds = 0\n", encoding="utf-8")
+    out = tmp_path / "runs"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: config line 3: em_rounds set again (first on line 2)"]
+    assert not out.exists()
+
+
+def test_removed_fixed_split_switch_and_key_exit_one(tmp_path, capsys):
+    # `--split-seed N` alone pins the split, so neither spelling of the old switch is read
+    assert main(["train", "--fixed-split"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: unrecognized arguments: --fixed-split"]
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("resplit_per_seed = false\n", encoding="utf-8")
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: config line 1: unknown key 'resplit_per_seed'"]
+
+
+@pytest.mark.parametrize("fracs,message", [
+    (["--train-frac", "0"], "split fractions must be positive, got (0.0, 0.2, 0.6)"),
+    (["--train-frac", "0.5", "--val-frac", "0.5"], "split fractions sum to 1.6 > 1"),
+])
+def test_ratio_fractions_are_checked_before_the_dataset_is_read(tmp_path, capsys, fracs,
+                                                                message):
+    missing, out = tmp_path / "missing", tmp_path / "runs"
+    assert main(["train", "--split", "ratio", *fracs, "--dataset", str(missing),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists()
+    # a planetoid run does not read the fractions, so it goes on to the missing dataset
+    assert main(["train", *fracs, "--dataset", str(missing), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {missing}: not a dataset directory or .content file"]
 
 
 @pytest.mark.parametrize("line,message", [
@@ -151,9 +225,10 @@ def test_config_file_with_flag_overrides(tmp_path):
 
 
 def _flag(name):
-    """A run setting's flag: its name in kebab case, except for two switches."""
-    switches = {"resplit_per_seed": "--fixed-split", "row_normalize": "--no-row-normalize"}
-    return switches.get(name, "--" + name.replace("_", "-"))
+    """A run setting's flag: its name in kebab case, after `no-` when the flag turns off
+    a setting that is on by default."""
+    kebab = name.replace("_", "-")
+    return f"--no-{kebab}" if getattr(RunConfig(), name) is True else f"--{kebab}"
 
 
 # a valid and a malformed text for each string setting; a dataset or output
@@ -182,6 +257,8 @@ def _setting_texts(f):
                 f"argument {_flag(f.name)}: ignored explicit argument 'maybe'")
     if f.type is tuple:
         valid, bad, message = "1,2", "0,x", f"{f.name} expects comma-separated ints, got '0,x'"
+    elif f.type == int | None:
+        valid, bad, message = "5", "abc", f"{f.name} expects an int, got 'abc'"
     elif f.type is int:
         valid, bad, message = str(f.default + 1), "abc", f"{f.name} expects an int, got 'abc'"
     else:
@@ -1180,7 +1257,7 @@ def test_python_dash_m_runs_the_cli():
     done = _python("-m", "mrfgcn", "train", "--help")
     assert done.returncode == 0
     for flag in ("--weight-decay", "--dropout-keep", "--e-tolerance", "--split-seed",
-                 "--coefficient-mode"):
+                 "--coefficient-mode", "--quiet", "--no-row-normalize"):
         assert flag in done.stdout
 
 
