@@ -267,7 +267,9 @@ def planetoid_split(ds: Dataset, per_class=20, num_val=500, num_test=1000, seed=
 
 
 def check_ratio_fractions(*fracs) -> float:
-    """The sum of a ratio split's fractions: each must be positive, the sum at most 1."""
+    """The sum of a ratio split's fractions: each finite and positive, the sum at most 1."""
+    if not np.isfinite(fracs).all():
+        raise ConfigError(f"split fractions must be finite, got {fracs}")
     if min(fracs) <= 0:
         raise ConfigError(f"split fractions must be positive, got {fracs}")
     total = sum(fracs)

@@ -20,7 +20,7 @@ where log Zbar_i is the partition function of the redistributed star
 piece at node i, computed in closed form by summing leaf nodes out
 first. `_leaf_major_pieces` is the one star-piece inference. It runs
 the pieces of one block: a run of consecutive centers in CSR order,
-whose slots are consecutive too (`Graph.slot_blocks`). Per-slot tensors
+whose slots are consecutive too (a `SlotBlock`). Per-slot tensors
 below index directed orientations: slot d of a graph covers
 (center(d), leaf(d)). A block's per-slot label tensor is built leaf
 label first, as (c_leaf, m, c_center) over its m slots, so that summing
@@ -36,21 +36,24 @@ of its own with the exact oracle.
 It walks the blocks of a workspace (`PieceBuffers`), which cuts the
 graph into blocks of at most `SLOT_CLASS_BUDGET` slot-class pairs
 (m * c**2), 1 MB per float64 tensor, unless one piece alone holds more;
-a piece is never split. Once per walk it writes the class-major leaf
-term, PAIR_EXP * alpha per slot and the stacked [1, K] operands into
-the workspace, and every block slices them and overwrites the
-workspace's one operand and slot-label tensor. `training.m_step` builds
-one workspace per M-step and passes it to all of its epochs' calls; the
-self-checks and tests build one per walk. The objective's memory is
-these block-sized tensors plus O(n * c + 2E * c) of per-node rows,
-per-slot leaf marginals and <t, K> dots; it never holds the whole
-(c, 2E, c) tensor. The K gradient adds the blocks' pair-marginal sums
-in block order, so results are deterministic. Sums over slots per node
-are products with slot incidence matrices: a block's incidence sums each
-piece's leaf messages, and `leaf_incidence` sums each node's leaf
-marginals over the pieces it sits on the rim of. The pair terms read r
-only at the edge ends, so `objective_and_gradients` takes them
-pre-gathered (`endpoint_rows`) from a caller that holds r fixed.
+a piece is never split. It cuts the blocks and builds the slot
+incidences once, when it is built. Once per walk it writes the
+class-major leaf term, PAIR_EXP * alpha per slot and the stacked
+[1, K] operands into the workspace, and every block slices them and
+overwrites the workspace's one operand and slot-label tensor.
+`training.m_step` builds one workspace per M-step and passes it to all
+of its epochs' calls, and the gradient self-check one per instance;
+the piece self-check and the tests build one per walk. The objective's
+memory is these block-sized tensors plus O(n * c + 2E * c) of per-node
+rows, per-slot leaf marginals and <t, K> dots; it never holds the
+whole (c, 2E, c) tensor. The K gradient adds the blocks' pair-marginal
+sums in block order, so results are deterministic. Sums over slots per
+node are products with slot incidence matrices: a block's incidence
+sums each piece's leaf messages, and the workspace's `leaf_incidence`
+sums each node's leaf marginals over the pieces it sits on the rim of.
+The pair terms read r only at the edge ends, so
+`objective_and_gradients` takes them pre-gathered (`endpoint_rows`)
+from a caller that holds r fixed.
 
 `objective_and_gradients` is the one implementation of this objective:
 training, the self-checks and the tests all read its value and
@@ -59,8 +62,10 @@ itself.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, NonFiniteObjectiveError
 from .graph import Graph
@@ -146,12 +151,33 @@ class Redistribution:
 SLOT_CLASS_BUDGET = 1 << 17
 
 
+class SlotBlock(NamedTuple):
+    """A run of consecutive centers and their CSR slots, which are consecutive too."""
+    nodes: slice             # centers lo:hi
+    slots: slice             # indptr[lo]:indptr[hi]
+    incidence: sp.csr_array  # (hi - lo, slots) 0/1; row i - lo holds the slots centered at i
+
+
+def _slot_block(g: Graph, lo, hi) -> SlotBlock:
+    start, stop = int(g.indptr[lo]), int(g.indptr[hi])
+    incidence = sp.csr_array(
+        (np.ones(stop - start), np.arange(stop - start), g.indptr[lo:hi + 1] - start),
+        shape=(hi - lo, stop - start))
+    return SlotBlock(slice(lo, hi), slice(start, stop), incidence)
+
+
 class PieceBuffers:
     """The workspace of star inference over one graph and class count.
 
-    `blocks` cuts the graph into runs of at most `max_slots` slots, by
-    default SLOT_CLASS_BUDGET // c² read when the workspace is built.
-    Each walk of `star_blocks` writes its inputs here: the class-major
+    `blocks` cuts the nodes into runs of consecutive centers of at most
+    `max_slots` slots each, by default SLOT_CLASS_BUDGET // c² read when
+    the workspace is built; a piece is never split, so a node with more
+    than `max_slots` neighbors is a block of its own, and a graph without
+    nodes is one empty block. `leaf_incidence` is the (n, 2E) 0/1 matrix
+    whose row i holds the slots whose leaf is i. A stable sort by leaf
+    lists each row's slots in ascending order, which is also the order of
+    their reverses among the slots centered at i: both follow the id of
+    the slot's other end. Each walk of `star_blocks` writes its inputs here: the class-major
     leaf term leaf_exp * s (c, n), PAIR_EXP * alpha per slot (2E,) and
     the stacked [1, K] operands. Its blocks write every piece's rows,
     log_z (n,) and mu_center (n, c), and every slot's leaf marginal
@@ -166,7 +192,15 @@ class PieceBuffers:
         c, n, slots = num_classes, g.num_nodes, len(g.indices)
         if max_slots is None:
             max_slots = max(SLOT_CLASS_BUDGET // c ** 2, 1)
-        self.blocks = g.slot_blocks(max_slots)
+        bounds = [0]
+        while bounds[-1] < n:
+            lo = bounds[-1]
+            hi = np.searchsorted(g.indptr, g.indptr[lo] + max_slots, side="right") - 1
+            bounds.append(max(int(hi), lo + 1))
+        # a graph without nodes leaves bounds == [0], which pairs as (0, 0)
+        self.blocks = tuple(_slot_block(g, lo, hi) for lo, hi in zip(bounds, bounds[1:] or [0]))
+        self.leaf_incidence = sp.csr_array(
+            (np.ones(slots), np.argsort(g.indices, kind="stable"), g.indptr), shape=(n, slots))
         m = max(b.slots.stop - b.slots.start for b in self.blocks)
         self.log_z, self.mu_center = np.empty(n), np.empty((n, c))
         self.leaf_marg, self.dots = np.empty((slots, c)), np.empty(slots)
@@ -192,7 +226,7 @@ def star_blocks(g: Graph, scores, pp, redist, out: PieceBuffers):
 def _leaf_major_pieces(g: Graph, scores, redist, block, out):
     """Batched star inference over the pieces of one block, in the leaf-major layout.
 
-    `block` is a `SlotBlock` of `g` and `out` the `PieceBuffers` whose
+    `block` is a `SlotBlock` of `out`, the `PieceBuffers` of `g` whose
     walk inputs `star_blocks` has written. Returns (log_z, mu_center, t,
     rim) over the block: views of `out`'s rows for its centers, and of
     its scratch, which the next block overwrites. t[b, d, a] is the joint
@@ -265,7 +299,7 @@ def objective_and_gradients(r, scores, pp, redist, g: Graph, r_ends=None, worksp
     # leaf contribution: the pieces where node i sits on the rim are those
     # of the slots whose leaf is i
     grad_scores = (r - redist.center_exp[:, None] * out.mu_center
-                   - redist.leaf_exp[:, None] * (g.leaf_incidence @ out.leaf_marg))
+                   - redist.leaf_exp[:, None] * (out.leaf_incidence @ out.leaf_marg))
 
     g_k = (r_j * alphas_e[:, None]).T @ r_k
     g_k -= pair_sum.T

@@ -4,25 +4,18 @@ Edges are stored once as (j, k) with j < k, deduplicated and free of
 self-loops; edge ids are their position in lexicographic order. A CSR
 neighbor layout is kept alongside, in which every undirected edge
 appears twice (once per orientation). The CSR view also records, for
-each directed slot, the undirected edge id, which the factor code uses
-for per-piece bookkeeping.
+each directed slot, its center and the undirected edge id, which the
+factor code uses for per-piece bookkeeping, and each node's degree.
+`build_graph` fills every field once, read-only; how the star pieces
+are cut into blocks and summed back is `factors.PieceBuffers`'s.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateInputError, StructuralInputError
-
-
-class SlotBlock(NamedTuple):
-    """A run of consecutive centers and their CSR slots, which are consecutive too."""
-    nodes: slice             # centers lo:hi
-    slots: slice             # indptr[lo]:indptr[hi]
-    incidence: sp.csr_array  # (hi - lo, slots) 0/1; row i - lo holds the slots centered at i
 
 
 @dataclass(frozen=True)
@@ -32,62 +25,12 @@ class Graph:
     indptr: np.ndarray       # (n+1,) CSR row pointers over directed slots
     indices: np.ndarray      # (2E,) neighbor of the slot's center node
     slot_edge_ids: np.ndarray  # (2E,) undirected edge id of each slot
+    degrees: np.ndarray      # (n,) slots per center, np.diff(indptr)
+    slot_centers: np.ndarray  # (2E,) center node of every slot (CSR row expansion)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    @cached_property
-    def slot_centers(self) -> np.ndarray:
-        """Center node of every directed slot (CSR row expansion)."""
-        centers = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
-        centers.flags.writeable = False
-        return centers
-
-    @cached_property
-    def leaf_incidence(self) -> sp.csr_array:
-        """(n, 2E) 0/1 matrix whose row i holds the slots whose leaf is i.
-
-        A stable sort by leaf lists each row's slots in ascending order, which
-        is also the order of their reverses among the slots centered at i:
-        both follow the id of the slot's other end.
-        """
-        slots = np.argsort(self.indices, kind="stable")
-        return sp.csr_array((np.ones(len(slots)), slots, self.indptr),
-                            shape=(self.num_nodes, len(slots)))
-
-    def slot_blocks(self, max_slots) -> tuple:
-        """The nodes cut into runs of consecutive centers of at most `max_slots` slots each.
-
-        A node with more than `max_slots` neighbors is a block of its own,
-        and a graph without nodes is one empty block. Built on first use
-        for each `max_slots` and kept with the graph.
-        """
-        blocks = self._slot_blocks.get(max_slots)
-        if blocks is None:
-            bounds = [0]
-            while bounds[-1] < self.num_nodes:
-                lo = bounds[-1]
-                hi = np.searchsorted(self.indptr, self.indptr[lo] + max_slots, side="right") - 1
-                bounds.append(max(int(hi), lo + 1))
-            blocks = tuple(self._slot_block(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
-            blocks = self._slot_blocks[max_slots] = blocks or (self._slot_block(0, 0),)
-        return blocks
-
-    @cached_property
-    def _slot_blocks(self) -> dict:
-        return {}
-
-    def _slot_block(self, lo, hi) -> SlotBlock:
-        start, stop = int(self.indptr[lo]), int(self.indptr[hi])
-        incidence = sp.csr_array(
-            (np.ones(stop - start), np.arange(stop - start), self.indptr[lo:hi + 1] - start),
-            shape=(hi - lo, stop - start))
-        return SlotBlock(slice(lo, hi), slice(start, stop), incidence)
 
 
 def _unique_edges(pairs, n):
@@ -142,10 +85,10 @@ def build_graph(num_nodes, raw_edges) -> Graph:
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
 
-    for arr in (edges, indptr, slots_leaf, slots_eid):
+    for arr in (edges, indptr, slots_leaf, slots_eid, counts, slots_center):
         arr.flags.writeable = False
-    return Graph(num_nodes=int(num_nodes), edges=edges, indptr=indptr,
-                 indices=slots_leaf, slot_edge_ids=slots_eid)
+    return Graph(num_nodes=int(num_nodes), edges=edges, indptr=indptr, indices=slots_leaf,
+                 slot_edge_ids=slots_eid, degrees=counts, slot_centers=slots_center)
 
 
 def normalized_adjacency_operator(g: Graph) -> sp.csr_array:

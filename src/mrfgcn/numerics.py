@@ -18,7 +18,9 @@ from .errors import ConfigError
 
 
 def stream(seed: int, name: str) -> np.random.Generator:
-    """Counter-based RNG stream for one purpose (init, dropout, split, ...)."""
+    """Counter-based RNG stream for one purpose (init, dropout, split, ...); seed >= 0."""
+    if int(seed) < 0:
+        raise ConfigError(f"seed of the {name!r} stream must be non-negative, got {seed}")
     key = np.random.SeedSequence(entropy=int(seed), spawn_key=(zlib.crc32(name.encode()),))
     return np.random.Generator(np.random.Philox(key))
 

@@ -9,12 +9,14 @@ graph of its own. The piece check's blocks hold `PIECE_CHECK_SLOTS`
 slots, so an instance spans several blocks that share one workspace
 per walk, and a piece with more slots is a block of its own. The finite
 differences are taken of the value that `objective_and_gradients`
-returns, the same call that supplies the analytic gradients; the
-backbone chain runs on the sparse adjacency operator and CSR features,
-as `train` does. The KL identity is checked against `direct_kl`, which
-sums the factors itself. The ELBO and the KL read q as the unlabeled
-rows of r, the (n, c) table that training's `make_r` builds, and
-nothing here imports from `training`, the code these checks check.
+returns, the same call that supplies the analytic gradients, and every
+call on one instance shares one workspace and one gather of r's
+endpoint rows, as an M-step's epochs do; the backbone chain runs on
+the sparse adjacency operator and CSR features, as `train` does. The
+KL identity is checked against `direct_kl`, which sums the factors
+itself. The ELBO and the KL read q as the unlabeled rows of r, the
+(n, c) table that training's `make_r` builds, and nothing here imports
+from `training`, the code these checks check.
 
 The four suites are the one implementation of these checks: acceptance
 criteria 5, 6, 7 and the KL half of 9 call them with their own seeds,
@@ -32,7 +34,7 @@ import scipy.sparse as sp
 
 from . import gcn
 from .factors import (PAIR_EXP, PairwiseParams, PieceBuffers, Redistribution,
-                      objective_and_gradients, star_blocks)
+                      endpoint_rows, objective_and_gradients, star_blocks)
 from .graph import build_graph, normalized_adjacency_operator
 from .numerics import stream
 from .oracle import (MAX_CONFIGS, _check_limit, exact_elbo, exact_log_partition,
@@ -186,21 +188,23 @@ def check_gradients(sizes, trials, seed, num_classes=3, hidden=6):
         g, redist, scores, pp, labels, train_ids = random_instance(
             rng, n, num_classes, mode=mode, scheme=scheme)
         r = random_r(rng, n, num_classes, labels, train_ids)
+        # r and the graph hold through every call below, as through an M-step
+        fixed = endpoint_rows(r, g), PieceBuffers(g, num_classes)
 
-        _, g_scores, g_raw, g_alpha = objective_and_gradients(r, scores, pp, redist, g)
-        fd = fd_gradient(lambda s: objective_and_gradients(r, s, pp, redist, g)[0],
+        _, g_scores, g_raw, g_alpha = objective_and_gradients(r, scores, pp, redist, g, *fixed)
+        fd = fd_gradient(lambda s: objective_and_gradients(r, s, pp, redist, g, *fixed)[0],
                          scores.copy())
         worst["scores"] = max(worst["scores"], rel_error(g_scores, fd))
 
         fd = fd_gradient(
             lambda raw: objective_and_gradients(
-                r, scores, PairwiseParams(raw, pp.alpha, pp.mode), redist, g)[0],
+                r, scores, PairwiseParams(raw, pp.alpha, pp.mode), redist, g, *fixed)[0],
             pp.raw.copy())
         worst["K"] = max(worst["K"], rel_error(g_raw, fd))
 
         fd = fd_gradient(
             lambda al: objective_and_gradients(
-                r, scores, PairwiseParams(pp.raw, al, pp.mode), redist, g)[0],
+                r, scores, PairwiseParams(pp.raw, al, pp.mode), redist, g, *fixed)[0],
             pp.alpha.copy())
         worst["alpha"] = max(worst["alpha"], rel_error(g_alpha, fd))
 
@@ -221,9 +225,9 @@ def check_gradients(sizes, trials, seed, num_classes=3, hidden=6):
 
         def through_backbone(p):
             s, _ = gcn.forward(p, features, adj)
-            return objective_and_gradients(r, s, pp, redist, g)[0]
+            return objective_and_gradients(r, s, pp, redist, g, *fixed)[0]
 
-        _, gs, _, _ = objective_and_gradients(r, s, pp, redist, g)
+        _, gs, _, _ = objective_and_gradients(r, s, pp, redist, g, *fixed)
         gw0, gw1 = gcn.backward(params, cache, gs)
         fd0 = fd_gradient(lambda w: through_backbone(gcn.GcnParams(w, params.w1)),
                           params.w0.copy())

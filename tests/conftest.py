@@ -53,6 +53,23 @@ def dense_normalized_adjacency(g):
     return a
 
 
+def raw_pair_cases():
+    """(num_nodes, raw pairs) for build_graph: empty graphs, self-loops only,
+    repeats in both orientations, and 40 random multigraphs of 2-79 nodes."""
+    rng = np.random.default_rng(21)
+    yield 0, []
+    yield 1, []
+    yield 1, [(0, 0), (0, 0)]
+    yield 5, []
+    yield 5, [(3, 3), (0, 0), (3, 3)]
+    yield 2, [(1, 0), (0, 1), (1, 0)]
+    for _ in range(40):
+        n = int(rng.integers(2, 80))
+        raw = rng.integers(0, n, size=(int(rng.integers(1, 4 * n)), 2))
+        raw = np.concatenate([raw, raw[:, ::-1], raw[: len(raw) // 2]])   # both ways, repeats
+        yield n, raw[rng.permutation(len(raw))]
+
+
 def supervised_reference(params, features, adj, r, epochs, lr):
     """Independent soft-target trajectory: Adam on the sum of r-weighted CE.
 

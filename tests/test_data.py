@@ -1,4 +1,5 @@
 import logging
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -128,6 +129,18 @@ def test_ratio_split_fraction_sum_error():
     ds = generate_synthetic(50, 2, 2, 0.5, feature_dim=4, feature_noise=0.1, seed=7)
     with pytest.raises(ConfigError):
         ratio_split(ds, 0.5, 0.5, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["train", "val", "test"])
+def test_ratio_split_refuses_a_nan_fraction(position):
+    # every comparison with nan is false, so a nan passes a positivity and a
+    # sum check unless it is refused as non-finite first
+    ds = generate_synthetic(50, 2, 2, 0.5, feature_dim=4, feature_noise=0.1, seed=7)
+    fracs = [0.2, 0.2, 0.6]
+    fracs[position] = float("nan")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"split fractions must be finite, got {tuple(fracs)}")):
+        ratio_split(ds, *fracs, seed=0)
 
 
 def test_split_disjointness_enforced():

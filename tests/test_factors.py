@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import raw_pair_cases
 from mrfgcn import factors, gcn, selfcheck
 from mrfgcn.errors import ConfigError, NonFiniteObjectiveError
 from mrfgcn.factors import (PAIR_EXP, PairwiseParams, PieceBuffers, Redistribution,
@@ -575,6 +576,53 @@ def test_a_call_given_a_workspace_allocates_less_than_one_slot_label_tensor():
     assert peak < workspace.tensor.nbytes
 
 
+def test_leaf_incidence_rows_list_the_reverse_slots_in_order():
+    # the leaf-side sums add row i's slots in stored order; that order must be
+    # the reverses of the slots centered at i, in CSR order
+    for num_nodes, raw in raw_pair_cases():
+        g = build_graph(num_nodes, raw)
+        inc = PieceBuffers(g, 3).leaf_incidence
+        assert np.array_equal(inc.indptr, g.indptr)
+        reverse = inc.indices               # entry d sits in row center(d)
+        assert np.array_equal(g.slot_centers[reverse], g.indices)
+        assert np.array_equal(g.indices[reverse], g.slot_centers)
+        assert np.array_equal(g.slot_edge_ids[reverse], g.slot_edge_ids)
+
+
+@pytest.mark.parametrize("num_nodes, edges", [(7, [(0, 3), (3, 5), (0, 5), (5, 6)]),
+                                             (3, [])])
+def test_slot_incidence_rows_hold_the_slots_at_each_node(num_nodes, edges):
+    g = build_graph(num_nodes, edges)
+    inc = PieceBuffers(g, 3).leaf_incidence
+    assert inc.shape == (num_nodes, 2 * g.num_edges)
+    assert (inc.data == 1.0).all()
+    expected = np.zeros(inc.shape)
+    expected[g.indices, np.arange(2 * g.num_edges)] = 1.0
+    assert np.array_equal(inc.toarray(), expected)
+
+
+@pytest.mark.parametrize("max_slots", [1, 3, 7, 1000])
+def test_slot_blocks_cut_the_csr_order_into_whole_pieces(max_slots):
+    rng = np.random.default_rng(3)
+    for g in (random_graph(rng, 15, 0.3), build_graph(6, [(2, 3)]), build_graph(4, []),
+              build_graph(9, [(4, k) for k in range(9) if k != 4]), build_graph(0, [])):
+        # row i holds the slots centered at i
+        center_incidence = np.zeros((g.num_nodes, 2 * g.num_edges))
+        center_incidence[g.slot_centers, np.arange(2 * g.num_edges)] = 1.0
+        blocks = PieceBuffers(g, 3, max_slots).blocks
+        assert [b.nodes.start for b in blocks] == [0] + [b.nodes.stop for b in blocks[:-1]]
+        assert blocks[-1].nodes.stop == g.num_nodes
+        for b in blocks:
+            size = b.slots.stop - b.slots.start
+            assert (b.slots.start, b.slots.stop) == (g.indptr[b.nodes.start],
+                                                     g.indptr[b.nodes.stop])
+            # within the budget, or one piece; and no room for the next piece
+            assert size <= max_slots or b.nodes.stop - b.nodes.start == 1
+            if b.nodes.stop < g.num_nodes:
+                assert g.indptr[b.nodes.stop + 1] - b.slots.start > max_slots
+            assert np.array_equal(b.incidence.toarray(), center_incidence[b.nodes, b.slots])
+
+
 @pytest.mark.parametrize("kind", ["random", "isolated_nodes", "hub"])
 def test_each_piece_read_from_its_block_equals_the_whole_graph_piece(kind):
     rng = np.random.default_rng(21)
@@ -643,7 +691,7 @@ def test_every_piece_the_walk_yields_equals_the_objectives_rows_bit_for_bit(monk
         assert np.array_equal(log_z, out.log_z[block.nodes])
         assert np.array_equal(mu_center, out.mu_center[block.nodes])
         blocks += 1
-    assert blocks == {"whole_graph": 1, "3_slots": len(g.slot_blocks(3)),
+    assert blocks == {"whole_graph": 1, "3_slots": len(PieceBuffers(g, c, 3).blocks),
                       "default": len(buffers)}[budget]
     hub = int(np.argmax(g.degrees))
     for node in sorted({0, hub, g.num_nodes // 2, g.num_nodes - 1}):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_normalized_adjacency
+from conftest import dense_normalized_adjacency, raw_pair_cases
 from mrfgcn.errors import DegenerateInputError, StructuralInputError
 from mrfgcn.graph import build_graph, homophily_beta, normalized_adjacency_operator
 from mrfgcn.selfcheck import random_graph
@@ -51,23 +51,8 @@ def _reference_build(num_nodes, raw_edges):
     return {"edges": edges, "indptr": indptr, "indices": leaf, "slot_edge_ids": eid}
 
 
-def _raw_pair_cases():
-    rng = np.random.default_rng(21)
-    yield 0, []
-    yield 1, []
-    yield 1, [(0, 0), (0, 0)]
-    yield 5, []
-    yield 5, [(3, 3), (0, 0), (3, 3)]
-    yield 2, [(1, 0), (0, 1), (1, 0)]
-    for _ in range(40):
-        n = int(rng.integers(2, 80))
-        raw = rng.integers(0, n, size=(int(rng.integers(1, 4 * n)), 2))
-        raw = np.concatenate([raw, raw[:, ::-1], raw[: len(raw) // 2]])   # both ways, repeats
-        yield n, raw[rng.permutation(len(raw))]
-
-
 def test_build_matches_the_row_unique_formulation():
-    for num_nodes, raw in _raw_pair_cases():
+    for num_nodes, raw in raw_pair_cases():
         g = build_graph(num_nodes, raw)
         for name, expected in _reference_build(num_nodes, raw).items():
             got = getattr(g, name)
@@ -107,53 +92,17 @@ def test_edge_ids_bijection():
     assert np.array_equal(pairs, g.edges[g.slot_edge_ids])
 
 
-def test_leaf_incidence_rows_list_the_reverse_slots_in_order():
-    # the leaf-side sums add row i's slots in stored order; that order must be
-    # the reverses of the slots centered at i, in CSR order
-    for num_nodes, raw in _raw_pair_cases():
+def test_degrees_and_slot_centers_expand_the_csr_rows_read_only():
+    for num_nodes, raw in raw_pair_cases():
         g = build_graph(num_nodes, raw)
-        inc = g.leaf_incidence
-        assert np.array_equal(inc.indptr, g.indptr)
-        reverse = inc.indices               # entry d sits in row center(d)
-        assert np.array_equal(g.slot_centers[reverse], g.indices)
-        assert np.array_equal(g.indices[reverse], g.slot_centers)
-        assert np.array_equal(g.slot_edge_ids[reverse], g.slot_edge_ids)
-
-
-@pytest.mark.parametrize("num_nodes, edges", [(7, [(0, 3), (3, 5), (0, 5), (5, 6)]),
-                                             (3, [])])
-def test_slot_incidence_rows_hold_the_slots_at_each_node(num_nodes, edges):
-    g = build_graph(num_nodes, edges)
-    inc = g.leaf_incidence
-    assert inc.shape == (num_nodes, 2 * g.num_edges)
-    assert (inc.data == 1.0).all()
-    expected = np.zeros(inc.shape)
-    expected[g.indices, np.arange(2 * g.num_edges)] = 1.0
-    assert np.array_equal(inc.toarray(), expected)
-    assert g.leaf_incidence is inc          # built once per graph
-
-
-@pytest.mark.parametrize("max_slots", [1, 3, 7, 1000])
-def test_slot_blocks_cut_the_csr_order_into_whole_pieces(max_slots):
-    rng = np.random.default_rng(3)
-    for g in (random_graph(rng, 15, 0.3), build_graph(6, [(2, 3)]), build_graph(4, []),
-              build_graph(9, [(4, k) for k in range(9) if k != 4]), build_graph(0, [])):
-        # row i holds the slots centered at i
-        center_incidence = np.zeros((g.num_nodes, 2 * g.num_edges))
-        center_incidence[g.slot_centers, np.arange(2 * g.num_edges)] = 1.0
-        blocks = g.slot_blocks(max_slots)
-        assert g.slot_blocks(max_slots) is blocks         # built once per size
-        assert [b.nodes.start for b in blocks] == [0] + [b.nodes.stop for b in blocks[:-1]]
-        assert blocks[-1].nodes.stop == g.num_nodes
-        for b in blocks:
-            size = b.slots.stop - b.slots.start
-            assert (b.slots.start, b.slots.stop) == (g.indptr[b.nodes.start],
-                                                     g.indptr[b.nodes.stop])
-            # within the budget, or one piece; and no room for the next piece
-            assert size <= max_slots or b.nodes.stop - b.nodes.start == 1
-            if b.nodes.stop < g.num_nodes:
-                assert g.indptr[b.nodes.stop + 1] - b.slots.start > max_slots
-            assert np.array_equal(b.incidence.toarray(), center_incidence[b.nodes, b.slots])
+        assert np.array_equal(g.degrees, np.diff(g.indptr))
+        assert np.array_equal(g.slot_centers,
+                              np.repeat(np.arange(num_nodes, dtype=np.int64), g.degrees))
+        assert g.degrees.dtype == g.slot_centers.dtype == np.int64
+        for arr in (g.degrees, g.slot_centers):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
 
 
 def test_normalized_adjacency_isolated_node():

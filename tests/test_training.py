@@ -7,7 +7,8 @@ import scipy.sparse as sp
 
 from conftest import dense_normalized_adjacency, supervised_reference
 from mrfgcn import factors, gcn, training
-from mrfgcn.data import Split, generate_synthetic, ratio_split, row_normalize_features
+from mrfgcn.data import (Split, generate_synthetic, planetoid_split, ratio_split,
+                         row_normalize_features)
 from mrfgcn.errors import (ConfigError, DegenerateInputError, NonFiniteObjectiveError,
                            StructuralInputError)
 from mrfgcn.factors import PairwiseParams, Redistribution
@@ -384,7 +385,7 @@ def test_non_finite_piece_in_a_later_block_is_named_at_every_block_budget(monkey
     g = build_graph(12, [(i, i + 1) for i in range(11)])
     if budget is not None:
         monkeypatch.setattr(factors, "SLOT_CLASS_BUDGET", budget * 2 * 2)
-    blocks = g.slot_blocks(factors.SLOT_CLASS_BUDGET // 4)
+    blocks = factors.PieceBuffers(g, 2).blocks
     assert len(blocks) == 1 if budget is None else blocks[0].nodes.stop <= 8
     alpha = np.ones(g.num_edges)
     alpha[8] = 1e308
@@ -517,6 +518,22 @@ def test_train_seed_changes_outcome():
     a = train(ds, split, _tiny_config(seed=7))
     b = train(ds, split, _tiny_config(seed=8))
     assert not np.array_equal(a.params.w0, b.params.w0)
+
+
+@pytest.mark.parametrize("entry, stream_name, seed", [
+    ("train", "dropout", -1), ("planetoid_split", "planetoid_split", -1),
+    ("ratio_split", "ratio_split", -1), ("generate_synthetic", "synthetic", -3)])
+def test_a_negative_seed_is_refused_naming_its_stream(entry, stream_name, seed):
+    # every seed passes through numerics.stream, which names the stream and
+    # the value rather than leaving numpy's bare "expected non-negative integer"
+    ds = _tiny_dataset(seed=3)
+    call = {"train": lambda: train(ds, ratio_split(ds, 0.2, 0.2, 0.6), _tiny_config(seed=seed)),
+            "planetoid_split": lambda: planetoid_split(ds, 2, 5, 10, seed=seed),
+            "ratio_split": lambda: ratio_split(ds, 0.2, 0.2, 0.6, seed=seed),
+            "generate_synthetic": lambda: generate_synthetic(30, 2, 2, 0.5, 4, 0.1, seed=seed)}
+    message = f"seed of the '{stream_name}' stream must be non-negative, got {seed}"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        call[entry]()
 
 
 def test_train_alpha_zero_stays_degenerate():
