@@ -14,7 +14,8 @@ from .gcn import GcnParams, backward, init_params, supervised_loss_and_grad
 from .graph import Graph, build_graph, homophily_beta, normalized_adjacency_operator
 from .oracle import (exact_elbo, exact_log_partition, exact_observed_ll,
                      exact_posterior_marginals)
+from .selfcheck import mean_field_site_update
 from .training import (Proposal, TrainConfig, TrainReport, TrainResult,
-                       evaluate, m_step, mean_field_site_update, predict, train)
+                       evaluate, m_step, predict, train)
 
 __version__ = "0.1.0"

@@ -197,12 +197,10 @@ def supervised_loss_and_grad(params, features, norm_adj, labels, train_ids,
     scores, cache = forward(params, features, norm_adj, dropout_keep=dropout_keep, rng=rng,
                             field=field)
     count = len(field.ids)
-    probs = softmax_rows(scores[field.positions])
-    picked = probs[np.arange(count), labels[field.ids]]
-    # a label probability that underflows to 0 makes the reported loss inf;
-    # the loss is only reported, and the gradient below stays finite
-    with np.errstate(divide="ignore"):
-        loss = float(-np.mean(np.log(picked)))
+    s = scores[field.positions]
+    probs = softmax_rows(s)
+    s -= s.max(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(np.exp(s).sum(axis=1)) - s[np.arange(count), labels[field.ids]]))
     grad_scores = np.zeros_like(scores)
     grad_scores[field.positions] = probs / count
     grad_scores[field.positions, labels[field.ids]] -= 1.0 / count

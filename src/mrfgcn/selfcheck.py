@@ -20,11 +20,13 @@ from `training`, the code these checks check.
 
 The four suites are the one implementation of these checks: acceptance
 criteria 5, 6, 7 and the KL half of 9 call them with their own seeds,
-sizes and class counts. Central differences are exact only away from
-the backbone's ReLU kinks, so the gradient suite draws an instance's
-backbone weights again while a hidden pre-activation lies within twice
-the reach of a w0 step (`FD_STEP` times the largest entry of its row of
-A X) of zero.
+sizes and class counts, and each draws its instances from one cycle of
+sizes, schemes and modes. The E-step's reference, the per-site update
+`mean_field_site_update`, lives here too. Central differences are exact
+only away from the backbone's ReLU kinks, so the gradient suite draws
+an instance's backbone weights again while a hidden pre-activation lies
+within twice the reach of a w0 step (`FD_STEP` times the largest entry
+of its row of A X) of zero.
 """
 
 from dataclasses import dataclass
@@ -37,8 +39,8 @@ from .factors import (PAIR_EXP, PairwiseParams, PieceBuffers, Redistribution,
                       endpoint_rows, objective_and_gradients, star_blocks)
 from .graph import build_graph, normalized_adjacency_operator
 from .numerics import stream
-from .oracle import (MAX_CONFIGS, _check_limit, exact_elbo, exact_log_partition,
-                     exact_observed_ll, exact_posterior_marginals)
+from .oracle import (MAX_CONFIGS, _check_limit, _factor_sum, exact_elbo,
+                     exact_log_partition, exact_observed_ll, exact_posterior_marginals)
 
 FD_STEP = 1e-5
 GRAD_TOL = 1e-6
@@ -85,6 +87,16 @@ def random_instance(rng, num_nodes, num_classes, mode="edge", scheme="average",
     num_labeled = int(rng.integers(min_labeled, num_nodes))
     train_ids = np.sort(rng.choice(num_nodes, size=num_labeled, replace=False))
     return g, redist, scores, pp, labels, train_ids
+
+
+def _instances(rng, sizes, trials, num_classes, modes=("edge", "layer", "none"),
+               schemes=("average", "center")):
+    """Yield (size, random_instance(...)) per trial; trial t takes the t-th
+    size, mode and scheme, each list cycled."""
+    for t in range(trials):
+        n = sizes[t % len(sizes)]
+        yield n, random_instance(rng, n, num_classes, mode=modes[t % len(modes)],
+                                 scheme=schemes[t % len(schemes)])
 
 
 def random_r(rng, num_nodes, num_classes, labels, train_ids):
@@ -161,12 +173,7 @@ def rel_error(analytic, numeric):
 def check_piece_inference(sizes, trials, seed, num_classes=3, max_configs=MAX_CONFIGS):
     rng = stream(seed, "selfcheck_pieces")
     worst_z, worst_m = 0.0, 0.0
-    for trial in range(trials):
-        n = sizes[trial % len(sizes)]
-        scheme = ("average", "center")[trial % 2]
-        mode = ("edge", "layer", "none")[trial % 3]
-        g, redist, scores, pp, _, _ = random_instance(
-            rng, n, num_classes, mode=mode, scheme=scheme)
+    for n, (g, redist, scores, pp, _, _) in _instances(rng, sizes, trials, num_classes):
         node = int(rng.integers(n))
         ref_z, ref_c, ref_l, ref_p = oracle_star_piece(g, node, scores, pp, redist, max_configs)
         log_z, center, leaves, pair = blocked_piece(g, node, scores, pp, redist)
@@ -181,32 +188,22 @@ def check_piece_inference(sizes, trials, seed, num_classes=3, max_configs=MAX_CO
 def check_gradients(sizes, trials, seed, num_classes=3, hidden=6):
     rng = stream(seed, "selfcheck_grads")
     worst = {"scores": 0.0, "K": 0.0, "alpha": 0.0, "w0": 0.0, "w1": 0.0}
-    for t in range(trials):
-        n = sizes[t % len(sizes)]
-        scheme = ("average", "center")[t % 2]
-        mode = ("edge", "layer", "none")[t % 3]
-        g, redist, scores, pp, labels, train_ids = random_instance(
-            rng, n, num_classes, mode=mode, scheme=scheme)
+    for n, (g, redist, scores, pp, labels, train_ids) in _instances(
+            rng, sizes, trials, num_classes):
         r = random_r(rng, n, num_classes, labels, train_ids)
         # r and the graph hold through every call below, as through an M-step
         fixed = endpoint_rows(r, g), PieceBuffers(g, num_classes)
 
-        _, g_scores, g_raw, g_alpha = objective_and_gradients(r, scores, pp, redist, g, *fixed)
-        fd = fd_gradient(lambda s: objective_and_gradients(r, s, pp, redist, g, *fixed)[0],
-                         scores.copy())
-        worst["scores"] = max(worst["scores"], rel_error(g_scores, fd))
-
-        fd = fd_gradient(
-            lambda raw: objective_and_gradients(
-                r, scores, PairwiseParams(raw, pp.alpha, pp.mode), redist, g, *fixed)[0],
-            pp.raw.copy())
-        worst["K"] = max(worst["K"], rel_error(g_raw, fd))
-
-        fd = fd_gradient(
-            lambda al: objective_and_gradients(
-                r, scores, PairwiseParams(pp.raw, al, pp.mode), redist, g, *fixed)[0],
-            pp.alpha.copy())
-        worst["alpha"] = max(worst["alpha"], rel_error(g_alpha, fd))
+        # each factor block: its value, and the (scores, pp) it varies to
+        blocks = {"scores": (scores, lambda s: (s, pp)),
+                  "K": (pp.raw, lambda raw: (scores, PairwiseParams(raw, pp.alpha, pp.mode))),
+                  "alpha": (pp.alpha, lambda al: (scores, PairwiseParams(pp.raw, al, pp.mode)))}
+        analytic = objective_and_gradients(r, scores, pp, redist, g, *fixed)[1:]
+        for (name, (value, varied)), grad in zip(blocks.items(), analytic):
+            fd = fd_gradient(
+                lambda x: objective_and_gradients(r, *varied(x), redist, g, *fixed)[0],
+                value.copy())
+            worst[name] = max(worst[name], rel_error(grad, fd))
 
         # backbone chain: finite-difference the weights through the same objective
         num_feats = int(rng.integers(2, 5))
@@ -242,10 +239,8 @@ def check_gradients(sizes, trials, seed, num_classes=3, hidden=6):
 def check_redistribution_identity(sizes, trials, seed, num_classes=3):
     rng = stream(seed, "selfcheck_redist")
     worst = 0.0
-    for t in range(trials):
-        n = sizes[t % len(sizes)]
-        scheme = ("average", "center")[t % 2]
-        g, redist, scores, pp, _, _ = random_instance(rng, n, num_classes, scheme=scheme)
+    for n, (g, redist, scores, pp, _, _) in _instances(
+            rng, sizes, trials, num_classes, modes=("edge",)):
         assign = rng.integers(0, num_classes, size=n)
         # every piece's redistributed factors: centers, then each CSR slot's
         # leaf and piece edge
@@ -254,11 +249,7 @@ def check_redistribution_identity(sizes, trials, seed, num_classes=3):
         total += (redist.leaf_exp[leaves] * scores[leaves, assign[leaves]]).sum()
         total += (PAIR_EXP * pp.alpha_at(g.slot_edge_ids)
                   * pp.K[assign[centers], assign[leaves]]).sum()
-        direct = scores[np.arange(n), assign].sum()
-        if g.num_edges:
-            j, k = g.edges[:, 0], g.edges[:, 1]
-            direct += (pp.alpha_at(np.arange(g.num_edges))
-                       * pp.K[assign[j], assign[k]]).sum()
+        direct = _factor_sum(assign[None, :], scores, pp, g)[0]
         worst = max(worst, abs(total - direct))
     return [CheckResult("redistribution partition of unity", worst, ENUM_TOL)]
 
@@ -267,9 +258,8 @@ def check_elbo_identity(sizes, trials, seed, num_classes=3, max_configs=MAX_CONF
     """observed_ll - ELBO must equal KL(q || posterior), computed directly."""
     rng = stream(seed, "selfcheck_elbo")
     worst = 0.0
-    for t in range(trials):
-        n = sizes[t % len(sizes)]
-        g, _, scores, pp, labels, train_ids = random_instance(rng, n, num_classes)
+    for n, (g, _, scores, pp, labels, train_ids) in _instances(
+            rng, sizes, trials, num_classes, modes=("edge",), schemes=("average",)):
         free = np.setdiff1d(np.arange(n), train_ids)
         q_rows = rng.random((len(free), num_classes)) + 0.05
         q_rows /= q_rows.sum(axis=1, keepdims=True)
@@ -305,6 +295,23 @@ def direct_kl(g, scores, pp, labels, train_ids, r):
     logq = np.log(r[free[None, :], block]).sum(axis=1)
     w = np.exp(logq)
     return float((w * (logq - log_post)).sum())
+
+
+def mean_field_site_update(r, node, scores, pp, g):
+    """Closed-form mean-field update of row `node` of r; the E-step's reference.
+
+    Every neighbour enters through its row of r, a labeled one through its
+    clamped one-hot row. Returns a new table; r is left as it is.
+    """
+    k = pp.K
+    lo, hi = g.indptr[node], g.indptr[node + 1]
+    logits = scores[node].astype(np.float64).copy()
+    for leaf, eid in zip(g.indices[lo:hi], g.slot_edge_ids[lo:hi]):
+        logits += pp.alpha_at(np.array([eid]))[0] * (k @ r[leaf])
+    out = r.copy()
+    shifted = np.exp(logits - logits.max())
+    out[node] = shifted / shifted.sum()
+    return out
 
 
 def run_selfchecks(sizes, trials, seed, num_classes=3, max_configs=MAX_CONFIGS):

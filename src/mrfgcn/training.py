@@ -15,7 +15,8 @@ Each level's logits are computed class-major, (c, L), so that max, sum
 and TV reduce down axis 0 rather than along the short class axis. A
 numbering that chains the unlabeled nodes (a path numbered end to end)
 puts every node on its own level, where this is slower than a per-node
-loop.
+loop. The per-node update it reproduces is written out, as a reference,
+in `selfcheck.mean_field_site_update`.
 
 The warm start trains the backbone on the labeled nodes' cross-entropy.
 Its loss and its per-epoch validation read the scores of a few rows, so
@@ -165,23 +166,6 @@ def make_r(q: Proposal, labels, train_ids, num_classes) -> np.ndarray:
     r[train_ids, labels[train_ids]] = 1.0
     r[q.node_ids] = q.q
     return r
-
-
-def mean_field_site_update(r, node, scores, pp: PairwiseParams, g: Graph) -> np.ndarray:
-    """Closed-form update of row `node` of r; reference implementation.
-
-    Every neighbour enters through its row of r, a labeled one through its
-    clamped one-hot row. Returns a new table; r is left as it is.
-    """
-    k = pp.K
-    lo, hi = g.indptr[node], g.indptr[node + 1]
-    logits = scores[node].astype(np.float64).copy()
-    for leaf, eid in zip(g.indices[lo:hi], g.slot_edge_ids[lo:hi]):
-        logits += pp.alpha_at(np.array([eid]))[0] * (k @ r[leaf])
-    out = r.copy()
-    shifted = np.exp(logits - logits.max())
-    out[node] = shifted / shifted.sum()
-    return out
 
 
 def _dependency_levels(g: Graph, free):

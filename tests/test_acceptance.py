@@ -30,9 +30,10 @@ from mrfgcn.graph import build_graph, homophily_beta, normalized_adjacency_opera
 from mrfgcn.numerics import softmax_rows, stream
 from mrfgcn.oracle import exact_elbo, exact_observed_ll
 from mrfgcn.selfcheck import (check_elbo_identity, check_gradients, check_piece_inference,
-                              check_redistribution_identity, random_instance, random_r)
+                              check_redistribution_identity, mean_field_site_update,
+                              random_instance, random_r)
 from mrfgcn.training import (Proposal, TrainConfig, _e_step_stats, m_step, make_r,
-                             mean_field_site_update, predict, train)
+                             predict, train)
 
 from conftest import (dataset_dir, dense_normalized_adjacency, require_dataset,
                       supervised_reference)

@@ -10,7 +10,7 @@ from mrfgcn import oracle, selfcheck
 from mrfgcn.errors import EnumerationLimitError
 from mrfgcn.factors import PairwiseParams, PieceBuffers, Redistribution, star_blocks
 from mrfgcn.graph import build_graph
-from mrfgcn.numerics import softmax_rows
+from mrfgcn.numerics import softmax_rows, stream
 from mrfgcn.oracle import (exact_elbo, exact_log_partition, exact_observed_ll,
                            exact_posterior_marginals)
 from mrfgcn.selfcheck import random_instance
@@ -209,3 +209,25 @@ def test_references_import_nothing_from_training(module):
             names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
             parts.update(part for name in names for part in name.split("."))
     assert "training" not in parts
+
+
+def test_suite_instances_cycle_sizes_schemes_and_modes():
+    # oracle-check's draws rest on this cycle: trial t takes size t mod the
+    # sizes, scheme t mod 2 and mode t mod 3, so six trials meet every pair
+    sizes = [3, 5, 4, 6]
+    drawn = list(selfcheck._instances(stream(0, "cycle"), sizes, 6, 3))
+    rng, pairs = stream(0, "cycle"), set()
+    for t, (n, (g, redist, scores, pp, labels, train)) in enumerate(drawn):
+        scheme, mode = ("average", "center")[t % 2], ("edge", "layer", "none")[t % 3]
+        wg, wredist, wscores, wpp, wlabels, wtrain = random_instance(
+            rng, sizes[t % 4], 3, mode=mode, scheme=scheme)
+        assert n == sizes[t % 4] == g.num_nodes
+        assert np.array_equal(g.edges, wg.edges)
+        for got, want in [(redist.center_exp, wredist.center_exp),
+                          (redist.leaf_exp, wredist.leaf_exp), (scores, wscores),
+                          (pp.raw, wpp.raw), (pp.alpha, wpp.alpha), (labels, wlabels),
+                          (train, wtrain)]:
+            assert np.array_equal(got, want)
+        assert pp.mode == mode
+        pairs.add((pp.mode, "average" if redist.leaf_exp.any() else "center"))
+    assert len(pairs) == 6

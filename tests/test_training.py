@@ -16,10 +16,9 @@ from mrfgcn.gcn import GcnParams, forward, init_params
 from mrfgcn.graph import build_graph, normalized_adjacency_operator
 from mrfgcn.numerics import softmax_rows, stream
 from mrfgcn.oracle import exact_posterior_marginals
-from mrfgcn.selfcheck import random_graph, random_instance
+from mrfgcn.selfcheck import mean_field_site_update, random_graph, random_instance
 from mrfgcn.training import (Proposal, TrainConfig, _argmax_predictions, _dependency_levels,
-                             _e_step_stats, evaluate, m_step, make_r,
-                             mean_field_site_update, predict, train)
+                             _e_step_stats, evaluate, m_step, make_r, predict, train)
 
 
 def _uniform_q(free, c, n):
