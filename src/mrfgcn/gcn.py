@@ -15,12 +15,12 @@ produced them, including its dropout masks.
 A loss that reads the scores of a few rows reads only their receptive
 field: the rows' neighbours' hidden activations, and those nodes'
 neighbours' features. `receptive_field` cuts these blocks out of A and X
-once, and `forward` runs on them with an outer adjacency A[rows] and an
-inner one A[hidden][:, inputs]; the whole graph passes A for both. Every
-row of a CSR product sums its stored entries in order, and the hidden
-rows are placed back at their node ids before the dense products with
-W1, so the field's loss, gradients and scores are bit-identical to the
-whole graph's.
+once, for sorted distinct ids, and `forward` runs on them with an outer
+adjacency A[rows] and an inner one A[hidden][:, inputs]; the whole graph
+passes A for both. Every row of a CSR product sums its stored entries in
+order, and the hidden rows are placed back at their node ids before the
+dense products with W1, so the field's scores, and the `cross_entropy`
+and gradients of a loss on them, are bit-identical to the whole graph's.
 """
 
 from dataclasses import dataclass
@@ -54,16 +54,14 @@ class GcnCache:
 
 @dataclass(frozen=True)
 class Field:
-    """The blocks of A and X that the scores of `ids` read, with the
+    """The blocks of A and X that the scores of `rows` read, with the
     transposes that backward() multiplies by.
 
-    `rows` are the sorted distinct ids and `positions` each id's row among
-    them; `hidden` are the sorted nodes adjacent to a row (itself included)
-    and `inputs` the sorted nodes adjacent to a hidden node.
+    `rows` are sorted distinct node ids; `hidden` are the sorted nodes
+    adjacent to a row (itself included) and `inputs` the sorted nodes
+    adjacent to a hidden node.
     """
-    ids: np.ndarray
     rows: np.ndarray
-    positions: np.ndarray
     hidden: np.ndarray
     outer: sp.csr_array      # A[rows], all n columns
     outer_t: sp.csr_array
@@ -81,28 +79,25 @@ def _require_csr(**inputs):
 
 
 def receptive_field(norm_adj, features, ids) -> Field:
-    """Cut the receptive field of `ids` out of the adjacency and the features.
+    """Cut the receptive field of the sorted distinct `ids` out of A and X.
 
-    `norm_adj` and `features` are `scipy.sparse.csr_array`. Row slices keep
-    each row's entries in order, and the inner block's columns are
-    renumbered by rank among the sorted `inputs`, which keeps that order
-    too. A transpose converted to CSR lists each row's entries in ascending
-    column order, the order in which a product with the CSC view of the
-    transpose adds them up.
+    `norm_adj` and `features` are `scipy.sparse.csr_array`. Row slices, and
+    the column slice by the sorted `inputs`, keep each row's entries in
+    order. A transpose converted to CSR lists each row's entries in
+    ascending column order, the order in which a product with the CSC view
+    of the transpose adds them up.
     """
     _require_csr(norm_adj=norm_adj, features=features)
-    ids = np.asarray(ids, dtype=np.int64)
-    rows = np.unique(ids)
+    rows = np.asarray(ids, dtype=np.int64)
+    if np.any(rows[1:] <= rows[:-1]):
+        raise StructuralInputError("receptive field ids must be sorted and distinct")
     outer = norm_adj[rows]
     hidden = np.unique(outer.indices).astype(np.int64)
     inner = norm_adj[hidden]
     inputs = np.unique(inner.indices)
-    rank = np.empty(norm_adj.shape[1], dtype=inner.indices.dtype)
-    rank[inputs] = np.arange(len(inputs))
-    inner = sp.csr_array((inner.data, rank[inner.indices], inner.indptr),
-                         shape=(len(hidden), len(inputs)))
-    return Field(ids, rows, np.searchsorted(rows, ids), hidden, outer, outer.T.tocsr(),
-                 inner, inner.T.tocsr(), features[inputs])
+    inner = inner[:, inputs]
+    return Field(rows, hidden, outer, outer.T.tocsr(), inner, inner.T.tocsr(),
+                 features[inputs])
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -184,25 +179,28 @@ def backward(params: GcnParams, cache: GcnCache, grad_scores):
     return gw0, gw1
 
 
+def cross_entropy(scores, labels) -> float:
+    """Mean cross-entropy of the rows of `scores` against their `labels`; each
+    row is max-shifted, so a label probability that underflows costs its margin."""
+    s = scores - scores.max(axis=1, keepdims=True)
+    return float(np.mean(np.log(np.exp(s).sum(axis=1)) - s[np.arange(len(s)), labels]))
+
+
 def supervised_loss_and_grad(params, features, norm_adj, labels, train_ids,
                              rng=None, dropout_keep=1.0, field=None):
     """Mean cross-entropy over train_ids plus its exact weight gradients.
 
-    The loss reads only the scores of train_ids, so it runs on their
-    receptive field: `field` when given (cut for these train_ids), else one
-    cut here.
+    The loss reads only the scores of the sorted distinct train_ids, so it
+    runs on their receptive field: `field` when given (cut for these
+    train_ids), else one cut here.
     """
     if field is None:
         field = receptive_field(norm_adj, features, train_ids)
     scores, cache = forward(params, features, norm_adj, dropout_keep=dropout_keep, rng=rng,
                             field=field)
-    count = len(field.ids)
-    s = scores[field.positions]
-    probs = softmax_rows(s)
-    s -= s.max(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(np.exp(s).sum(axis=1)) - s[np.arange(count), labels[field.ids]]))
-    grad_scores = np.zeros_like(scores)
-    grad_scores[field.positions] = probs / count
-    grad_scores[field.positions, labels[field.ids]] -= 1.0 / count
+    count, field_labels = len(field.rows), labels[field.rows]
+    loss = cross_entropy(scores, field_labels)
+    grad_scores = softmax_rows(scores) / count
+    grad_scores[np.arange(count), field_labels] -= 1.0 / count
     gw0, gw1 = backward(params, cache, grad_scores)
     return loss, gw0, gw1

@@ -6,6 +6,7 @@ order in which unrelated components draw numbers. A dropout mask has
 whatever shape the caller names: the GCN draws one value per stored
 entry of its CSR features, and one per hidden unit of the rows it
 computes. Each mask value is one 32-bit half of a raw Philox word.
+`softmax_rows` and the E-step both run the one class-major `softmax_columns`.
 """
 
 import math
@@ -25,19 +26,21 @@ def stream(seed: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-def softmax_rows(m):
-    """Row-wise softmax with max subtraction; rows sum to 1.
+def softmax_columns(t):
+    """Max-shifted softmax down axis 0 of the class-major (c, L) `t`, in place; returns t.
 
-    The work runs on a class-major (C-ordered transposed) copy, so each
-    reduction over a row's few classes is one pass down axis 0; numpy
-    reduces a short contiguous last axis many times slower. The result is
-    C-contiguous.
+    numpy reduces a short contiguous last axis many times slower.
     """
-    t = np.array(np.asarray(m, dtype=np.float64).T, order="C")
     t -= t.max(axis=0)
     np.exp(t, out=t)
     t /= t.sum(axis=0)
-    return np.ascontiguousarray(t.T)
+    return t
+
+
+def softmax_rows(m):
+    """Row-wise softmax, by `softmax_columns` on a class-major copy; C-contiguous."""
+    t = np.array(np.asarray(m, dtype=np.float64).T, order="C")
+    return np.ascontiguousarray(softmax_columns(t).T)
 
 
 def dropout_mask(shape, keep_prob, rng):

@@ -11,19 +11,20 @@ That ascending Gauss-Seidel order is run by dependency level, as level
 scheduling runs a sparse triangular solve: a node's level is one more
 than the highest level among its lower-numbered unlabeled neighbours,
 and one vectorized update per level reproduces the node-by-node sweep.
-Each level's logits are computed class-major, (c, L), so that max, sum
-and TV reduce down axis 0 rather than along the short class axis. A
-numbering that chains the unlabeled nodes (a path numbered end to end)
-puts every node on its own level, where this is slower than a per-node
-loop. The per-node update it reproduces is written out, as a reference,
-in `selfcheck.mean_field_site_update`.
+Each level's logits are computed class-major, (c, L), so that the shared
+`numerics.softmax_columns` and the TV reduce down axis 0 rather than
+along the short class axis. A numbering that chains the unlabeled nodes
+(a path numbered end to end) puts every node on its own level, where
+this is slower than a per-node loop. The per-node update it reproduces
+is written out, as a reference, in `selfcheck.mean_field_site_update`.
 
 The warm start trains the backbone on the labeled nodes' cross-entropy.
-Its loss and its per-epoch validation read the scores of a few rows, so
-both run on those rows' receptive fields (`gcn.receptive_field`), which
-gives the full graph's loss, gradients and scores bit for bit. It stops
-after `patience` epochs in which neither validation accuracy nor
-validation cross-entropy improved; the loss falls on an accuracy plateau.
+Its loss and its per-epoch validation (both `gcn.cross_entropy`) read
+the scores of a few rows, so both run on the receptive fields of the
+split's sorted ids (`gcn.receptive_field`), which gives the full graph's
+loss, gradients and scores bit for bit. It stops after `patience` epochs
+in which neither validation accuracy nor validation cross-entropy
+improved; the loss falls on an accuracy plateau.
 
 The M-step fixes q and runs full-batch Adam ascent on the expected
 piecewise objective, updating the backbone weights together with K and
@@ -48,7 +49,7 @@ from .errors import ConfigError, DegenerateInputError, StructuralInputError
 from .factors import (PairwiseParams, PieceBuffers, Redistribution, endpoint_rows,
                       objective_and_gradients, COEFFICIENT_MODES, REDISTRIBUTION_SCHEMES)
 from .graph import Graph, normalized_adjacency_operator
-from .numerics import AdamState, adam_step, softmax_rows, stream
+from .numerics import AdamState, adam_step, softmax_columns, softmax_rows, stream
 
 _ROW_SUM_TOL = 1e-12
 FINAL_E_SWEEPS = 50   # least sweep cap of the E-step that predictions are read from
@@ -247,9 +248,7 @@ def _e_step_stats(q: Proposal, scores, pp: PairwiseParams, g: Graph, labels,
         for level_at, block, level_scores in levels:
             new = k @ (block @ r).T
             new += level_scores
-            new -= new.max(axis=0)
-            np.exp(new, out=new)
-            new /= new.sum(axis=0)
+            softmax_columns(new)
             max_tv = max(max_tv, float(0.5 * np.abs(new - entries[level_at]).sum(axis=0).max()))
             entries[level_at] = new
         sweeps_run += 1
@@ -370,10 +369,8 @@ def train(ds: Dataset, split: Split, config: TrainConfig) -> TrainResult:
             report.add("warm", epoch, "val_accuracy", float("nan"))
             continue
         s, _ = gcn.forward(params, features, norm_adj, field=val_field)
-        s = s[val_field.positions]
         acc = float(np.mean(np.argmax(s, axis=1) == val_labels))
-        s -= s.max(axis=1, keepdims=True)
-        val_loss = float(np.mean(np.log(np.exp(s).sum(axis=1)) - s[np.arange(len(s)), val_labels]))
+        val_loss = gcn.cross_entropy(s, val_labels)
         report.add("warm", epoch, "val_accuracy", acc)
         improved = select(acc, f"warm:{epoch}", params, pp, None)
         if val_loss < best_val_loss:

@@ -5,8 +5,8 @@ import scipy.sparse as sp
 from conftest import dense_normalized_adjacency
 from mrfgcn.data import generate_synthetic
 from mrfgcn.errors import StaleCacheError, StructuralInputError
-from mrfgcn.gcn import (GcnParams, backward, forward, init_params, receptive_field,
-                        supervised_loss_and_grad)
+from mrfgcn.gcn import (GcnParams, backward, cross_entropy, forward, init_params,
+                        receptive_field, supervised_loss_and_grad)
 from mrfgcn.graph import build_graph, normalized_adjacency_operator
 from mrfgcn.numerics import dropout_mask, softmax_rows, stream
 from mrfgcn.selfcheck import fd_gradient, random_graph, rel_error
@@ -387,7 +387,8 @@ def _field_case(name):
     if name == "isolated_nodes":
         assert len(bare) > 0
     val = rng.choice(np.setdiff1d(np.arange(n), train), n // 3, replace=False)
-    return g, x, train, val
+    # fields are cut for sorted distinct ids, as a Split holds them
+    return g, x, np.sort(train), np.sort(val)
 
 
 _FIELD_CASES = ("isolated_nodes", "bare_labeled", "whole_graph", "synthetic")
@@ -415,17 +416,16 @@ def test_field_supervised_step_and_validation_scores_equal_the_full_graph(name):
                zip(ref, supervised_loss_and_grad(params, x, adj, labels, train)))
     val_field = receptive_field(adj, x, val)
     val_scores, _ = forward(params, x, adj, field=val_field)
-    assert np.array_equal(val_scores[val_field.positions], scores[val])
+    assert np.array_equal(val_scores, scores[val])
 
 
 def test_field_holds_the_two_hop_blocks():
     g, x, train, _ = _field_case("synthetic")
     field = receptive_field(normalized_adjacency_operator(g), x, train)
     adj = dense_normalized_adjacency(g)
-    hop1 = np.flatnonzero(adj[np.sort(train)].any(axis=0))
+    hop1 = np.flatnonzero(adj[train].any(axis=0))
     hop2 = np.flatnonzero(adj[hop1].any(axis=0))
-    assert np.array_equal(field.rows, np.sort(train))
-    assert np.array_equal(field.rows[field.positions], train)
+    assert np.array_equal(field.rows, train)
     assert np.array_equal(field.hidden, hop1)
     assert len(hop2) < g.num_nodes
     assert np.array_equal(field.outer.toarray(), adj[field.rows])
@@ -464,6 +464,36 @@ def test_field_backward_with_dropout_matches_finite_differences():
                                            dropout_keep=0.7, field=field)
     assert rel_error(gw0, fd_gradient(lambda w: loss(w, params.w1), params.w0.copy())) <= 1e-6
     assert rel_error(gw1, fd_gradient(lambda w: loss(params.w0, w), params.w1.copy())) <= 1e-6
+
+
+@pytest.mark.parametrize("ids", [[4, 1], [1, 4, 4]], ids=["unsorted", "repeated"])
+def test_receptive_field_refuses_ids_that_are_not_sorted_and_distinct(ids):
+    g = random_graph(np.random.default_rng(7), 10, 0.3)
+    features = sp.csr_array(np.random.default_rng(8).random((10, 4)))
+    with pytest.raises(StructuralInputError,
+                       match="^receptive field ids must be sorted and distinct$"):
+        receptive_field(normalized_adjacency_operator(g), features, np.array(ids))
+
+
+def _cross_entropy_inline(scores, labels):
+    """Reference: the max-shifted mean cross-entropy, shifted in place."""
+    s = scores.copy()
+    s -= s.max(axis=1, keepdims=True)
+    return float(np.mean(np.log(np.exp(s).sum(axis=1)) - s[np.arange(len(s)), labels]))
+
+
+@pytest.mark.parametrize("c", [2, 7, 10])
+def test_cross_entropy_equals_the_inline_formula(c):
+    rng = np.random.default_rng(c)
+    scores = rng.normal(scale=4.0, size=(60, c))
+    labels = rng.integers(0, c, size=60)
+    assert cross_entropy(scores, labels) == _cross_entropy_inline(scores, labels)
+
+
+def test_cross_entropy_of_a_2000_nat_margin_is_that_margin():
+    scores = np.array([[0.0, 2000.0], [0.0, 2000.0]])
+    with np.errstate(divide="raise"):
+        assert cross_entropy(scores, np.array([0, 1])) == 1000.0
 
 
 @pytest.mark.parametrize("keep", [1.0, 0.5])

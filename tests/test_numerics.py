@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from mrfgcn.errors import ConfigError
-from mrfgcn.numerics import AdamState, adam_step, dropout_mask, softmax_rows, stream
+from mrfgcn.numerics import (AdamState, adam_step, dropout_mask, softmax_columns,
+                             softmax_rows, stream)
 
 
 # `@` with a dense or a CSR left operand: the products the GCN takes with
@@ -90,6 +91,15 @@ def test_softmax_of_no_rows_and_of_a_transposed_view():
     out = softmax_rows(m.T)
     assert out.flags.c_contiguous
     assert np.array_equal(out, softmax_rows(np.ascontiguousarray(m.T)))
+
+
+@pytest.mark.parametrize("c", [2, 7, 8, 10])
+def test_softmax_columns_works_in_place_and_is_softmax_rows_transposed(c):
+    t = np.random.default_rng(c).normal(scale=5.0, size=(c, 300))
+    expected = softmax_rows(t.T).T
+    out = softmax_columns(t)
+    assert out is t
+    assert np.array_equal(t, expected)
 
 
 def test_adam_zero_gradient_is_noop():

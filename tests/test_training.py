@@ -479,10 +479,10 @@ def test_warm_start_on_an_accuracy_plateau_runs_past_patience_while_its_loss_fal
 
     def recorded(params, features, norm_adj, dropout_keep=1.0, rng=None, field=None):
         scores, cache = real(params, features, norm_adj, dropout_keep, rng, field)
-        if field is not None and np.array_equal(field.ids, split.val):
-            probs = softmax_rows(scores[field.positions])
-            val_losses.append(-np.log(probs[np.arange(len(field.ids)),
-                                            ds.labels[field.ids]]).mean())
+        if field is not None and np.array_equal(field.rows, split.val):
+            probs = softmax_rows(scores)
+            val_losses.append(-np.log(probs[np.arange(len(field.rows)),
+                                            ds.labels[field.rows]]).mean())
         return scores, cache
 
     monkeypatch.setattr(gcn, "forward", recorded)
